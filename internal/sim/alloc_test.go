@@ -68,3 +68,31 @@ func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("park/wake allocates %.1f per 100 cycles, want 0", n)
 	}
 }
+
+// TestProcWakeSteadyStateZeroAlloc: a proc that wakes another from proc
+// context (the synchronous, nested Wake) allocates nothing per wake.
+func TestProcWakeSteadyStateZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	a := k.Go(0, "waiter", 0, func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	k.Go(1, "waker", 0, func(p *Proc) {
+		for {
+			p.Sleep(10)
+			a.Wake(1)
+		}
+	})
+	until := Cycles(0)
+	step := func() {
+		until += 100
+		k.Run(until)
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("synchronous Wake allocates %.1f per 100 cycles, want 0", n)
+	}
+}

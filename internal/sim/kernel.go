@@ -2,10 +2,10 @@
 //
 // The kernel maintains a virtual clock measured in CPU cycles and an event
 // queue ordered by (time, insertion sequence). Simulated threads (Proc) run
-// as goroutines, but the kernel guarantees that at most one of them executes
-// at any instant: a single control token moves between the kernel loop and
-// the proc goroutines, so simulations are fully deterministic and race-free;
-// their only source of randomness is the kernel's seeded RNG.
+// as iter.Pull coroutines, so at most one of them executes at any instant
+// and control moves between them by direct coroutine switches that never
+// enter the Go scheduler: simulations are fully deterministic and race-free,
+// and their only source of randomness is the kernel's seeded RNG.
 //
 // The event queue is a pooled 4-ary min-heap: fired and cancelled events are
 // recycled through a free list, so steady-state scheduling does not allocate.
@@ -24,7 +24,7 @@ type Cycles uint64
 // event is the pooled internal representation of a scheduled callback.
 // Exactly one of fn, call or proc describes the action: fn is a plain
 // closure, call is a closure-free callback invoked as call(obj, a, b),
-// and proc is a typed wake-up delivering the token in a.
+// and proc is a typed wake-up delivering the wake value in a.
 type event struct {
 	at  Cycles
 	seq uint64
@@ -82,40 +82,31 @@ type Kernel struct {
 	ncancel int      // cancelled events still in heap
 	seq     uint64
 	rng     *rand.Rand
-	procs   []*Proc
 	stopped bool
 	until   Cycles // time limit of the active Run, 0 = none
 
-	// active is the Proc currently executing, nil when the kernel loop
-	// (or an event callback run inline on the kernel goroutine) holds
-	// the control token.
-	active *Proc
+	// handoffTo is the parked Proc that the last handoff made the next
+	// driver of the event loop; the trampoline in Run resumes it. nil
+	// once the loop is over.
+	handoffTo *Proc
 
-	// driver is the parked Proc whose goroutine is currently running the
-	// event loop (Kernel.drive), nil when the kernel goroutine is. An
-	// event callback that wakes the driver is executing beneath that
-	// proc's own park frame, so the wake cannot transfer — it is marked
-	// on the proc and delivered when the callback returns.
+	// driver is the parked Proc that is currently running the event loop
+	// inside its own park (Kernel.drive), nil when Run's goroutine or a
+	// finished proc is. An event callback that wakes the driver is
+	// executing beneath that proc's own park frame, so the wake cannot
+	// transfer — it is marked on the proc and delivered when the callback
+	// returns.
 	driver *Proc
 
 	// inCallback is true while an event callback is executing (and no
 	// nested proc transfer is in progress). A Wake issued from such a
 	// callback as its last action need not make a synchronous round trip:
 	// it is recorded in deferred and delivered by a tail handoff when the
-	// callback returns — one goroutine crossing instead of two.
+	// callback returns, so the woken proc takes over the event loop
+	// instead of switching back to the callback's caller.
 	inCallback bool
 	// deferred is the proc awaiting that tail delivery, nil if none.
 	deferred *Proc
-
-	// token returns control to the kernel goroutine blocked in Run when
-	// a driving proc ends the event loop (queue drained, limit reached,
-	// Stop called, or a trapped panic).
-	token chan struct{}
-
-	// trap holds a panic value recovered on a proc goroutine; it is
-	// re-raised on the kernel goroutine so panics inside event callbacks
-	// propagate out of Run regardless of which goroutine ran them.
-	trap any
 
 	// nrecycled/ncompact/hiwater are kernel-local instrumentation
 	// counters, deliberately plain (not atomic): the hot loop bumps
@@ -129,10 +120,7 @@ type Kernel struct {
 // NewKernel returns a kernel with its clock at zero and the RNG seeded
 // with seed (use a fixed seed for reproducible runs).
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		token: make(chan struct{}),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -343,10 +331,10 @@ func (k *Kernel) pop() *event {
 	}
 }
 
-// exec recycles e and runs its callback. Called by whichever goroutine
-// holds the control token; the callback may nest Wake/Start transfers.
-// While the callback runs, inCallback arms the deferred-wake fast path
-// (see Proc.Wake); the caller delivers any deferred wake afterwards.
+// exec recycles e and runs its callback, on Run's goroutine or inside the
+// driving proc's park; the callback may nest Wake/Start transfers. While
+// it runs, inCallback arms the deferred-wake fast path (see Proc.Wake);
+// the caller delivers any deferred wake afterwards.
 func (k *Kernel) exec(e *event) {
 	if call := e.call; call != nil {
 		obj, a, b := e.obj, e.a, e.b
@@ -363,34 +351,32 @@ func (k *Kernel) exec(e *event) {
 	k.inCallback = false
 }
 
-// handoff makes parked proc p the driver of the event loop and passes the
-// control token to its goroutine. The caller must not touch kernel state
-// afterwards; it either blocks on its own resume point or returns.
+// handoff makes parked proc p the next driver of the event loop. The
+// caller must not touch kernel state afterwards: it returns control to the
+// trampoline in Run, which resumes p.
 func (k *Kernel) handoff(p *Proc, val uint64) {
 	if p.state != ProcParked {
 		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
 	}
 	p.WakeVal = val
-	p.back = nil
+	p.nested = false
 	p.state = ProcRunning
-	k.active = p
-	p.resume <- struct{}{}
+	k.handoffTo = p
 }
 
-// drive is the event loop run by a proc goroutine that holds the control
-// token after parking or finishing. It pops and executes events inline on
-// this goroutine until control must leave it. It returns true when the
-// popped event is self's own wake-up — the caller continues inline with
-// zero goroutine switches — and false when the token went to another proc
-// or back to the kernel.
+// drive is the event loop. Run executes it on its own goroutine, and a
+// driving proc inside its park (self) or after its body returned (nil). It
+// pops and executes events inline until control must leave the caller.
+// It returns true when the popped event is self's own wake-up — the caller
+// continues inline with no switch at all — and false when the loop was
+// handed to another proc (handoffTo) or is over (handoffTo nil).
 func (k *Kernel) drive(self *Proc) bool {
 	k.driver = self
 	for {
 		e := k.pop()
 		if e == nil {
 			k.driver = nil
-			k.active = nil
-			k.token <- struct{}{}
+			k.handoffTo = nil
 			return false
 		}
 		if p := e.proc; p != nil {
@@ -427,81 +413,36 @@ func (k *Kernel) drive(self *Proc) bool {
 	}
 }
 
-// transfer performs a synchronous nested switch to p: the caller (the
-// kernel loop or a running proc, per k.active) blocks until p parks or
-// finishes, then resumes where it left off. Used by Wake and Start, whose
-// contract is that the woken proc runs to its next park before the caller
-// continues.
+// transfer performs a synchronous nested switch to p: it resumes p's
+// coroutine, which runs until p parks or finishes and then returns here.
+// Used by Wake and Start, whose contract is that the woken proc runs to
+// its next park before the caller continues. A panic in p re-raises here.
 func (k *Kernel) transfer(p *Proc) {
-	caller := k.active
-	wait := k.token
-	if caller != nil {
-		wait = caller.resume
-	}
 	// The woken proc's body is ordinary proc context, not callback
 	// context: wakes it issues must stay synchronous even when this
 	// transfer was initiated from inside an event callback.
 	inCB := k.inCallback
 	k.inCallback = false
-	p.back = wait
+	p.nested = true
 	p.state = ProcRunning
-	k.active = p
-	p.resume <- struct{}{}
-	<-wait
-	k.active = caller
+	p.next()
 	k.inCallback = inCB
-	if k.trap != nil {
-		if caller != nil {
-			// Re-raise on this proc goroutine; its top-level recover
-			// forwards the token (and the trap) toward the kernel.
-			panic(k.trap)
-		}
-		r := k.trap
-		k.trap = nil
-		panic(r)
-	}
 }
 
 // Run executes events in timestamp order until the queue drains, the clock
 // passes until (0 means no limit), or Stop is called. It returns the
-// virtual time at exit. Closure events run inline; a proc wake-up hands
-// the loop to that proc's goroutine (see drive), and the token comes back
-// here only when the loop is over.
+// virtual time at exit. Events run inline on the calling goroutine until a
+// proc wake-up hands the loop to that proc, which keeps driving it inside
+// its own park (see drive). iter.Pull coroutines are asymmetric — a proc
+// can only suspend back to whoever resumed it — so a driver that hands the
+// loop to another proc suspends back to the trampoline below, which
+// resumes the new driver, until one of them ends the loop.
 func (k *Kernel) Run(until Cycles) Cycles {
 	k.stopped = false
 	k.until = until
-	for {
-		e := k.pop()
-		if e == nil {
-			break
-		}
-		if p := e.proc; p != nil {
-			val := e.a
-			k.recycle(e)
-			k.handoff(p, val)
-			<-k.token
-			if k.trap != nil {
-				r := k.trap
-				k.trap = nil
-				panic(r)
-			}
-			break
-		}
-		k.exec(e)
-		if q := k.deferred; q != nil {
-			// Tail-deliver a wake issued by the callback: identical to a
-			// typed wake event from here on — the woken proc drives the
-			// loop and the token comes back when it is over.
-			k.deferred = nil
-			k.handoff(q, q.WakeVal)
-			<-k.token
-			if k.trap != nil {
-				r := k.trap
-				k.trap = nil
-				panic(r)
-			}
-			break
-		}
+	k.drive(nil)
+	for p := k.handoffTo; p != nil; p = k.handoffTo {
+		p.next()
 	}
 	k.until = 0
 	if until != 0 && k.now < until && len(k.heap) == 0 {

@@ -1,12 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ProcState describes the lifecycle of a simulated thread.
 type ProcState int
 
 const (
-	// ProcNew means the goroutine has not started executing the body yet.
+	// ProcNew means the coroutine has not started executing the body yet.
 	ProcNew ProcState = iota
 	// ProcRunning means the Proc is the currently executing simulation actor.
 	ProcRunning
@@ -30,25 +33,31 @@ func (s ProcState) String() string {
 	return fmt.Sprintf("ProcState(%d)", int(s))
 }
 
-// Proc is a simulated thread: a goroutine whose execution is interleaved
-// with virtual time by the kernel. Exactly one Proc (or the kernel loop)
-// runs at a time — a single control token moves between goroutines over
-// the per-proc resume channels and the kernel's token channel.
+// Proc is a simulated thread: an iter.Pull coroutine whose execution is
+// interleaved with virtual time by the kernel. Exactly one Proc (or Run's
+// goroutine) runs at a time, and control moves between them by coroutine
+// switches, which bypass the Go scheduler.
 //
-// A proc yields the token in one of two modes. After a synchronous nested
-// Wake/Start (back != nil) the token returns to the waker, which resumes
+// A proc suspends in one of two modes. After a synchronous nested
+// Wake/Start (nested) it suspends back to the waker, which resumes
 // mid-callback. Otherwise the proc is the driver: on park it keeps popping
 // and executing events inline (Kernel.drive), so a sleep whose wake-up is
-// the next event costs zero goroutine switches, and a handover to another
-// proc costs one channel crossing instead of four.
+// the next event costs no switch at all. A handover to another proc costs
+// two: the driver suspends to the trampoline in Kernel.Run, which resumes
+// the new driver.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	state  ProcState
-	resume chan struct{} // control token handed to this proc
-	back   chan struct{} // non-nil: waker to resume on yield; nil: driver
-	body   func(*Proc)
+	k     *Kernel
+	id    int
+	name  string
+	state ProcState
+	body  func(*Proc)
+
+	next  func() (struct{}, bool) // resumes the coroutine (iter.Pull)
+	yield func(struct{}) bool     // suspends it back to whoever resumed it
+	// nested is true when the proc was resumed by a synchronous
+	// Wake/Start and yields back to the waker on park; false when it
+	// was resumed by the trampoline as the event loop's driver.
+	nested bool
 
 	// wokenInline records a Wake delivered while this proc was itself
 	// driving the event loop: the waking callback runs beneath the
@@ -64,16 +73,7 @@ type Proc struct {
 // NewProc creates a simulated thread that will execute body when started.
 // The Proc does not run until Start (typically via a scheduled event).
 func (k *Kernel) NewProc(id int, name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     id,
-		name:   name,
-		state:  ProcNew,
-		resume: make(chan struct{}),
-		body:   body,
-	}
-	k.procs = append(k.procs, p)
-	return p
+	return &Proc{k: k, id: id, name: name, state: ProcNew, body: body}
 }
 
 // ID returns the numeric identifier given at creation.
@@ -91,67 +91,41 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the kernel's current virtual time.
 func (p *Proc) Now() Cycles { return p.k.now }
 
-// Start launches the Proc's goroutine and runs it until its first park.
+// Start creates the Proc's coroutine and runs it until its first park.
 // Must be called from kernel context (an event callback) or before Run.
 func (p *Proc) Start() {
 	if p.state != ProcNew {
 		panic("sim: Start on a non-new Proc")
 	}
-	go p.run()
+	p.next, _ = iter.Pull(p.run)
 	p.k.transfer(p)
 }
 
-// run is the proc goroutine: wait for the first token, execute the body,
-// then release the token. A panic anywhere on this goroutine (the body or
-// an event callback executed while driving) is trapped and forwarded so
-// it re-raises out of Kernel.Run on the kernel goroutine.
-func (p *Proc) run() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.state = ProcDone
-			if p.k.trap == nil {
-				p.k.trap = r
-			}
-			if ch := p.back; ch != nil {
-				p.back = nil
-				ch <- struct{}{}
-				return
-			}
-			p.k.active = nil
-			p.k.token <- struct{}{}
-		}
-	}()
-	<-p.resume
+// run is the coroutine: execute the body, then release control — back to
+// a nested waker by returning, or, when this proc was the driver, by
+// driving the event loop until it is handed on. iter.Pull re-raises a
+// panic anywhere in it (the body or an event callback executed while
+// driving) in whoever resumed the coroutine, so it propagates out of
+// Kernel.Run.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	p.body(p)
 	p.state = ProcDone
-	p.finish()
-}
-
-// finish releases the control token after the body returned: back to a
-// nested waker, or — when this proc was the driver — by driving the event
-// loop until the token moves on.
-func (p *Proc) finish() {
-	if ch := p.back; ch != nil {
-		p.back = nil
-		ch <- struct{}{}
-		return
+	if !p.nested {
+		p.k.drive(nil)
 	}
-	p.k.drive(nil)
 }
 
-// park blocks the calling proc goroutine until it is woken. A nested-woken
-// proc returns the token to its waker; a driver keeps executing events
-// inline and, if the next wake-up is its own, continues without blocking.
+// park suspends the calling proc until it is woken. A nested-woken proc
+// suspends back to its waker; a driver keeps executing events inline and,
+// if the next wake-up is its own, continues without suspending.
 func (p *Proc) park() {
 	p.state = ProcParked
-	if ch := p.back; ch != nil {
-		p.back = nil
-		ch <- struct{}{}
-	} else if p.k.drive(p) {
+	if !p.nested && p.k.drive(p) {
 		p.state = ProcRunning
 		return
 	}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Park blocks the proc until some other actor calls Wake. The returned
@@ -168,7 +142,7 @@ func (p *Proc) Park() uint64 {
 // last observable action (no scheduling, RNG draws or further wakes after
 // it — consecutive wakes are fine) and delivery is optimized: p resumes
 // when the callback returns, by tail handoff, or inline when the callback
-// is already executing on p's own driving goroutine.
+// is already executing inside p's own park as the driver.
 func (p *Proc) Wake(val uint64) {
 	if p.state != ProcParked {
 		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
@@ -194,8 +168,8 @@ func (p *Proc) Wake(val uint64) {
 
 // WakeAt schedules p to be woken at now+d with the given token and returns
 // the timer event (cancellable). The wake-up is a typed event — no closure
-// is allocated, and the kernel delivers it with at most one goroutine
-// switch (zero when p itself is driving the event loop).
+// is allocated, and the kernel delivers it with at most two coroutine
+// switches (none when p itself is driving the event loop).
 func (p *Proc) WakeAt(d Cycles, val uint64) Event {
 	return p.k.scheduleWake(d, p, val)
 }

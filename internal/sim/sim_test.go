@@ -298,3 +298,62 @@ func TestManyProcsDrainCleanly(t *testing.T) {
 		t.Fatalf("finished %d/100 procs", total)
 	}
 }
+
+// TestPanicsSurfaceFromRun pins panic propagation: wherever a proc body
+// or an event callback panics — on Run's goroutine or inside a proc's
+// coroutine, however deeply nested — the panic surfaces from Kernel.Run
+// with its original value.
+func TestPanicsSurfaceFromRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, k *Kernel, boom any)
+	}{
+		{"proc body", func(t *testing.T, k *Kernel, boom any) {
+			k.Go(0, "p", 0, func(p *Proc) {
+				p.Sleep(10)
+				panic(boom)
+			})
+		}},
+		{"callback run by a driving proc", func(t *testing.T, k *Kernel, boom any) {
+			p := k.Go(0, "p", 0, func(p *Proc) {
+				p.Sleep(10)  // resumed by Run: p drives from here on
+				p.Sleep(100) // executes the t=50 callback inside its park
+			})
+			k.Schedule(50, func() {
+				if k.driver != p {
+					t.Errorf("callback ran with driver %v, want proc p", k.driver)
+				}
+				panic(boom)
+			})
+		}},
+		{"proc resumed by a synchronous Wake", func(t *testing.T, k *Kernel, boom any) {
+			a := k.Go(0, "a", 0, func(p *Proc) {
+				p.Park()
+				panic(boom)
+			})
+			k.Go(1, "b", 0, func(p *Proc) {
+				p.Sleep(10)
+				a.Wake(1)
+				t.Error("Wake returned after the woken proc panicked")
+			})
+		}},
+		{"Start", func(t *testing.T, k *Kernel, boom any) {
+			k.Go(0, "p", 0, func(p *Proc) { panic(boom) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			boom := &struct{ name string }{tc.name}
+			tc.setup(t, k, boom)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				k.Drain()
+				return nil
+			}()
+			if got != boom {
+				t.Fatalf("Run panicked with %v, want %v", got, boom)
+			}
+		})
+	}
+}
