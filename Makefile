@@ -70,7 +70,9 @@ smoke:
 
 # The CI determinism gate: save a quick baseline of every experiment,
 # rerun, and self-diff (zero differences), then check that a sharded
-# rerun merges back byte-identical.
+# rerun merges back byte-identical — once from two -shard parts, once
+# from a -shard part and a -cells part (-shard i/n is the cell range
+# [i, i+1) of total n).
 results:
 	rm -rf /tmp/lockin-results
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -json /tmp/lockin-results/baseline > /dev/null
@@ -78,6 +80,9 @@ results:
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -shard 0/2 -json /tmp/lockin-results/s0 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -shard 1/2 -json /tmp/lockin-results/s1 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -merge /tmp/lockin-results/s0,/tmp/lockin-results/s1 -baseline /tmp/lockin-results/baseline -diff
+	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -shard 0/2 -json /tmp/lockin-results/a > /dev/null
+	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -cells 1-2/2 -json /tmp/lockin-results/b > /dev/null
+	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -merge /tmp/lockin-results/a,/tmp/lockin-results/b -baseline /tmp/lockin-results/baseline -diff
 
 # The CI scenario gate: every bundled spec must parse and compile, a
 # quick scenario smoke-runs with a parallel-vs-serial output diff, and

@@ -26,11 +26,11 @@
 // different spec revisions is refused with an error instead of
 // reporting workload changes as regressions.
 //
-// Multi-process sharding (the union of shards is byte-identical to an
-// unsharded run):
+// Multi-process sharding (the union of the parts is byte-identical to
+// an unsharded run; -shard i/n is the cell range -cells i-(i+1)/n):
 //
 //	lockbench -experiment fig10 -shard 0/2 -json s0/
-//	lockbench -experiment fig10 -shard 1/2 -json s1/
+//	lockbench -experiment fig10 -cells 1-2/2 -json s1/
 //	lockbench -experiment fig10 -merge s0/,s1/ -json merged/
 //
 // Axis queries over multi-axis runs (see README "Axis queries"):
@@ -183,10 +183,6 @@ func main() {
 		return
 	}
 
-	if *id != "" && *scenFile != "" {
-		fmt.Fprintln(os.Stderr, "lockbench: -experiment and -scenario are mutually exclusive")
-		os.Exit(2)
-	}
 	if *baseline != "" && o.Partial() {
 		fmt.Fprintln(os.Stderr, "lockbench: -baseline compares full runs; merge the partial runs first (-merge)")
 		os.Exit(2)
@@ -244,7 +240,7 @@ func main() {
 // queryStored is the -load path: answer slice/project/save/diff from a
 // stored run file without simulating.
 func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeArg, jsonDir, baseline string, diffGate bool) {
-	if id != "" || scenFile != "" || o.ShardCount > 0 || o.RangeTotal > 0 || mergeArg != "" {
+	if id != "" || scenFile != "" || o.RangeTotal > 0 || mergeArg != "" {
 		fmt.Fprintln(os.Stderr, "lockbench: -load queries a stored run; it excludes -experiment/-scenario/-shard/-cells/-merge")
 		os.Exit(2)
 	}
@@ -253,14 +249,9 @@ func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeA
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Queries refuse shards themselves; the plain diff path must
-	// too, or a partial shard diffs against a full baseline and
-	// every missing row reads as a regression.
-	if run.Meta.ShardCount > 1 && baseline != "" {
-		fmt.Fprintf(os.Stderr, "lockbench: %s is shard %d/%d; merge the shards first (-merge)\n",
-			path, run.Meta.ShardIndex, run.Meta.ShardCount)
-		os.Exit(2)
-	}
+	// Queries refuse partial runs themselves; the plain diff path must
+	// too, or a partial run diffs against a full baseline and every
+	// missing row reads as a regression.
 	if run.Meta.Range != nil && baseline != "" {
 		fmt.Fprintf(os.Stderr, "lockbench: %s covers only cells %s; merge the ranges first (-merge)\n",
 			path, run.Meta.Range)
@@ -290,30 +281,28 @@ func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeA
 }
 
 // selectExperiments resolves -experiment/-scenario into the list of
-// experiments to run, dropping aggregates under sharding (their tables
-// are whole-grid statistics; a shard's table is a partial summary, not
-// a row slice, so merging shards would produce duplicated, wrong rows).
+// experiments to run — every one for 'all', else the one job
+// (opts.Job.Resolve) — dropping aggregates under cell ranges (their
+// tables are whole-grid statistics; a partial run's table is a partial
+// summary, not a row slice, so merging parts would produce duplicated,
+// wrong rows).
 func selectExperiments(id, scenFile, mergeArg string, o opts.Options) []experiments.Experiment {
 	var todo []experiments.Experiment
-	switch {
-	case scenFile != "":
-		data, err := os.ReadFile(scenFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lockbench: read scenario spec: %v\n", err)
-			os.Exit(2)
-		}
-		c, err := scenario.ParseAndCompile(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		todo = []experiments.Experiment{c.Experiment()}
-	case id == "all":
+	if id == "all" && scenFile == "" {
 		todo = experiments.All()
-	default:
-		e, err := experiments.Find(id)
+	} else {
+		job := opts.Job{Experiment: id, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers}
+		if scenFile != "" {
+			data, err := os.ReadFile(scenFile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "lockbench: read scenario spec: %v\n", err)
+				os.Exit(2)
+			}
+			job.Scenario = data
+		}
+		e, _, err := job.Resolve()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
 			os.Exit(2)
 		}
 		todo = []experiments.Experiment{e}
@@ -546,8 +535,10 @@ func diffBaseline(run *results.Run, id, baselineArg string, q opts.Query, o opts
 	return !rep.Empty()
 }
 
-// mergeStored loads the stored shard runs of one experiment from the
-// given store directories and reassembles the full run.
+// mergeStored loads the stored partial runs of one experiment — cell
+// ranges, or the shards older stores hold (results.Decode reads them
+// as ranges) — from the given store directories and reassembles the
+// full run.
 func mergeStored(id string, dirs []string) (*results.Run, error) {
 	// The store file name sanitizes the id (scenario:* ids), so derive
 	// the glob prefix from the same mapping Save uses.
@@ -580,7 +571,7 @@ func mergeStored(id string, dirs []string) (*results.Run, error) {
 			shards = append(shards, r)
 		}
 	}
-	if len(shards) == 1 && shards[0].Meta.ShardCount <= 1 && shards[0].Meta.Range == nil {
+	if len(shards) == 1 && shards[0].Meta.Range == nil {
 		return shards[0], nil
 	}
 	return results.Merge(shards...)

@@ -11,15 +11,21 @@
 // Flag names and URL query parameters correspond one-to-one: -seed ↔
 // seed, -scale ↔ scale, -quick ↔ quick, -workers ↔ workers, -slice ↔
 // slice, -project ↔ project, -tol ↔ tol, -tol-cols ↔ tol_cols,
-// -cpuprofile ↔ cpuprofile, -memprofile ↔ memprofile. The -shard flag
-// is deliberately CLI-only: a shard is a process-level concern of
-// distributed regeneration, and the service always runs full grids.
-// The service handlers likewise keep cpuprofile/memprofile out of
-// their allowed query subsets: profiles are files of the serving
-// process, not run options.
+// -cpuprofile ↔ cpuprofile, -memprofile ↔ memprofile. The -shard and
+// -cells flags are deliberately CLI-only: a cell range is a
+// process-level concern of distributed regeneration, and the service
+// always runs full grids. The service handlers likewise keep
+// cpuprofile/memprofile out of their allowed query subsets: profiles
+// are files of the serving process, not run options.
+//
+// Job is the run request every front end shares: an experiment id or
+// scenario spec bytes plus the run options. lockbench, the service,
+// the service's journal and the fleet all turn one into a run through
+// Job.Resolve, so they validate and resolve requests identically.
 package opts
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,16 +55,12 @@ type Options struct {
 	// Workers caps the number of grid cells simulated concurrently
 	// (0 = all CPUs, 1 = serial). Results are identical for any value.
 	Workers int
-	// ShardIndex/ShardCount run one contiguous shard of each grid
-	// (0/0 = unsharded). CLI-only; never set from a URL query. A shard
-	// i/n is evaluated as the cell range [i, i+1) of total n.
-	ShardIndex int
-	ShardCount int
 	// RangeLo/RangeHi/RangeTotal run one contiguous cell range of each
-	// grid in generalized shard coordinates (active when RangeTotal >
-	// 0; see sweep.Options). The fleet worker executes leased chunks
-	// through these; -cells lo-hi/total exposes the same knob on the
-	// CLI. CLI-only, like -shard.
+	// grid (active when RangeTotal > 0; see sweep.Options) — the only
+	// partition of a run. The fleet worker executes leased chunks
+	// through these; on the CLI, -cells lo-hi/total sets them directly
+	// and -shard i/n sets the range [i, i+1) of total n. Never set from
+	// a URL query.
 	RangeLo    int
 	RangeHi    int
 	RangeTotal int
@@ -80,7 +82,7 @@ type Options struct {
 	CPUProfile string
 	MemProfile string
 	// LogLevel/LogJSON shape the binary's structured logger (-log-level,
-	// -log-json; see Logger). CLI-only, like -shard: logging is a
+	// -log-json; see Logger). CLI-only, like -cells: logging is a
 	// property of the running process, never of a run, so the service
 	// accepts neither from a URL query.
 	LogLevel string
@@ -121,7 +123,8 @@ func FromRunFlags(fs *flag.FlagSet) *Flags {
 }
 
 // FromFlags binds the full shared option surface — the execution core
-// plus sharding, axis queries and diff tolerances — onto fs.
+// plus cell ranges (-shard, -cells), axis queries and diff tolerances
+// — onto fs.
 func FromFlags(fs *flag.FlagSet) *Flags {
 	f := FromRunFlags(fs)
 	f.shard = fs.String("shard", "", "run one shard of each grid, format i/n (e.g. 0/2)")
@@ -139,15 +142,21 @@ func FromFlags(fs *flag.FlagSet) *Flags {
 func (f *Flags) Options() (Options, error) {
 	o := f.opts
 	var err error
-	if f.shard != nil {
-		if o.ShardIndex, o.ShardCount, err = ParseShard(*f.shard); err != nil {
-			return o, err
-		}
-	}
 	if f.cells != nil {
 		if o.RangeLo, o.RangeHi, o.RangeTotal, err = ParseCells(*f.cells); err != nil {
 			return o, err
 		}
+	}
+	if f.shard != nil && *f.shard != "" {
+		if o.RangeTotal > 0 {
+			return o, errors.New("-shard and -cells are two spellings of the same split; give one")
+		}
+		// -shard i/n is the cell range [i, i+1) of total n.
+		i, n, err := ParseShard(*f.shard)
+		if err != nil {
+			return o, err
+		}
+		o.RangeLo, o.RangeHi, o.RangeTotal = i, i+1, n
 	}
 	if f.slice != nil {
 		if o.Slice, err = ParseSlice(*f.slice); err != nil {
@@ -319,15 +328,9 @@ func (o *Options) NormalizeAndValidate() error {
 	if !(o.Tol >= 0) || math.IsInf(o.Tol, 0) {
 		return fmt.Errorf("bad tol %v: want a non-negative, finite relative tolerance", o.Tol)
 	}
-	if o.ShardCount < 0 || o.ShardIndex < 0 || (o.ShardCount > 0 && o.ShardIndex >= o.ShardCount) {
-		return fmt.Errorf("bad shard %d/%d: want 0 <= index < count", o.ShardIndex, o.ShardCount)
-	}
 	if o.RangeTotal < 0 || (o.RangeTotal > 0 &&
 		(o.RangeLo < 0 || o.RangeHi < o.RangeLo || o.RangeHi > o.RangeTotal)) {
 		return fmt.Errorf("bad cells %d-%d/%d: want 0 <= lo <= hi <= total", o.RangeLo, o.RangeHi, o.RangeTotal)
-	}
-	if o.RangeTotal > 0 && o.ShardCount > 1 {
-		return fmt.Errorf("-shard and -cells are two spellings of the same split; give one")
 	}
 	if _, err := telemetry.ParseLevel(o.LogLevel); err != nil {
 		return err
@@ -397,6 +400,7 @@ func ParseTolCols(s string) (map[string]float64, error) {
 }
 
 // ParseShard parses "i/n" into (i, n); an empty argument is unsharded.
+// Flags.Options turns a shard into the cell range [i, i+1) of total n.
 func ParseShard(s string) (idx, count int, err error) {
 	if s == "" {
 		return 0, 0, nil
@@ -464,7 +468,6 @@ func (o Options) Tolerance() results.Tolerance {
 func (o Options) ExperimentOptions() experiments.Options {
 	return experiments.Options{
 		Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers,
-		ShardIndex: o.ShardIndex, ShardCount: o.ShardCount,
 		RangeLo: o.RangeLo, RangeHi: o.RangeHi, RangeTotal: o.RangeTotal,
 	}
 }
@@ -474,23 +477,19 @@ func (o Options) ExperimentOptions() experiments.Options {
 func (o Options) Meta(experiment string) results.Meta {
 	m := results.Meta{
 		Experiment: experiment, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
-		Workers: o.Workers, ShardIndex: o.ShardIndex, ShardCount: o.ShardCount,
-		Version: results.Version(),
+		Workers: o.Workers, Version: results.Version(),
 	}
-	if o.RangeTotal > 0 && !(o.RangeLo == 0 && o.RangeHi == o.RangeTotal) {
+	if o.Partial() {
 		m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
 	}
 	return m
 }
 
 // Partial reports whether these options run a strict subset of each
-// grid — a shard, or a cell range that does not cover [0,total) — so
-// the output is a partial run that must be merged (results.Merge)
-// before it can be compared or queried as a full run.
+// grid — a cell range that does not cover [0,total) — so the output is
+// a partial run that must be merged (results.Merge) before it can be
+// compared or queried as a full run.
 func (o Options) Partial() bool {
-	if o.ShardCount > 1 {
-		return true
-	}
 	return o.RangeTotal > 0 && !(o.RangeLo == 0 && o.RangeHi == o.RangeTotal)
 }
 

@@ -152,9 +152,10 @@ func TestFromFlagsFullSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// -shard i/n is the cell range [i, i+1) of total n.
 	want := opts.Options{
 		Seed: 7, Scale: 2.5, Quick: true, Workers: 3,
-		ShardIndex: 1, ShardCount: 4,
+		RangeLo: 1, RangeHi: 2, RangeTotal: 4,
 		Slice:   []results.Fix{{Axis: "read", Value: "90"}},
 		Project: []string{"lock"},
 		Tol:     0.01, TolCols: map[string]float64{"p95(Kcyc)": 0.05},
@@ -172,6 +173,7 @@ func TestFromFlagsFullSurface(t *testing.T) {
 func TestFromFlagsBadComposite(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shard", "9"},
+		{"-shard", "0/2", "-cells", "1-2/2"}, // two spellings of one split
 		{"-slice", "read"},
 		{"-project", ","},
 		{"-tol-cols", "x=-1"},
@@ -292,8 +294,9 @@ func TestNormalizeAndValidate(t *testing.T) {
 		func(o *opts.Options) { o.Scale = 0 },
 		func(o *opts.Options) { o.Scale = -2 },
 		func(o *opts.Options) { o.Tol = -0.1 },
-		func(o *opts.Options) { o.ShardIndex, o.ShardCount = 3, 2 },
-		func(o *opts.Options) { o.ShardIndex, o.ShardCount = -1, 2 },
+		func(o *opts.Options) { o.RangeLo, o.RangeHi, o.RangeTotal = 3, 2, 4 },
+		func(o *opts.Options) { o.RangeLo, o.RangeHi, o.RangeTotal = -1, 1, 2 },
+		func(o *opts.Options) { o.RangeLo, o.RangeHi, o.RangeTotal = 0, 3, 2 },
 	}
 	for i, mutate := range bad {
 		o := opts.Defaults()

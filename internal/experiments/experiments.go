@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -31,17 +32,13 @@ type Options struct {
 	// Workers caps the number of grid cells simulated concurrently
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical either way.
 	Workers int
-	// ShardIndex/ShardCount split an experiment's grid across
-	// processes (see sweep.Options): only this shard's contiguous slice
-	// of cells simulates, and the surviving cells keep their
-	// index-derived seeds, so concatenating every shard's table rows
-	// (results.Merge) is byte-identical to an unsharded run.
-	ShardIndex int
-	ShardCount int
-	// RangeLo/RangeHi/RangeTotal run one contiguous cell range in
-	// generalized shard coordinates (active when RangeTotal > 0; see
-	// sweep.Options). The fleet worker executes leased chunks through
-	// these; -shard i/n is the special case [i, i+1) of total n.
+	// RangeLo/RangeHi/RangeTotal split an experiment's grid across
+	// processes (active when RangeTotal > 0; see sweep.Options): only
+	// this contiguous range of cells simulates, and the surviving cells
+	// keep their index-derived seeds, so concatenating the table rows of
+	// ranges that tile [0, RangeTotal) (results.Merge) is byte-identical
+	// to a full run. The fleet worker executes leased chunks through
+	// these, and the CLI's -shard i/n is the range [i, i+1) of total n.
 	RangeLo    int
 	RangeHi    int
 	RangeTotal int
@@ -83,8 +80,6 @@ func (o Options) SweepOptions() sweep.Options {
 		Seed:       o.Seed,
 		Scale:      o.Scale,
 		Quick:      o.Quick,
-		ShardIndex: o.ShardIndex,
-		ShardCount: o.ShardCount,
 		RangeLo:    o.RangeLo,
 		RangeHi:    o.RangeHi,
 		RangeTotal: o.RangeTotal,
@@ -95,11 +90,8 @@ func (o Options) SweepOptions() sweep.Options {
 	}
 }
 
-// sweep is the historical internal spelling of SweepOptions.
-func (o Options) sweep() sweep.Options { return o.SweepOptions() }
-
 // grid starts an empty cell grid executing under these options.
-func (o Options) grid() *sweep.Grid { return sweep.NewGrid(o.sweep()) }
+func (o Options) grid() *sweep.Grid { return sweep.NewGrid(o.SweepOptions()) }
 
 // machineSeeded returns the default machine configuration under the
 // given per-cell seed.
@@ -175,11 +167,16 @@ func IDs() []string {
 	return ids
 }
 
+// ErrUnknown is wrapped by Find's error for an id the registry does
+// not hold, so front ends can tell "no such experiment" (the service's
+// 404) from a malformed request.
+var ErrUnknown = errors.New("unknown experiment")
+
 // Find returns the experiment with the given id.
 func Find(id string) (Experiment, error) {
 	e, ok := registry[id]
 	if !ok {
-		return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+		return Experiment{}, fmt.Errorf("experiments: %w %q (have %v)", ErrUnknown, id, IDs())
 	}
 	return e, nil
 }

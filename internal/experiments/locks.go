@@ -276,7 +276,7 @@ func runFig12(o Options) []*metrics.Table {
 		}
 	}
 	type pair struct{ thr, tpp float64 }
-	so := o.sweep()
+	so := o.SweepOptions()
 	results := sweep.Run(so, len(cells), func(c sweep.Cell) []pair {
 		cfg := cells[c.Index]
 		out := make([]pair, len(evalKinds))

@@ -7,20 +7,20 @@ import (
 )
 
 // shardedRun executes one experiment as a results.Run under the given
-// shard options.
+// options, recording their cell range when they carry one.
 func shardedRun(t *testing.T, id string, o Options) *results.Run {
 	t.Helper()
 	e, err := Find(id)
 	if err != nil {
 		t.Fatalf("find %s: %v", id, err)
 	}
-	return &results.Run{
-		Meta: results.Meta{
-			Experiment: id, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
-			ShardIndex: o.ShardIndex, ShardCount: o.ShardCount, Version: "test",
-		},
-		Tables: e.Run(o),
+	m := results.Meta{
+		Experiment: id, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Version: "test",
 	}
+	if o.RangeTotal > 0 {
+		m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
+	}
+	return &results.Run{Meta: m, Tables: e.Run(o)}
 }
 
 // TestShardUnionMatchesUnsharded is the acceptance test of multi-process
@@ -38,7 +38,7 @@ func TestShardUnionMatchesUnsharded(t *testing.T) {
 			var shards []*results.Run
 			for s := 0; s < 2; s++ {
 				so := o
-				so.ShardIndex, so.ShardCount = s, 2
+				so.RangeLo, so.RangeHi, so.RangeTotal = s, s+1, 2
 				shards = append(shards, shardedRun(t, id, so))
 			}
 			merged, err := results.Merge(shards[0], shards[1])
@@ -70,7 +70,7 @@ func TestShardRowCounts(t *testing.T) {
 	sum := 0
 	for s := 0; s < 2; s++ {
 		so := o
-		so.ShardIndex, so.ShardCount = s, 2
+		so.RangeLo, so.RangeHi, so.RangeTotal = s, s+1, 2
 		n := shardedRun(t, "fig10", so).Tables[0].NumRows()
 		if n == 0 || n == full {
 			t.Fatalf("shard %d produced %d of %d rows; sharding not splitting the grid", s, n, full)

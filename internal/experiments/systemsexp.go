@@ -42,7 +42,7 @@ func runSystems(o Options, defs []systems.Definition) []sysResult {
 			cells = append(cells, sysResult{def: d, kind: k})
 		}
 	}
-	for i, res := range systems.RunJobs(o.sweep(), jobs) {
+	for i, res := range systems.RunJobs(o.SweepOptions(), jobs) {
 		cells[i].res = res
 	}
 	return cells
@@ -60,7 +60,7 @@ func defsFor(o Options) []systems.Definition {
 }
 
 // normTable renders results normalized to MUTEX per configuration.
-func normTable(title string, results []sysResult, metric func(systems.Result) float64, higherBetter bool) *metrics.Table {
+func normTable(title string, results []sysResult, metric func(systems.Result) float64) *metrics.Table {
 	t := metrics.NewTable(title, "system", "config", "lock", "value", "vs MUTEX")
 	base := map[string]float64{}
 	for _, r := range results {
@@ -86,7 +86,6 @@ func normTable(title string, results []sysResult, metric func(systems.Result) fl
 			t.AddNote("%s average vs MUTEX: %.2f", k, sums[k]/float64(counts[k]))
 		}
 	}
-	_ = higherBetter
 	return t
 }
 
@@ -99,7 +98,7 @@ func init() {
 		Run: func(o Options) []*metrics.Table {
 			rs := runSystems(o, defsFor(o))
 			return []*metrics.Table{normTable("Figure 13 — normalized throughput (higher is better)",
-				rs, func(r systems.Result) float64 { return r.Throughput() }, true)}
+				rs, func(r systems.Result) float64 { return r.Throughput() })}
 		},
 	})
 
@@ -111,7 +110,7 @@ func init() {
 		Run: func(o Options) []*metrics.Table {
 			rs := runSystems(o, defsFor(o))
 			return []*metrics.Table{normTable("Figure 14 — normalized TPP (higher is better)",
-				rs, func(r systems.Result) float64 { return r.TPP() }, true)}
+				rs, func(r systems.Result) float64 { return r.TPP() })}
 		},
 	})
 
@@ -124,7 +123,7 @@ func init() {
 			defs := fig15Defs(o)
 			rs := runSystems(o, defs)
 			return []*metrics.Table{normTable("Figure 15 — normalized p99 latency (lower is better)",
-				rs, func(r systems.Result) float64 { return float64(r.Latency.Percentile(0.99)) }, false)}
+				rs, func(r systems.Result) float64 { return float64(r.Latency.Percentile(0.99)) })}
 		},
 	})
 

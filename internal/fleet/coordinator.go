@@ -11,16 +11,17 @@ import (
 	"sync"
 	"time"
 
+	"lockin/internal/bench/opts"
 	"lockin/internal/experiments"
 	"lockin/internal/results"
-	"lockin/internal/scenario"
 	"lockin/internal/telemetry"
 )
 
 // Config tunes a Coordinator.
 type Config struct {
 	// Job is the sweep to distribute. Exactly one of Job.Experiment and
-	// Job.Scenario must be set. Required.
+	// Job.Scenario must be set, and its options must validate
+	// (opts.Job.Resolve). Required.
 	Job JobSpec
 	// Expect is the worker count the chunk schedule is sized for:
 	// chunks start near total/(2·Expect) coordinates and shrink
@@ -111,8 +112,9 @@ type Coordinator struct {
 	oversized *telemetry.Counter
 }
 
-// New resolves the job's experiment, surveys its grids (no simulation)
-// and builds the chunk schedule.
+// New resolves the job (opts.Job.Resolve, the same validation every
+// worker applies), surveys its grids (no simulation) and builds the
+// chunk schedule.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Expect <= 0 {
 		cfg.Expect = 4
@@ -129,7 +131,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	e, err := resolve(cfg.Job)
+	e, o, err := cfg.Job.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +146,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers: map[string]*workerState{},
 		done:    make(chan struct{}),
 	}
-	c.survey()
+	c.survey(o)
 	if c.total == 0 {
 		return nil, fmt.Errorf("fleet: %s has no grid cells to distribute", e.ID)
 	}
@@ -155,29 +157,11 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// resolve turns the job spec into an experiment, mirroring the CLI's
-// -experiment/-scenario split.
-func resolve(job JobSpec) (experiments.Experiment, error) {
-	switch {
-	case job.Experiment != "" && len(job.Scenario) > 0:
-		return experiments.Experiment{}, errors.New("fleet: job names an experiment and carries a scenario spec; give one")
-	case len(job.Scenario) > 0:
-		comp, err := scenario.ParseAndCompile(job.Scenario)
-		if err != nil {
-			return experiments.Experiment{}, err
-		}
-		return comp.Experiment(), nil
-	case job.Experiment != "":
-		return experiments.Find(job.Experiment)
-	}
-	return experiments.Experiment{}, errors.New("fleet: empty job: set Experiment or Scenario")
-}
-
-// survey enumerates the experiment's grids without simulating: each
-// grid reports its size and cost hints through sweep.Options.Survey
-// and returns before executing any cell.
-func (c *Coordinator) survey() {
-	eo := c.options()
+// survey enumerates the experiment's grids under the job's options
+// without simulating: each grid reports its size and cost hints
+// through sweep.Options.Survey and returns before executing any cell.
+func (c *Coordinator) survey(o opts.Options) {
+	eo := o.ExperimentOptions()
 	eo.Survey = func(cells int, cost func(index int) float64) {
 		g := gridInfo{cells: cells, hints: make([]float64, cells)}
 		for i := range g.hints {
@@ -193,15 +177,6 @@ func (c *Coordinator) survey() {
 		}
 	}
 	c.exp.Run(eo)
-}
-
-// options is the experiment-option base every coordinator-side
-// evaluation shares (survey now, metadata later).
-func (c *Coordinator) options() experiments.Options {
-	return experiments.Options{
-		Seed: c.cfg.Job.Seed, Scale: c.cfg.Job.Scale,
-		Quick: c.cfg.Job.Quick, Workers: c.cfg.Job.Workers,
-	}
 }
 
 // chunkCost estimates one coordinate range's simulation cost: the sum

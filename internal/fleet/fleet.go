@@ -27,37 +27,28 @@
 //	GET  /fleet/v1/status  coverage, queue, leases, per-worker counters
 //	GET  /metrics          Prometheus text (leases issued/expired/stolen,
 //	                       per-worker cells and busy time)
+//
+// A lease's job is a JobSpec in its JSON form: {experiment} or {spec}
+// — a scenario spec travels under "spec", as in the service's
+// journal — plus seed, scale, quick and workers.
 package fleet
 
 import (
 	"encoding/json"
 	"time"
+
+	"lockin/internal/bench/opts"
 )
 
-// JobSpec tells a joining worker what to simulate. It is the
-// fleet-wide subset of the shared option surface: every worker must
-// run the exact same experiment under the exact same seed/scale/quick
-// — and record the same Workers value in its chunk metadata — or the
-// merged run could not be byte-identical to a serial one.
-type JobSpec struct {
-	// Experiment is a registered experiment id (e.g. "fig10",
-	// "scenario:kyoto"). Empty when Scenario carries a spec instead.
-	Experiment string `json:"experiment,omitempty"`
-	// Scenario is an unregistered scenario spec body (the -scenario
-	// file's bytes); workers compile it themselves, and the compiled
-	// spec hash lands in every chunk's metadata, so a worker holding a
-	// stale spec revision is rejected at merge time instead of
-	// corrupting the run.
-	Scenario json.RawMessage `json:"scenario,omitempty"`
-	Seed     int64           `json:"seed"`
-	Scale    float64         `json:"scale"`
-	Quick    bool            `json:"quick,omitempty"`
-	// Workers is the per-process sweep parallelism each worker runs
-	// its chunks with, and the value recorded in Meta.Workers — kept
-	// uniform across the fleet so the merged metadata matches a serial
-	// run launched with the same flag.
-	Workers int `json:"workers,omitempty"`
-}
+// JobSpec tells a joining worker what to simulate: the shared job type
+// every front end resolves through (opts.Job.Resolve). Every worker
+// runs the exact same experiment under the exact same seed/scale/quick
+// — and records the same Workers value, its per-process sweep
+// parallelism, in its chunk metadata — or the merged run could not be
+// byte-identical to a serial one. A scenario spec's compiled hash lands
+// in every chunk's metadata, so a worker holding a stale spec revision
+// is rejected at merge time instead of corrupting the run.
+type JobSpec = opts.Job
 
 // Lease is one chunk of the cell space, granted to one worker until
 // its deadline. Lo/Hi/Total are generalized shard coordinates

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,18 +285,40 @@ func TestAcceptLateResultForQueuedChunk(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadJobs pins the job-validation errors.
+// TestNewRejectsBadJobs pins that New validates a job exactly as every
+// worker does (opts.Job.Resolve), before surveying: a job no worker
+// would run must fail here, or the coordinator plans chunks that every
+// worker refuses and the run never completes.
 func TestNewRejectsBadJobs(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("empty job accepted")
+	with := func(change func(*JobSpec)) JobSpec {
+		job := testJob()
+		change(&job)
+		return job
 	}
-	if _, err := New(Config{Job: JobSpec{Experiment: "no-such-experiment"}}); err == nil {
-		t.Error("unknown experiment accepted")
+	cases := []struct {
+		name string
+		job  JobSpec
+		err  string // substring of New's error
+	}{
+		{"zero job", JobSpec{}, "bad scale"},
+		{"empty job", JobSpec{Seed: 42, Scale: 1}, "scenario spec"},
+		{"unknown experiment", with(func(j *JobSpec) { j.Experiment = "no-such-experiment" }), "unknown experiment"},
+		{"all", with(func(j *JobSpec) { j.Experiment = "all" }), `"all"`},
+		{"experiment and spec", with(func(j *JobSpec) { j.Scenario = []byte(`{"not":"a spec"}`) }), "not both"},
+		{"scale 0", with(func(j *JobSpec) { j.Scale = 0 }), "bad scale"},
+		{"scale -1", with(func(j *JobSpec) { j.Scale = -1 }), "bad scale"},
+		{"scale NaN", with(func(j *JobSpec) { j.Scale = math.NaN() }), "bad scale"},
 	}
-	job := testJob()
-	job.Scenario = []byte(`{"not":"a spec"}`)
-	if _, err := New(Config{Job: job}); err == nil {
-		t.Error("job with both experiment and scenario accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			co, err := New(Config{Job: c.job})
+			if err == nil {
+				t.Fatalf("New accepted %+v and planned %d coordinates", c.job, co.total)
+			}
+			if !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("New err = %v, want containing %q", err, c.err)
+			}
+		})
 	}
 }
 

@@ -196,17 +196,11 @@ func (w *worker) execute(ctx context.Context, l Lease, job JobSpec) (done bool, 
 // RunMeta matches what a serial CLI run of the same flags records.
 func (w *worker) resolve(job JobSpec) (*experiments.Experiment, opts.Options, error) {
 	if w.exp == nil {
-		e, err := resolve(job)
+		e, o, err := job.Resolve()
 		if err != nil {
-			return nil, opts.Options{}, err
+			return nil, o, fmt.Errorf("fleet: bad job: %w", err)
 		}
-		w.exp = &e
-		w.expO = opts.Defaults()
-		w.expO.Seed, w.expO.Scale, w.expO.Quick, w.expO.Workers =
-			job.Seed, job.Scale, job.Quick, job.Workers
-		if err := w.expO.NormalizeAndValidate(); err != nil {
-			return nil, opts.Options{}, fmt.Errorf("fleet: bad job options: %w", err)
-		}
+		w.exp, w.expO = &e, o
 	}
 	return w.exp, w.expO, nil
 }

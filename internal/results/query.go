@@ -172,10 +172,6 @@ func checkSliceable(r *Run, space sweep.Space) error {
 	if len(r.Meta.Axes) == 0 {
 		return fmt.Errorf("results: run of %s records no axis metadata — slice/project need a multi-axis run (scenario experiments record their axes)", r.Meta.Experiment)
 	}
-	if r.Meta.ShardCount > 1 {
-		return fmt.Errorf("results: run of %s is shard %d/%d — merge the shards first, then query the full run",
-			r.Meta.Experiment, r.Meta.ShardIndex, r.Meta.ShardCount)
-	}
 	if r.Meta.Range != nil {
 		return fmt.Errorf("results: run of %s covers only cells %s — merge the ranges first, then query the full run",
 			r.Meta.Experiment, r.Meta.Range)

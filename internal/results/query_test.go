@@ -144,7 +144,7 @@ func TestQueriedRunSavesUnderDistinctName(t *testing.T) {
 
 func TestSliceErrors(t *testing.T) {
 	shard := queryRun()
-	shard.Meta.ShardIndex, shard.Meta.ShardCount = 1, 2
+	shard.Meta.Range = &CellRange{Lo: 1, Hi: 2, Total: 2}
 	noAxes := queryRun()
 	noAxes.Meta.Axes = nil
 	short := queryRun()
@@ -163,7 +163,7 @@ func TestSliceErrors(t *testing.T) {
 		{"duplicate fix", queryRun(), []Fix{{Axis: "read", Value: "90"}, {Axis: "read", Value: "50"}}, "fixed twice"},
 		{"no fixes", queryRun(), nil, "at least one"},
 		{"no axis metadata", noAxes, []Fix{{Axis: "read", Value: "90"}}, "no axis metadata"},
-		{"sharded run", shard, []Fix{{Axis: "read", Value: "90"}}, "merge the shards"},
+		{"sharded run", shard, []Fix{{Axis: "read", Value: "90"}}, "merge the ranges"},
 		{"row count mismatch", short, []Fix{{Axis: "read", Value: "90"}}, "has 0 rows"},
 		{"no tables", empty, []Fix{{Axis: "read", Value: "90"}}, "no tables"},
 	}

@@ -34,7 +34,7 @@ import (
 // Meta records how a run was produced. Together with the simulator's
 // determinism contract it pins the output: the same experiment, seed,
 // scale, quick flag and code version reproduce the same tables for any
-// worker count or sharding.
+// worker count or cell-range split.
 type Meta struct {
 	// Experiment is the registry id ("fig11", "tbl2", ...) or a tool
 	// name for non-experiment producers ("mutexeetune", "powerprof").
@@ -44,17 +44,17 @@ type Meta struct {
 	Quick      bool    `json:"quick"`
 	// Workers is informational: results are identical for any value.
 	Workers int `json:"workers"`
-	// ShardIndex/ShardCount are non-zero when the run holds one shard
-	// of a grid (see sweep.Options); Merge reassembles the full run.
-	// A shard is the special case [i, i+1) of total n of the cell-range
-	// form below — Merge normalizes both onto Range coordinates.
+	// ShardIndex/ShardCount are decode-only: runs stored before cell
+	// ranges became the only partition recorded a shard i/n here.
+	// Decode folds them into Range as [i, i+1) of total n and zeroes
+	// them; no producer sets them.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 	// Range is non-nil when the run holds one contiguous cell range of
-	// a grid in generalized shard coordinates (see sweep.Options
-	// RangeLo/RangeHi/RangeTotal): the partial runs a fleet worker
-	// posts back carry it, and Merge reassembles any disjoint set of
-	// ranges tiling [0, Total) into the full run.
+	// a grid (see sweep.Options RangeLo/RangeHi/RangeTotal): -shard and
+	// -cells runs and the chunks fleet workers post back carry it, and
+	// Merge reassembles any disjoint set of ranges tiling [0, Total)
+	// into the full run.
 	Range *CellRange `json:"cell_range,omitempty"`
 	// SpecHash is the content hash of the declarative scenario spec the
 	// run was compiled from (empty for built-in experiments). Two runs
@@ -150,9 +150,6 @@ func (m Meta) Filename() string {
 		name = "run"
 	}
 	name = strings.NewReplacer(":", "-", "/", "-").Replace(name)
-	if m.ShardCount > 1 {
-		name = fmt.Sprintf("%s.shard%d-of-%d", name, m.ShardIndex, m.ShardCount)
-	}
 	// A partial range run must never land on the full run's file name:
 	// saving a leased chunk into a store directory cannot silently
 	// overwrite the merged baseline it contributes to.
@@ -194,7 +191,8 @@ func Encode(r *Run) ([]byte, error) {
 }
 
 // Save writes the run to <dir>/<experiment>.json (creating dir) and
-// returns the path.
+// returns the path. The write is crash-atomic (WriteAtomic): a crash or
+// a full disk leaves the previous file intact, never a truncated one.
 func Save(dir string, r *Run) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("results: create store %s: %w", dir, err)
@@ -204,10 +202,27 @@ func Save(dir string, r *Run) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, r.Meta.Filename())
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := WriteAtomic(path, b); err != nil {
 		return "", fmt.Errorf("results: write %s: %w", path, err)
 	}
 	return path, nil
+}
+
+// WriteAtomic replaces path with b: it writes a temp file next to path
+// and renames it over the target, removing the temp file on failure.
+// Readers see the old bytes or the new ones, never a mix — a reader
+// that opened the old file keeps reading it in full. There is no
+// fsync: this guards against torn files, not against power loss.
+func WriteAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, b, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort; the write error is the one to report
+	}
+	return err
 }
 
 // Load reads one run file.
@@ -224,7 +239,8 @@ func Load(path string) (*Run, error) {
 }
 
 // Decode parses Encode's bytes back into a run — the wire form fleet
-// workers POST their leased chunks in.
+// workers POST their leased chunks in. A shard i/n recorded by an older
+// store comes back as the cell range [i, i+1) of total n.
 func Decode(b []byte) (*Run, error) {
 	var r Run
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -237,6 +253,10 @@ func Decode(b []byte) (*Run, error) {
 			return nil, fmt.Errorf("table %d is null", i)
 		}
 	}
+	if m := &r.Meta; m.ShardCount > 1 && m.Range == nil {
+		m.Range = &CellRange{Lo: m.ShardIndex, Hi: m.ShardIndex + 1, Total: m.ShardCount}
+	}
+	r.Meta.ShardIndex, r.Meta.ShardCount = 0, 0
 	return &r, nil
 }
 
@@ -275,7 +295,7 @@ func LoadExperiment(dir, experiment string) (*Run, error) {
 // the cache directory) plus 16 hex digits hashed from the workload
 // identity — the spec content hash when the run was compiled from a
 // scenario spec, else the experiment id — and the options that change
-// the produced bytes: seed, scale, quick. Workers and sharding are
+// the produced bytes: seed, scale, quick. Workers and cell ranges are
 // deliberately excluded: the determinism contract makes them
 // output-neutral, so two requests differing only there must hit the
 // same cache entry. The benchmark service dedupes submissions on this
@@ -326,8 +346,9 @@ func ListStored(dir string) ([]Stored, error) {
 	return out, nil
 }
 
-// List returns the experiment ids with a full (unsharded, whole-range)
-// run stored in dir, sorted.
+// List returns the experiment ids with a full (whole-range) run stored
+// in dir, sorted. Partial runs are skipped by name: .cells parts, and
+// the .shard parts older stores hold.
 func List(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -376,15 +397,15 @@ func Version() string {
 	return rev
 }
 
-// Merge reassembles a full run from its partial runs — classic -shard
-// i/n shards, cell-range runs (fleet lease chunks), or a mix of both —
-// in any order. Parts must agree on experiment, seed, scale, quick,
-// spec hash and axes, carry the same table set (titles, headers,
-// notes), and their cell ranges must tile [0, Total) exactly: no gaps,
-// no overlaps, one shared Total. Because the sweep engine executes
-// contiguous index ranges and never re-seeds the surviving cells,
-// concatenating the parts' rows in range order reproduces the
-// unsharded run byte-for-byte.
+// Merge reassembles a full run from its cell-range parts — -shard and
+// -cells runs, fleet lease chunks, shards from older stores (Decode
+// turns them into ranges), or any mix — in any order. Parts must agree
+// on experiment, seed, scale, quick, spec hash and axes, carry the
+// same table set (titles, headers, notes), and their cell ranges must
+// tile [0, Total) exactly: no gaps, no overlaps, one shared Total.
+// Because the sweep engine executes contiguous index ranges and never
+// re-seeds the surviving cells, concatenating the parts' rows in range
+// order reproduces the unsharded run byte-for-byte.
 func Merge(parts ...*Run) (*Run, error) {
 	merged, err := MergeRanges(parts...)
 	if err != nil {
@@ -397,25 +418,17 @@ func Merge(parts ...*Run) (*Run, error) {
 	return merged, nil
 }
 
-// rangeOf normalizes a partial run's coverage onto cell-range
-// coordinates: the range form verbatim, or the shard form as its
-// [i, i+1)-of-n wrapper. A run carrying neither is not partial.
+// rangeOf reads and checks a partial run's cell range. A run without
+// one is not partial.
 func rangeOf(m Meta) (CellRange, error) {
-	switch {
-	case m.Range != nil:
-		cr := *m.Range
-		if cr.Total < 1 || cr.Lo < 0 || cr.Hi < cr.Lo || cr.Hi > cr.Total {
-			return cr, fmt.Errorf("results: %s: bad cell range %s", m.Experiment, cr)
-		}
-		return cr, nil
-	case m.ShardCount > 1:
-		if m.ShardIndex < 0 || m.ShardIndex >= m.ShardCount {
-			return CellRange{}, fmt.Errorf("results: %s: bad shard %d/%d", m.Experiment, m.ShardIndex, m.ShardCount)
-		}
-		return CellRange{Lo: m.ShardIndex, Hi: m.ShardIndex + 1, Total: m.ShardCount}, nil
-	default:
-		return CellRange{}, fmt.Errorf("results: %s is not a partial run (no shard or cell-range metadata)", m.Experiment)
+	if m.Range == nil {
+		return CellRange{}, fmt.Errorf("results: %s is not a partial run (no cell-range metadata)", m.Experiment)
 	}
+	cr := *m.Range
+	if cr.Total < 1 || cr.Lo < 0 || cr.Hi < cr.Lo || cr.Hi > cr.Total {
+		return cr, fmt.Errorf("results: %s: bad cell range %s", m.Experiment, cr)
+	}
+	return cr, nil
 }
 
 // MergeRanges merges partial runs whose cell ranges are contiguous
@@ -445,7 +458,6 @@ func MergeRanges(parts ...*Run) (*Run, error) {
 	first := ordered[0]
 	fm := first.r.Meta
 	merged := &Run{Meta: fm}
-	merged.Meta.ShardIndex, merged.Meta.ShardCount = 0, 0
 	// Provenance is per-producing-process; a merged run was produced by
 	// several, so it carries none.
 	merged.Meta.Perf = nil

@@ -2,6 +2,8 @@ package results
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,7 +36,7 @@ func demoRun(thr, tpp float64) *Run {
 func metaEqual(a, b Meta) bool {
 	return a.Experiment == b.Experiment && a.Seed == b.Seed && a.Scale == b.Scale &&
 		a.Quick == b.Quick && a.Workers == b.Workers &&
-		a.ShardIndex == b.ShardIndex && a.ShardCount == b.ShardCount &&
+		fmt.Sprint(a.Range) == fmt.Sprint(b.Range) &&
 		a.SpecHash == b.SpecHash && a.Version == b.Version &&
 		sweep.AxesEqual(a.Axes, b.Axes)
 }
@@ -214,7 +216,7 @@ func TestMergeShards(t *testing.T) {
 		}
 		t.AddNote("seed 42")
 		m := full.Meta
-		m.ShardIndex, m.ShardCount = idx, 2
+		m.Range = &CellRange{Lo: idx, Hi: idx + 1, Total: 2}
 		return &Run{Meta: m, Tables: []*metrics.Table{t}}
 	}
 	s0, s1 := shard(0, 0, 1), shard(1, 2)
@@ -223,8 +225,8 @@ func TestMergeShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if merged.Meta.ShardCount != 0 || merged.Meta.ShardIndex != 0 {
-		t.Fatalf("merged meta still sharded: %+v", merged.Meta)
+	if merged.Meta.Range != nil {
+		t.Fatalf("merged meta still partial: %+v", merged.Meta)
 	}
 	if merged.Tables[0].String() != full.Tables[0].String() {
 		t.Fatalf("merge not byte-identical:\n%s\nvs\n%s",
@@ -251,20 +253,82 @@ func TestMergeShards(t *testing.T) {
 	}
 }
 
+// TestSaveShardFilename: a -shard 1/4 run is the cell range [1,2)/4
+// and saves under the range name.
 func TestSaveShardFilename(t *testing.T) {
 	dir := t.TempDir()
 	r := demoRun(1, 1)
-	r.Meta.ShardIndex, r.Meta.ShardCount = 1, 4
+	r.Meta.Range = &CellRange{Lo: 1, Hi: 2, Total: 4}
 	path, err := Save(dir, r)
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	if want := filepath.Join(dir, "demo.shard1-of-4.json"); path != want {
+	if want := filepath.Join(dir, "demo.cells1-2-of-4.json"); path != want {
 		t.Fatalf("shard saved to %s, want %s", path, want)
 	}
 	// Shard files are excluded from List.
 	if ids, _ := List(dir); len(ids) != 0 {
 		t.Fatalf("List picked up shard files: %v", ids)
+	}
+}
+
+// TestSaveIsCrashAtomic pins that Save replaces a stored run by rename,
+// never by rewriting it in place: a reader that opened the old file
+// before the save still reads the old bytes in full, the new bytes are
+// in place afterwards, and no temp file is left behind.
+func TestSaveIsCrashAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path, err := Save(dir, demoRun(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	next := demoRun(2, 2)
+	next.Tables[0].AddRow(60, "TAS", 1.5, 4.5)
+	if _, err := Save(dir, next); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("a reader of the old file saw it change under it:\n got %s\nwant %s", got, old)
+	}
+	want, err := Encode(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, want) {
+		t.Fatalf("new run not in place (%v):\n%s", err, now)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("store holds %d files after the save, want only the run: %v", len(ents), ents)
+	}
+
+	// A write that cannot land (the target is a directory) fails and
+	// removes its temp file.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(blocked, want); err == nil {
+		t.Fatal("WriteAtomic over a directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed write left its temp file behind: %v", err)
 	}
 }
 
@@ -296,7 +360,7 @@ func TestCompareRefusesSpecRevisions(t *testing.T) {
 func TestMergeRefusesSpecRevisions(t *testing.T) {
 	mk := func(idx int, hash string) *Run {
 		r := demoRun(1, 1)
-		r.Meta.ShardIndex, r.Meta.ShardCount, r.Meta.SpecHash = idx, 2, hash
+		r.Meta.Range, r.Meta.SpecHash = &CellRange{Lo: idx, Hi: idx + 1, Total: 2}, hash
 		return r
 	}
 	if _, err := Merge(mk(0, "aaaa00000000"), mk(1, "bbbb00000000")); err == nil {
@@ -314,7 +378,7 @@ func TestMergeRefusesSpecRevisions(t *testing.T) {
 func TestMergeRefusesAxisMismatch(t *testing.T) {
 	mk := func(idx int) *Run {
 		r := demoRun(1, 1)
-		r.Meta.ShardIndex, r.Meta.ShardCount = idx, 2
+		r.Meta.Range = &CellRange{Lo: idx, Hi: idx + 1, Total: 2}
 		return r
 	}
 	a, b := mk(0), mk(1)
@@ -338,8 +402,8 @@ func TestFilenameSanitizesScenarioIDs(t *testing.T) {
 	if got := m.Filename(); got != "scenario-rw95.json" {
 		t.Fatalf("Filename() = %q, want scenario-rw95.json", got)
 	}
-	m.ShardIndex, m.ShardCount = 1, 2
-	if got := m.Filename(); got != "scenario-rw95.shard1-of-2.json" {
+	m.Range = &CellRange{Lo: 1, Hi: 2, Total: 2}
+	if got := m.Filename(); got != "scenario-rw95.cells1-2-of-2.json" {
 		t.Fatalf("sharded Filename() = %q", got)
 	}
 }
@@ -376,11 +440,10 @@ func TestCacheKey(t *testing.T) {
 	if k2 := base.CacheKey(); k2 != key {
 		t.Fatalf("CacheKey not stable: %q vs %q", key, k2)
 	}
-	// Workers and sharding never change the produced bytes, so they
-	// must not change the key — a request differing only there is the
-	// same run.
+	// Workers never changes the produced bytes, so it must not change
+	// the key — a request differing only there is the same run.
 	same := base
-	same.Workers, same.ShardIndex, same.ShardCount = 8, 0, 0
+	same.Workers = 8
 	if same.CacheKey() != key {
 		t.Fatalf("workers changed the cache key: %q vs %q", same.CacheKey(), key)
 	}
@@ -505,8 +568,8 @@ func TestPerfProvenance(t *testing.T) {
 	}
 
 	a, b := demoRun(1, 2), demoRun(1, 2)
-	a.Meta.ShardIndex, a.Meta.ShardCount = 0, 2
-	b.Meta.ShardIndex, b.Meta.ShardCount = 1, 2
+	a.Meta.Range = &CellRange{Lo: 0, Hi: 1, Total: 2}
+	b.Meta.Range = &CellRange{Lo: 1, Hi: 2, Total: 2}
 	a.Meta.Perf = NewPerf(time.Second, 2)
 	b.Meta.Perf = NewPerf(3*time.Second, 2)
 	merged, err := Merge(a, b)
@@ -543,7 +606,7 @@ func TestMergeRangesTiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if merged.Meta.Range != nil || merged.Meta.ShardCount != 0 {
+	if merged.Meta.Range != nil {
 		t.Fatalf("full-coverage merge kept partial metadata: %+v", merged.Meta)
 	}
 	if merged.Tables[0].String() != full.Tables[0].String() {
@@ -599,21 +662,55 @@ func TestMergeRangesErrors(t *testing.T) {
 	}
 }
 
+// TestMergeMixedShardAndRange pins the stored form older stores hold:
+// a run file carrying shard_index/shard_count loads as the cell range
+// [i,i+1)/n, stays out of List, and merges byte-identically with a
+// -cells part.
 func TestMergeMixedShardAndRange(t *testing.T) {
 	full := demoRun(3, 9)
 	full.Tables[0].AddRow(60, "TAS", 1.5, 4.5)
-	// A shard i/n is the range [i,i+1)/n: the two spellings merge as
-	// long as they agree on the total.
 	a := rangePart(full, 0, 2, 3, 0, 1)
-	s := rangePart(full, 0, 0, 0, 2)
-	s.Meta.Range = nil
-	s.Meta.ShardIndex, s.Meta.ShardCount = 2, 3
+	old := rangePart(full, 0, 0, 0, 2)
+	old.Meta.Range = nil
+	old.Meta.ShardIndex, old.Meta.ShardCount = 2, 3
+	b, err := Encode(old) // the bytes an older store saved for -shard 2/3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"shard_index": 2,`)) || !bytes.Contains(b, []byte(`"shard_count": 3,`)) {
+		t.Fatalf("test run does not carry the stored shard form:\n%s", b)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "demo.shard2-of-3.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Meta.Range; r == nil || *r != (CellRange{Lo: 2, Hi: 3, Total: 3}) ||
+		s.Meta.ShardIndex != 0 || s.Meta.ShardCount != 0 {
+		t.Fatalf("stored shard 2/3 loaded as range %v (shard %d/%d), want [2,3)/3",
+			s.Meta.Range, s.Meta.ShardIndex, s.Meta.ShardCount)
+	}
+	if ids, err := List(dir); err != nil || len(ids) != 0 {
+		t.Fatalf("List picked up a stored shard: %v (%v)", ids, err)
+	}
 	merged, err := Merge(a, s)
 	if err != nil {
 		t.Fatalf("mixed shard+range merge: %v", err)
 	}
-	if merged.Tables[0].String() != full.Tables[0].String() {
-		t.Fatalf("mixed merge not byte-identical:\n%s\nvs\n%s", merged.Tables[0], full.Tables[0])
+	got, err := Encode(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("mixed merge not byte-identical:\n%s\nvs\n%s", got, want)
 	}
 }
 

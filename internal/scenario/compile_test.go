@@ -320,20 +320,20 @@ func TestShardMergeRoundTrip(t *testing.T) {
 	c := bundled(t, "memcached")
 	o := experiments.Options{Seed: 42, Scale: 0.1, Quick: true, Workers: 4}
 	mkRun := func(o experiments.Options) *results.Run {
-		return &results.Run{
-			Meta: results.Meta{
-				Experiment: c.ID(), Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
-				ShardIndex: o.ShardIndex, ShardCount: o.ShardCount,
-				SpecHash: c.Hash, Axes: c.RunAxes(o), Version: "test",
-			},
-			Tables: c.Run(o),
+		m := results.Meta{
+			Experiment: c.ID(), Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
+			SpecHash: c.Hash, Axes: c.RunAxes(o), Version: "test",
 		}
+		if o.RangeTotal > 0 {
+			m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
+		}
+		return &results.Run{Meta: m, Tables: c.Run(o)}
 	}
 	full := mkRun(o)
 	var shards []*results.Run
 	for s := 0; s < 2; s++ {
 		so := o
-		so.ShardIndex, so.ShardCount = s, 2
+		so.RangeLo, so.RangeHi, so.RangeTotal = s, s+1, 2
 		shards = append(shards, mkRun(so))
 	}
 	merged, err := results.Merge(shards[0], shards[1])
@@ -377,11 +377,12 @@ func TestShardSpecRevisionRefused(t *testing.T) {
 	o := experiments.Options{Seed: 42, Scale: 0.25, Quick: true}
 	mk := func(idx int, hash string) *results.Run {
 		so := o
-		so.ShardIndex, so.ShardCount = idx, 2
+		so.RangeLo, so.RangeHi, so.RangeTotal = idx, idx+1, 2
 		return &results.Run{
 			Meta: results.Meta{
 				Experiment: c.ID(), Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
-				ShardIndex: idx, ShardCount: 2, SpecHash: hash, Version: "test",
+				Range:    &results.CellRange{Lo: idx, Hi: idx + 1, Total: 2},
+				SpecHash: hash, Version: "test",
 			},
 			Tables: c.Run(so),
 		}

@@ -10,8 +10,7 @@ import (
 	"sync"
 
 	"lockin/internal/bench/opts"
-	"lockin/internal/experiments"
-	"lockin/internal/scenario"
+	"lockin/internal/results"
 )
 
 // journalName is the persistent submission journal inside the cache
@@ -21,53 +20,15 @@ import (
 const journalName = "journal.jsonl"
 
 // journalEntry is one accepted submission, recorded durably before it
-// is queued: everything needed to reconstruct the exact run after a
-// crash — the workload (a registered experiment id, or the scenario
-// spec bytes as POSTed) and the cache-key-relevant options. Workers is
-// carried too so the replayed run's metadata matches what the original
-// submission would have stored.
+// is queued: its cache key and the job exactly as submitted — the
+// scenario spec bytes as POSTed (the id alone would not survive a
+// restart; the spec was never registered) or the experiment id, plus
+// the options. Replay resolves the job the way handleSubmit did. The
+// job's fields flatten into the line, so a line reads
+// {"key":…,"spec":{…},"seed":7,"scale":1,"quick":true}.
 type journalEntry struct {
-	Key        string          `json:"key"`
-	Experiment string          `json:"experiment,omitempty"`
-	Spec       json.RawMessage `json:"spec,omitempty"`
-	Seed       int64           `json:"seed"`
-	Scale      float64         `json:"scale"`
-	Quick      bool            `json:"quick,omitempty"`
-	Workers    int             `json:"workers,omitempty"`
-}
-
-// entryFor builds the journal record of a submission. For spec-body
-// submissions the raw bytes are stored (the id alone would not survive
-// a restart — the spec was never registered); for by-id submissions
-// the id suffices and keeps the journal compact.
-func entryFor(key string, e experiments.Experiment, o opts.Options, spec []byte) journalEntry {
-	je := journalEntry{Key: key, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers}
-	if len(spec) > 0 {
-		je.Spec = json.RawMessage(spec)
-	} else {
-		je.Experiment = e.ID
-	}
-	return je
-}
-
-// resolve turns a replayed entry back into the experiment and options
-// the original submission carried, through the same validation path
-// handleSubmit uses.
-func (e journalEntry) resolve() (experiments.Experiment, opts.Options, error) {
-	o := opts.Defaults()
-	o.Seed, o.Scale, o.Quick, o.Workers = e.Seed, e.Scale, e.Quick, e.Workers
-	if err := o.NormalizeAndValidate(); err != nil {
-		return experiments.Experiment{}, o, err
-	}
-	if len(e.Spec) > 0 {
-		c, err := scenario.ParseAndCompile(e.Spec)
-		if err != nil {
-			return experiments.Experiment{}, o, err
-		}
-		return c.Experiment(), o, nil
-	}
-	exp, err := experiments.Find(e.Experiment)
-	return exp, o, err
+	Key string `json:"key"`
+	opts.Job
 }
 
 // journal is the persistent submission log: append-before-queue on
@@ -163,9 +124,9 @@ func (j *journal) complete(key string) {
 }
 
 // compactLocked rewrites the journal with only the pending entries,
-// atomically (tmp + rename), then reopens the append handle onto the
-// new file. Failures are swallowed: a stale journal only risks
-// replaying already-cached keys, which replay skips.
+// atomically (results.WriteAtomic), then reopens the append handle
+// onto the new file. Failures are swallowed: a stale journal only
+// risks replaying already-cached keys, which replay skips.
 func (j *journal) compactLocked() {
 	if j.f == nil {
 		return
@@ -186,11 +147,7 @@ func (j *journal) compactLocked() {
 		buf.WriteByte('\n')
 	}
 	j.order = keep
-	tmp := j.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
+	if err := results.WriteAtomic(j.path, buf.Bytes()); err != nil {
 		return
 	}
 	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,16 +46,12 @@ func specExperiment(t *testing.T) experiments.Experiment {
 }
 
 // writeJournal hand-writes a journal file the way a crashed process
-// would have left it: accepted entries, never compacted away.
-func writeJournal(t *testing.T, dir string, entries ...journalEntry) {
+// would have left it: accepted lines, never compacted away.
+func writeJournal(t *testing.T, dir string, lines ...[]byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, e := range entries {
-		b, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(b)
+	for _, l := range lines {
+		buf.Write(l)
 		buf.WriteByte('\n')
 	}
 	if err := os.WriteFile(filepath.Join(dir, journalName), buf.Bytes(), 0o644); err != nil {
@@ -83,11 +80,22 @@ func TestJournalReplay(t *testing.T) {
 	dir := t.TempDir()
 	e := specExperiment(t)
 
-	// Entry A: a spec submission, seed 7, pending and uncached.
+	// Entry A: a spec submission, seed 7, pending and uncached, in the
+	// journal's line format byte for byte: journals already on disk
+	// must keep replaying, and the writer must keep producing it.
 	oA := opts.Defaults()
 	oA.Seed, oA.Quick = 7, true
 	keyA := oA.RunMeta(e).CacheKey()
-	entryA := entryFor(keyA, e, oA, []byte(journalSpec))
+	var spec bytes.Buffer
+	if err := json.Compact(&spec, []byte(journalSpec)); err != nil {
+		t.Fatal(err)
+	}
+	lineA := fmt.Appendf(nil, `{"key":%q,"spec":%s,"seed":7,"scale":1,"quick":true}`, keyA, spec.Bytes())
+	written, err := json.Marshal(journalEntry{Key: keyA,
+		Job: opts.Job{Scenario: []byte(journalSpec), Seed: 7, Scale: 1, Quick: true}})
+	if err != nil || !bytes.Equal(written, lineA) {
+		t.Fatalf("journal line format changed (%v):\n got %s\nwant %s", err, written, lineA)
+	}
 
 	// Entry B: pending in the journal but already landed in the cache —
 	// the crash hit between the atomic save and the compaction. Replay
@@ -99,7 +107,12 @@ func TestJournalReplay(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, keyB+".json"), cachedB, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeJournal(t, dir, entryA, entryFor(keyB, e, oB, []byte(journalSpec)))
+	lineB, err := json.Marshal(journalEntry{Key: keyB,
+		Job: opts.Job{Scenario: []byte(journalSpec), Seed: 8, Scale: 1, Quick: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir, lineA, lineB)
 
 	s, err := New(Config{CacheDir: dir, Pool: 1})
 	if err != nil {
@@ -152,7 +165,8 @@ func TestJournalReplay(t *testing.T) {
 func TestJournalUnresolvableAndCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	b, err := json.Marshal(journalEntry{Key: "gone-0000000000000000", Experiment: "no-such-exp", Seed: 42, Scale: 1})
+	b, err := json.Marshal(journalEntry{Key: "gone-0000000000000000",
+		Job: opts.Job{Experiment: "no-such-exp", Seed: 42, Scale: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ import (
 	"lockin/internal/bench/opts"
 	"lockin/internal/experiments"
 	"lockin/internal/results"
-	"lockin/internal/scenario"
 	"lockin/internal/sweep"
 	"lockin/internal/telemetry"
 )
@@ -160,7 +159,7 @@ func (s *Server) replay(pending []journalEntry) {
 			s.journal.complete(je.Key)
 			continue
 		}
-		e, o, err := je.resolve()
+		e, o, err := je.Resolve()
 		if err != nil {
 			// The entry can no longer produce the run it promised (an
 			// experiment id removed across versions, say); dropping it
@@ -241,7 +240,7 @@ func (s *Server) runJob(j *job) {
 	run.Meta.Perf = results.NewPerf(wall, int(stats.Cells()))
 	b, err := results.Encode(run)
 	if err == nil {
-		err = writeAtomic(s.cachePath(j.key), b)
+		err = results.WriteAtomic(s.cachePath(j.key), b)
 	}
 	if err != nil {
 		j.fail(err.Error())
@@ -263,14 +262,6 @@ func (s *Server) runJob(j *job) {
 
 func (s *Server) cachePath(key string) string {
 	return filepath.Join(s.cfg.CacheDir, key+".json")
-}
-
-func writeAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // cachedBytes returns the stored run bytes of a key, or nil. A hit
@@ -426,10 +417,11 @@ type submitResponse struct {
 // handleSubmit accepts a run request: a scenario spec as the body, or
 // a registered experiment named with ?experiment=. Options (seed,
 // scale, quick, workers) come from the URL query under the shared opts
-// schema. The submission dedupes on the content-addressed cache key:
-// an already-cached run answers "cached" immediately and never
-// re-simulates; an in-flight identical submission attaches to the
-// existing job.
+// schema. The pair resolves through opts.Job.Resolve: an unknown id
+// answers 404, any other refusal 400. The submission dedupes on the
+// content-addressed cache key: an already-cached run answers "cached"
+// immediately and never re-simulates; an in-flight identical
+// submission attaches to the existing job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// MaxBytesReader errors distinctly at the limit instead of silently
 	// truncating: an oversized spec answers 413 naming the bound, not a
@@ -447,9 +439,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	var expID string
+	job := opts.Job{Scenario: bytes.TrimSpace(body)}
 	if vs := q["experiment"]; len(vs) > 0 {
-		expID = vs[len(vs)-1]
+		job.Experiment = vs[len(vs)-1]
 		q.Del("experiment")
 	}
 	o, err := opts.ApplyQuery(opts.Defaults(), q, "seed", "scale", "quick", "workers")
@@ -457,32 +449,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	var e experiments.Experiment
-	body = bytes.TrimSpace(body)
-	switch {
-	case len(body) > 0 && expID != "":
-		http.Error(w, "give a scenario spec body or ?experiment=<id>, not both", http.StatusBadRequest)
-		return
-	case len(body) > 0:
-		c, err := scenario.ParseAndCompile(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	job.Seed, job.Scale, job.Quick, job.Workers = o.Seed, o.Scale, o.Quick, o.Workers
+	e, o, err := job.Resolve()
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, experiments.ErrUnknown) {
+			code = http.StatusNotFound
 		}
-		e = c.Experiment()
-	case expID != "":
-		if expID == "all" {
-			http.Error(w, "the service runs one experiment per submission; POST each id separately", http.StatusBadRequest)
-			return
-		}
-		e, err = experiments.Find(expID)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-	default:
-		http.Error(w, "POST a scenario spec as the body, or name a registered experiment with ?experiment=<id>", http.StatusBadRequest)
+		http.Error(w, err.Error(), code)
 		return
 	}
 
@@ -497,7 +471,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Journal before queue: once the entry is durable, a crash between
 	// the 202 and the run landing cannot lose the submission — the next
 	// start replays it.
-	if err := s.journal.append(entryFor(key, e, o, body)); err != nil {
+	if err := s.journal.append(journalEntry{Key: key, Job: job}); err != nil {
 		http.Error(w, "journal write failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}

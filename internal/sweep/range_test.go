@@ -40,22 +40,6 @@ func TestRangeUnionEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestRangeEqualsShard pins the wrapper relation: -shard i/n is the
-// range [i, i+1) of total n, cell for cell.
-func TestRangeEqualsShard(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 30} {
-		for count := 1; count <= 5; count++ {
-			for i := 0; i < count; i++ {
-				slo, shi := Options{ShardIndex: i, ShardCount: count}.ShardRange(n)
-				rlo, rhi := Options{RangeLo: i, RangeHi: i + 1, RangeTotal: count}.ShardRange(n)
-				if slo != rlo || shi != rhi {
-					t.Fatalf("n=%d shard %d/%d [%d,%d) != range [%d,%d)", n, i, count, slo, shi, rlo, rhi)
-				}
-			}
-		}
-	}
-}
-
 // FuzzShardRange fuzzes the range arithmetic against its invariants:
 // output clamped to [0, n], monotone, and splitting a range at any
 // interior coordinate tiles its cell interval exactly.

@@ -38,27 +38,18 @@ type Options struct {
 	// Quick trims sweep grids for CI-style runs. Interpreted by grid
 	// builders, not the engine.
 	Quick bool
-	// ShardIndex/ShardCount split a grid across processes: when
-	// ShardCount > 1, only the cells of shard ShardIndex (a contiguous
-	// index range, see ShardRange) execute; the rest are skipped — not
-	// re-seeded — so every surviving cell keeps its index-derived seed
-	// and the union of all shards is byte-identical to an unsharded
-	// run. ShardCount ≤ 1 runs everything. Sharding is the special case
-	// RangeLo=ShardIndex, RangeHi=ShardIndex+1, RangeTotal=ShardCount
-	// of the generalized cell range below.
-	ShardIndex int
-	ShardCount int
-	// RangeLo/RangeHi/RangeTotal restrict execution to one contiguous
-	// cell range in generalized shard coordinates: when RangeTotal > 0,
-	// a grid of n cells executes exactly the indexes
-	// [n·RangeLo/RangeTotal, n·RangeHi/RangeTotal). With RangeTotal
-	// equal to the grid size the coordinates are literal cell indexes;
-	// for grids of other sizes (an experiment sweeping several grids)
-	// the range scales proportionally, exactly like -shard i/n does.
-	// Disjoint contiguous ranges tiling [0, RangeTotal) therefore tile
-	// every grid's index space, which is what lets the fleet layer
-	// lease arbitrary chunks and merge them byte-identically
-	// (results.Merge). Takes precedence over ShardIndex/ShardCount.
+	// RangeLo/RangeHi/RangeTotal split a grid across processes: when
+	// RangeTotal > 0, a grid of n cells executes exactly the indexes
+	// [n·RangeLo/RangeTotal, n·RangeHi/RangeTotal) (see ShardRange); the
+	// rest are skipped — not re-seeded — so every surviving cell keeps
+	// its index-derived seed. With RangeTotal equal to the grid size the
+	// coordinates are literal cell indexes; for grids of other sizes (an
+	// experiment sweeping several grids) the range scales
+	// proportionally. Disjoint contiguous ranges tiling [0, RangeTotal)
+	// therefore tile every grid's index space, which is what lets the
+	// CLI's -shard i/n (the range [i, i+1) of total n) and the fleet's
+	// leased chunks merge byte-identically (results.Merge).
+	// RangeTotal ≤ 0 runs everything.
 	RangeLo    int
 	RangeHi    int
 	RangeTotal int
@@ -77,14 +68,14 @@ type Options struct {
 	Survey func(cells int, cost func(index int) float64)
 	// OnlyCell, when > 0, restricts the sweep to the single 1-based
 	// cell index OnlyCell (the index reported by run queries), taking
-	// precedence over ShardIndex/ShardCount. The cell keeps its
+	// precedence over the cell range. The cell keeps its
 	// index-derived seed, so its result is byte-identical to the same
 	// cell of a full run. An index beyond the grid runs nothing. This
 	// is the trace-mode hook: simulate exactly one cell, instrumented.
 	OnlyCell int
 	// Progress, when non-nil, is called from the collecting goroutine
 	// after each cell finishes, with the number of finished cells and
-	// the count of cells in this shard.
+	// the count of cells in this range.
 	Progress func(done, total int)
 	// Stats, when non-nil, accumulates per-run engine counters (cells
 	// completed, worker busy time) across every grid swept with these
@@ -180,12 +171,10 @@ func CellSeed(seed int64, index int) int64 {
 }
 
 // ShardRange returns the half-open cell-index interval [lo, hi) this
-// shard or cell range owns in a grid of n cells. Ranges are contiguous
-// slices of the index space: the per-grid intervals of ranges that
-// tile [0, RangeTotal) concatenate to the cells 0..n-1 in order, which
-// is what lets results.Merge reassemble partial runs byte-identically.
-// The classic -shard i/n is evaluated as the range [i, i+1) of total
-// n — a thin wrapper over the same arithmetic.
+// cell range owns in a grid of n cells. Ranges are contiguous slices
+// of the index space: the per-grid intervals of ranges that tile
+// [0, RangeTotal) concatenate to the cells 0..n-1 in order, which is
+// what lets results.Merge reassemble partial runs byte-identically.
 func (o Options) ShardRange(n int) (lo, hi int) {
 	if o.OnlyCell > 0 {
 		if o.OnlyCell > n {
@@ -195,17 +184,7 @@ func (o Options) ShardRange(n int) (lo, hi int) {
 	}
 	rl, rh, total := o.RangeLo, o.RangeHi, o.RangeTotal
 	if total <= 0 {
-		if o.ShardCount <= 1 {
-			return 0, n
-		}
-		i := o.ShardIndex
-		if i < 0 {
-			i = 0
-		}
-		if i >= o.ShardCount {
-			i = o.ShardCount - 1
-		}
-		rl, rh, total = i, i+1, o.ShardCount
+		return 0, n
 	}
 	if rl < 0 {
 		rl = 0
@@ -223,9 +202,9 @@ func (o Options) ShardRange(n int) (lo, hi int) {
 }
 
 // InShard reports whether cell index i of an n-cell grid belongs to
-// this shard. Aggregating consumers (experiments that post-process a
-// Run slice) use it to skip the zero values of cells another shard
-// owns.
+// this cell range. Aggregating consumers (experiments that
+// post-process a Run slice) use it to skip the zero values of cells
+// another range owns.
 func (o Options) InShard(i, n int) bool {
 	lo, hi := o.ShardRange(n)
 	return i >= lo && i < hi
@@ -243,10 +222,10 @@ type Cell struct {
 func (o Options) cell(i int) Cell { return Cell{Index: i, Seed: CellSeed(o.Seed, i)} }
 
 // Run executes n independent cells across the worker pool and returns
-// their results in index order. Under sharding (ShardCount > 1) the
-// slice still has n entries, but cells outside this shard's range are
-// skipped and left as zero values — post-processing consumers filter
-// them with InShard.
+// their results in index order. Under a cell range (RangeTotal > 0) the
+// slice still has n entries, but cells outside the range are skipped
+// and left as zero values — post-processing consumers filter them with
+// InShard.
 func Run[T any](o Options, n int, fn func(Cell) T) []T {
 	out := make([]T, n)
 	Each(o, n, fn, func(i int, v T) { out[i] = v })
@@ -257,11 +236,11 @@ func Run[T any](o Options, n int, fn func(Cell) T) []T {
 // emit cursor: at most inflightPerWorker·workers cells are dispatched
 // or held completed beyond the lowest unemitted index. The window
 // bounds peak memory at O(workers) completed-but-unemittable results
-// (instead of the whole shard, which a slow early cell used to force)
+// (instead of the whole range, which a slow early cell used to force)
 // while leaving enough reorder slack for cost-ordered dispatch.
 const inflightPerWorker = 4
 
-// Each executes the cells of this shard (all n cells when unsharded)
+// Each executes the cells of this range (all n cells without one)
 // across the worker pool, streaming results to emit in strict index
 // order as each prefix completes. emit and Progress run on the calling
 // goroutine; fn runs on worker goroutines (or inline when the pool

@@ -200,6 +200,12 @@ func TestRunEmptyGrid(t *testing.T) {
 	}
 }
 
+// shard is the cell range of the CLI's -shard i/n: [i, i+1) of n.
+func shard(o Options, i, n int) Options {
+	o.RangeLo, o.RangeHi, o.RangeTotal = i, i+1, n
+	return o
+}
+
 // TestShardRangePartitions checks that shards tile the index space:
 // contiguous, disjoint, and complete for any (n, count) combination,
 // including counts larger than the grid.
@@ -208,12 +214,12 @@ func TestShardRangePartitions(t *testing.T) {
 		for _, count := range []int{1, 2, 3, 7, 41} {
 			prev := 0
 			for s := 0; s < count; s++ {
-				lo, hi := Options{ShardIndex: s, ShardCount: count}.ShardRange(n)
+				lo, hi := shard(Options{}, s, count).ShardRange(n)
 				if lo != prev || hi < lo {
 					t.Fatalf("n=%d count=%d shard %d: range [%d,%d) after %d", n, count, s, lo, hi, prev)
 				}
 				for i := lo; i < hi; i++ {
-					if !(Options{ShardIndex: s, ShardCount: count}).InShard(i, n) {
+					if !shard(Options{}, s, count).InShard(i, n) {
 						t.Fatalf("InShard(%d) false inside shard %d's range", i, s)
 					}
 				}
@@ -228,8 +234,8 @@ func TestShardRangePartitions(t *testing.T) {
 	if lo, hi := (Options{}).ShardRange(9); lo != 0 || hi != 9 {
 		t.Fatalf("unsharded range [%d,%d)", lo, hi)
 	}
-	// Out-of-range shard indices clamp instead of panicking.
-	if lo, hi := (Options{ShardIndex: 5, ShardCount: 2}).ShardRange(10); lo != 5 || hi != 10 {
+	// Out-of-range coordinates clamp to the grid instead of panicking.
+	if lo, hi := shard(Options{}, 5, 2).ShardRange(10); lo != 10 || hi != 10 {
 		t.Fatalf("clamped range [%d,%d)", lo, hi)
 	}
 }
@@ -248,7 +254,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 		var got []string
 		executed := 0
 		for s := 0; s < count; s++ {
-			o := Options{Workers: 4, Seed: 42, ShardIndex: s, ShardCount: count}
+			o := shard(Options{Workers: 4, Seed: 42}, s, count)
 			Each(o, n, fn, func(i int, v string) {
 				got = append(got, v)
 				executed++
@@ -269,7 +275,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 // slice keeps full length, with zero values exactly where InShard is
 // false.
 func TestShardRunLeavesSkippedZero(t *testing.T) {
-	o := Options{Workers: 2, Seed: 1, ShardIndex: 1, ShardCount: 2}
+	o := shard(Options{Workers: 2, Seed: 1}, 1, 2)
 	const n = 9
 	got := Run(o, n, func(c Cell) int { return c.Index + 100 })
 	for i := 0; i < n; i++ {
@@ -288,13 +294,13 @@ func TestShardRunLeavesSkippedZero(t *testing.T) {
 func TestShardProgressCountsShardCells(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls int32
-		o := Options{Workers: workers, Seed: 3, ShardIndex: 0, ShardCount: 3,
+		o := shard(Options{Workers: workers, Seed: 3,
 			Progress: func(done, total int) {
 				atomic.AddInt32(&calls, 1)
 				if total != 10 { // 30 cells over 3 shards
 					t.Errorf("total %d, want 10", total)
 				}
-			}}
+			}}, 0, 3)
 		Run(o, 30, func(c Cell) int { return c.Index })
 		if calls != 10 {
 			t.Fatalf("Workers=%d: %d progress calls, want 10", workers, calls)
@@ -318,8 +324,8 @@ func TestShardGridRows(t *testing.T) {
 	full := build(Options{Workers: 3, Seed: 42})
 	var union [][]string
 	for s := 0; s < 2; s++ {
-		shard := build(Options{Workers: 3, Seed: 42, ShardIndex: s, ShardCount: 2})
-		union = append(union, shard.Rows()...)
+		part := build(shard(Options{Workers: 3, Seed: 42}, s, 2))
+		union = append(union, part.Rows()...)
 	}
 	fullRows := full.Rows()
 	if len(union) != len(fullRows) {
