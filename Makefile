@@ -20,10 +20,10 @@ benchmark-test:
 race:
 	$(GO) test -race ./...
 
-# Hot-path microbenchmarks only (kernel, coherence, futex) — the tight
-# loop while optimizing the simulator.
+# Hot-path microbenchmarks only (kernel, coherence, futex, power) — the
+# tight loop while optimizing the simulator.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex
+	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex ./internal/power
 
 # Every benchmark in the repo, including the slow experiment sweeps
 # (single-shot: a compile-and-run smoke, not a measurement).
@@ -35,7 +35,7 @@ bench-all:
 # on allocs/op against the stored BENCH_7.json trajectory; benchstat
 # (if installed) reports ns/op deltas against the stored numbers.
 bench-compare:
-	$(GO) test -run='^$$' -bench=. -benchtime=0.5s -count=3 ./internal/sim ./internal/coherence ./internal/futex | tee /tmp/lockin-bench.txt
+	$(GO) test -run='^$$' -bench=. -benchtime=0.5s -count=3 ./internal/sim ./internal/coherence ./internal/futex ./internal/power | tee /tmp/lockin-bench.txt
 	$(GO) test -run='^$$' -bench=BenchmarkCellsPerSec -benchtime=10s ./internal/workload | tee -a /tmp/lockin-bench.txt
 	$(GO) run ./scripts/benchgate -in /tmp/lockin-bench.txt -json /tmp/lockin-bench-results.json -gate BENCH_7.json
 	@if command -v benchstat >/dev/null 2>&1; then \

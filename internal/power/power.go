@@ -18,6 +18,7 @@ package power
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lockin/internal/sim"
 	"lockin/internal/topo"
@@ -204,47 +205,98 @@ type ctxState struct {
 	vf  VF
 }
 
+// coreTerms is one physical core's cached share of the power sums, as of
+// its last refresh, plus the count that sets its VF point.
+type coreTerms struct {
+	watts  float64 // (bestW + extraW×HTFraction) × VF scale
+	vfMax  int     // hyper-threads requesting VF-max: the core runs at VF-max while > 0
+	active bool    // some hyper-thread is not idle, so the socket's uncore is on
+}
+
+// socketCounts holds what one socket's uncore term depends on.
+type socketCounts struct {
+	active int // cores with a non-idle hyper-thread
+	vfMax  int // cores at VF-max
+}
+
+// sums is a point in the cores and DRAM folds.
+type sums struct{ cores, dram float64 }
+
 // Meter integrates power over virtual time for one machine.
+//
+// Its readings are bit-identical to a full walk over every context
+// (determinism invariant 6 in internal/sim/DESIGN.md): the cores and DRAM
+// sums are left folds in core-index order, with the DRAM terms one per
+// context, core-major, and every mutation integrates first. The meter
+// caches each core's terms and the folds before each core, so a state
+// change refreshes only the cores it touched and resumes the folds from
+// the first of them (see recompute). reference_test.go keeps the full
+// walk and checks every reading against it bit for bit.
 type Meter struct {
-	k    *sim.Kernel
-	cfg  Config
-	topo topo.Topology
-	ctxs []ctxState
+	k      *sim.Kernel
+	cfg    Config
+	topo   topo.Topology
+	ctxs   []ctxState
+	coreOf []int // ctx → physical core
 
 	lastAt sim.Cycles
 	// Accumulated energy in Watt-cycles (divide by Hz for Joules).
 	accPkg, accCores, accDRAM float64
 	// Current instantaneous powers, recomputed on state changes.
 	curPkg, curCores, curDRAM float64
-	// dirty marks cur* stale after a state change. The rebuild is deferred
-	// until the powers are actually consumed — the next time-advancing
-	// integrate or an instantaneous reading — so a burst of transitions at
-	// one virtual instant (context switch: VF + activity; wake-up chains)
-	// costs a single recompute instead of one per transition.
-	dirty bool
 
-	// socketActive is recompute's scratch buffer (one flag per socket),
-	// kept on the meter so the per-transition hot path does not allocate.
-	socketActive []bool
+	// stale marks the cores whose cached terms a state change has made
+	// out of date. The refresh is deferred until the powers are actually
+	// consumed — the next time-advancing integrate or an instantaneous
+	// reading — so a burst of transitions at one virtual instant (context
+	// switch: VF + activity; wake-up chains) costs a single recompute
+	// instead of one per transition.
+	stale uint64
 
-	// busy counts, per core, the contexts not in IdleDeep. When the
-	// configuration draws exactly zero Watts for IdleDeep (skipDeep), a
-	// core with busy == 0 contributes exactly 0.0 to every sum, and
-	// adding 0.0 to a non-negative float is bit-exact — recompute skips
-	// such cores without changing any accumulated value.
-	busy     []int16
+	// busy marks the cores with a context not in IdleDeep, as of their
+	// last refresh. When the configuration draws exactly zero Watts for
+	// IdleDeep (skipDeep), every term of a core outside busy is exactly
+	// +0.0, and adding +0.0 to a non-negative sum is bit-exact, so the
+	// folds skip such cores and stop after the highest busy one.
+	busy     uint64
 	skipDeep bool
+
+	cores   []coreTerms
+	dramW   []float64 // per context, core-major: DRAMActivityW × the core's VF scale
+	before  []sums    // before[c]: the folds over cores < c (NumCores()+1 entries)
+	top     int       // the folds cover cores < top, so before[top] holds the totals
+	sockets []socketCounts
 }
 
-// NewMeter creates a meter with every context idle-deep at VF-max.
+// NewMeter creates a meter with every context idle-deep at VF-max. Like
+// machine.New, it panics on a topology that fails Validate: the stale and
+// busy sets hold one bit per core.
 func NewMeter(k *sim.Kernel, cfg Config, t topo.Topology) *Meter {
+	if err := t.Validate(); err != nil {
+		panic(err)
+	}
+	nc := t.NumCores()
 	m := &Meter{
 		k: k, cfg: cfg, topo: t,
-		ctxs:         make([]ctxState, t.NumContexts()),
-		socketActive: make([]bool, t.Sockets),
-		busy:         make([]int16, t.NumCores()),
-		skipDeep:     cfg.ActivityW[IdleDeep] == 0 && cfg.DRAMActivityW[IdleDeep] == 0,
+		ctxs:     make([]ctxState, t.NumContexts()),
+		coreOf:   make([]int, t.NumContexts()),
+		stale:    1<<nc - 1, // every core; with 64 cores, 1<<64 is 0 and this is all ones
+		skipDeep: cfg.ActivityW[IdleDeep] == 0 && cfg.DRAMActivityW[IdleDeep] == 0,
+		cores:    make([]coreTerms, nc),
+		dramW:    make([]float64, t.NumContexts()),
+		before:   make([]sums, nc+1),
+		sockets:  make([]socketCounts, t.Sockets),
 	}
+	for ctx := range m.coreOf {
+		m.coreOf[ctx] = t.CoreOf(ctx)
+	}
+	for c := range m.cores {
+		m.cores[c].vfMax = t.ThreadsPerCore
+	}
+	for s := range m.sockets {
+		m.sockets[s].vfMax = t.CoresPerSocket
+	}
+	m.before[0].dram = cfg.DRAMBackgroundW
 	m.recompute()
 	return m
 }
@@ -262,41 +314,42 @@ func (m *Meter) VFOf(ctx int) VF { return m.ctxs[ctx].vf }
 // SetActivity transitions a context to a new activity, integrating energy
 // up to the current instant first.
 func (m *Meter) SetActivity(ctx int, a Activity) {
-	old := m.ctxs[ctx].act
-	if old == a {
+	if m.ctxs[ctx].act == a {
 		return
 	}
 	m.integrate()
 	m.ctxs[ctx].act = a
-	if (old == IdleDeep) != (a == IdleDeep) {
-		if core := m.topo.CoreOf(ctx); a == IdleDeep {
-			m.busy[core]--
-		} else {
-			m.busy[core]++
-		}
-	}
-	m.dirty = true
+	m.stale |= 1 << m.coreOf[ctx]
 }
 
 // SetVF sets a context's requested DVFS point.
 func (m *Meter) SetVF(ctx int, v VF) {
-	if m.ctxs[ctx].vf == v {
+	old := m.ctxs[ctx].vf
+	if old == v {
 		return
 	}
 	m.integrate()
 	m.ctxs[ctx].vf = v
-	m.dirty = true
-}
-
-// coreVF returns the effective VF of a physical core: the highest setting
-// among its hardware threads (hyper-thread siblings share a VF domain).
-func (m *Meter) coreVF(core int) VF {
-	for ht := 0; ht < m.topo.ThreadsPerCore; ht++ {
-		if m.ctxs[core+ht*m.topo.NumCores()].vf == VFMax {
-			return VFMax
-		}
+	c := m.coreOf[ctx]
+	ct := &m.cores[c]
+	wasMax := ct.vfMax > 0
+	if old == VFMax {
+		ct.vfMax--
 	}
-	return VFMin
+	if v == VFMax {
+		ct.vfMax++
+	}
+	// Hyper-thread siblings share a VF domain: the core's terms change
+	// only when its highest requested point does.
+	if isMax := ct.vfMax > 0; isMax != wasMax {
+		sk := &m.sockets[c/m.topo.CoresPerSocket]
+		if isMax {
+			sk.vfMax++
+		} else {
+			sk.vfMax--
+		}
+		m.stale |= 1 << c
+	}
 }
 
 // EffectiveSlowdown returns the instruction-latency multiplier currently
@@ -304,7 +357,11 @@ func (m *Meter) coreVF(core int) VF {
 // context that requested VF-min still runs at VF-max speed if its sibling
 // holds the core at VF-max.
 func (m *Meter) EffectiveSlowdown(ctx int) float64 {
-	return m.cfg.Slowdown(m.coreVF(m.topo.CoreOf(ctx)))
+	vf := VFMin
+	if m.cores[m.coreOf[ctx]].vfMax > 0 {
+		vf = VFMax
+	}
+	return m.cfg.Slowdown(vf)
 }
 
 func (m *Meter) integrate() {
@@ -317,9 +374,8 @@ func (m *Meter) integrate() {
 	// now the per-context state is exactly what it was at lastAt: a deferred
 	// rebuild here yields the same rates (and the same summation order) as
 	// an eager one at the instant of the change.
-	if m.dirty {
+	if m.stale != 0 {
 		m.recompute()
-		m.dirty = false
 	}
 	dt := float64(now - m.lastAt)
 	m.accPkg += m.curPkg * dt
@@ -328,70 +384,103 @@ func (m *Meter) integrate() {
 	m.lastAt = now
 }
 
-// recompute rebuilds the instantaneous power sums from per-context state.
+// recompute refreshes the stale cores and rebuilds the instantaneous
+// power sums.
+//
+// Floating-point addition is not associative, so the folds must add the
+// same terms in the same order as a full walk: cores in index order
+// (socket-major, matching the numbering), each core's DRAM terms one at a
+// time in hyper-thread order. Skipping a term is allowed only when it is
+// exactly +0.0, and the only reuse allowed is resuming from before[c],
+// which holds exactly what a full walk holds on reaching core c. Delta
+// updates, per-core partial sums, trees and compensated sums would all
+// change output bits; reference_test.go catches them.
 func (m *Meter) recompute() {
-	nc := m.topo.NumCores()
-	tpc := m.topo.ThreadsPerCore
-	cores := 0.0
-	dram := m.cfg.DRAMBackgroundW
-	socketActive := m.socketActive
-	for i := range socketActive {
-		socketActive[i] = false
+	first := bits.TrailingZeros64(m.stale)
+	for st := m.stale; st != 0; st &= st - 1 {
+		m.refresh(bits.TrailingZeros64(st))
 	}
-	// Walk cores in index order (socket-major, matching the numbering) so
-	// the floating-point summation order never changes.
-	core := 0
-	for s := 0; s < m.topo.Sockets; s++ {
-		for end := core + m.topo.CoresPerSocket; core < end; core++ {
-			if m.skipDeep && m.busy[core] == 0 {
-				// Entirely idle-deep core: every term below is exactly
-				// 0.0, so skipping it leaves the sums bit-identical.
-				continue
-			}
-			scale := 1.0
-			if m.coreVF(core) == VFMin {
-				scale = m.cfg.VFMinScale
-			}
-			// The busiest hyper-thread pays full activity power, siblings a
-			// fraction: the core's execution resources are shared.
-			bestW, extraW := 0.0, 0.0
-			for ht := 0; ht < tpc; ht++ {
-				st := m.ctxs[core+ht*nc]
-				w := m.cfg.ActivityW[st.act]
-				if w > bestW {
-					extraW += bestW
-					bestW = w
-				} else {
-					extraW += w
-				}
-				dram += m.cfg.DRAMActivityW[st.act] * scale
-				if !st.act.IsIdle() {
-					socketActive[s] = true
-				}
-			}
-			cores += (bestW + extraW*m.cfg.HTFraction) * scale
+	m.stale = 0
+
+	end := len(m.cores)
+	if m.skipDeep {
+		end = bits.Len64(m.busy)
+	}
+	tpc := m.topo.ThreadsPerCore
+	// No core from top on is folded, so the folds before any of them are
+	// before[top]. When end < c, the cores from end to c are idle-deep and
+	// unchanged, so before[c] is already the total.
+	c := min(first, m.top)
+	s := m.before[c]
+	for ; c < end; c++ {
+		m.before[c] = s
+		if m.skipDeep && m.busy&(1<<c) == 0 {
+			continue
+		}
+		s.cores += m.cores[c].watts
+		for _, w := range m.dramW[c*tpc : c*tpc+tpc] {
+			s.dram += w
 		}
 	}
-	pkg := cores
-	for s := 0; s < m.topo.Sockets; s++ {
+	m.before[end] = s
+	m.top = end
+
+	pkg := s.cores
+	for _, sk := range m.sockets {
 		pkg += m.cfg.PkgStaticW
-		if socketActive[s] {
-			scale := 1.0
+		if sk.active > 0 {
 			// Uncore scales with the highest VF among the socket's cores.
-			allMin := true
-			for c := s * m.topo.CoresPerSocket; c < (s+1)*m.topo.CoresPerSocket; c++ {
-				if m.coreVF(c) == VFMax {
-					allMin = false
-					break
-				}
-			}
-			if allMin {
+			scale := 1.0
+			if sk.vfMax == 0 {
 				scale = m.cfg.VFMinScale
 			}
 			pkg += m.cfg.UncoreActiveW * scale
 		}
 	}
-	m.curPkg, m.curCores, m.curDRAM = pkg, cores, dram
+	m.curPkg, m.curCores, m.curDRAM = pkg, s.cores, s.dram
+}
+
+// refresh rebuilds core c's cached terms from its contexts' state.
+func (m *Meter) refresh(c int) {
+	ct := &m.cores[c]
+	scale := 1.0
+	if ct.vfMax == 0 {
+		scale = m.cfg.VFMinScale
+	}
+	// The busiest hyper-thread pays full activity power, siblings a
+	// fraction: the core's execution resources are shared.
+	bestW, extraW := 0.0, 0.0
+	active, busy := false, false
+	tpc := m.topo.ThreadsPerCore
+	dram := m.dramW[c*tpc : c*tpc+tpc]
+	for ht := range dram {
+		act := m.ctxs[c+ht*len(m.cores)].act
+		w := m.cfg.ActivityW[act]
+		if w > bestW {
+			extraW += bestW
+			bestW = w
+		} else {
+			extraW += w
+		}
+		dram[ht] = m.cfg.DRAMActivityW[act] * scale
+		active = active || !act.IsIdle()
+		busy = busy || act != IdleDeep
+	}
+	ct.watts = (bestW + extraW*m.cfg.HTFraction) * scale
+	if active != ct.active {
+		ct.active = active
+		sk := &m.sockets[c/m.topo.CoresPerSocket]
+		if active {
+			sk.active++
+		} else {
+			sk.active--
+		}
+	}
+	if busy {
+		m.busy |= 1 << c
+	} else {
+		m.busy &^= 1 << c
+	}
 }
 
 // Energy integrates up to now and returns the counters in Joules.
@@ -407,9 +496,8 @@ func (m *Meter) Energy() Energy {
 
 // InstantPower returns the current power breakdown in Watts.
 func (m *Meter) InstantPower() Breakdown {
-	if m.dirty {
+	if m.stale != 0 {
 		m.recompute()
-		m.dirty = false
 	}
 	return Breakdown{
 		Total:   m.curPkg + m.curDRAM,

@@ -248,3 +248,24 @@ func TestBreakdownAndEnergyHelpers(t *testing.T) {
 		t.Fatal("empty breakdown string")
 	}
 }
+
+// TestNewMeterRejectsInvalidTopology: the meter keeps one bit per core in
+// a uint64, so NewMeter panics with Validate's error on any topology
+// Validate refuses, as machine.New does, rather than silently losing the
+// bits of cores past 64.
+func TestNewMeterRejectsInvalidTopology(t *testing.T) {
+	for _, bad := range []topo.Topology{
+		{Sockets: 1, CoresPerSocket: 65, ThreadsPerCore: 1},
+		{Sockets: 1, CoresPerSocket: 0, ThreadsPerCore: 2},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || err.Error() != bad.Validate().Error() {
+					t.Errorf("NewMeter(%+v) panicked with %v, want %v", bad, err, bad.Validate())
+				}
+			}()
+			NewMeter(sim.NewKernel(1), DefaultConfig(), bad)
+		}()
+	}
+}
