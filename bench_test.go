@@ -1,13 +1,11 @@
 package lockin
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"lockin/internal/core"
 	"lockin/internal/experiments"
-	"lockin/internal/systems"
 	"lockin/internal/workload"
 )
 
@@ -36,7 +34,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-// One bench per paper table and figure (see DESIGN.md's experiment index).
+// One bench per paper table and figure (`lockbench -list` names them all).
 
 func BenchmarkFig1(b *testing.B)  { benchExperiment(b, "fig1") }
 func BenchmarkFig2(b *testing.B)  { benchExperiment(b, "fig2") }
@@ -58,8 +56,8 @@ func BenchmarkTable2(b *testing.B)       { benchExperiment(b, "tbl2") }
 func BenchmarkSleepPeriod(b *testing.B)  { benchExperiment(b, "tbl_sleep") }
 func BenchmarkTimeoutTable(b *testing.B) { benchExperiment(b, "tbl_timeout") }
 
-// BenchmarkAblation covers the design-choice ablations DESIGN.md calls
-// out (MUTEXEE spin budget, unlock wait, adaptation; TICKET pausing).
+// BenchmarkAblation covers the MUTEXEE design-choice ablations (spin
+// budget, unlock wait, adaptation; TICKET pausing).
 func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 
 // BenchmarkExtFuture covers the §8 future-hardware extension locks
@@ -90,29 +88,6 @@ func BenchmarkSimLock(b *testing.B) {
 			b.ReportMetric(thr, "sim-acq/s")
 			b.ReportMetric(tpp, "sim-acq/J")
 		})
-	}
-}
-
-// BenchmarkSystems runs one representative system profile per lock,
-// reporting simulated throughput.
-func BenchmarkSystems(b *testing.B) {
-	defs := []systems.Definition{
-		systems.HamsterDB()[0],
-		systems.Memcached()[1],
-		systems.SQLite()[0],
-	}
-	for _, d := range defs {
-		for _, k := range []core.Kind{core.KindMutex, core.KindMutexee} {
-			d, k := d, k
-			b.Run(fmt.Sprintf("%s/%s", d.ID(), k), func(b *testing.B) {
-				var thr float64
-				for i := 0; i < b.N; i++ {
-					r := d.Run(NewMachine(42).Config(), workload.FactoryFor(k), 300_000, 5_000_000)
-					thr = r.Throughput()
-				}
-				b.ReportMetric(thr, "sim-ops/s")
-			})
-		}
 	}
 }
 

@@ -103,10 +103,9 @@ func (f *ServeFlags) Options() (ServeOptions, error) {
 	return o, nil
 }
 
-// Validate rejects serve options that would misconfigure the service,
-// and folds harmless values onto their canonical forms (a non-positive
-// burst under an active rate limit means the minimum bucket of 1 —
-// serve.New applies the same floor).
+// Validate rejects serve options that would misconfigure the service.
+// It leaves a non-positive burst as given: serve.New floors the bucket
+// at 1 under an active rate limit.
 func (o *ServeOptions) Validate() error {
 	if o.Cache == "" {
 		return fmt.Errorf("cache directory must not be empty")

@@ -63,9 +63,6 @@ func NewRWLock(m *machine.Machine, inner Lock, pol machine.WaitPolicy) *RWLock {
 // Name returns the wrapped algorithm's name with an RW prefix.
 func (l *RWLock) Name() string { return "RW-" + l.inner.Name() }
 
-// Inner returns the wrapped lock.
-func (l *RWLock) Inner() Lock { return l.inner }
-
 // RLock acquires the lock in shared mode.
 func (l *RWLock) RLock(t *machine.Thread) {
 	l.inner.Lock(t)

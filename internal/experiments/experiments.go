@@ -1,8 +1,11 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation. Each runner regenerates the corresponding rows or
-// series on the simulated Xeon and annotates them with the paper's
-// reported expectation, so paper-vs-measured comparisons (EXPERIMENTS.md)
-// can be refreshed with a single command.
+// Package experiments is the registry of reproducible tables and
+// figures, with one runner per table and figure of the paper's
+// evaluation up to Figure 12, plus extensions. Each runner regenerates
+// the corresponding rows or series on the simulated Xeon and annotates
+// them with the paper's reported expectation, so paper-vs-measured
+// comparisons can be refreshed with a single command (`lockbench
+// -experiment all`). Figures 13-15 and the bundled scenarios register
+// from package scenario, which imports this one.
 //
 // Durations default to quick settings (tens of millions of cycles per
 // data point instead of the paper's 10-second runs); Options.Scale
@@ -141,11 +144,12 @@ func register(e Experiment) {
 	order = append(order, e.ID)
 }
 
-// Register adds a dynamically built experiment — e.g. a compiled
-// scenario spec — to the registry, making it runnable through the same
-// CLI, sweep and results-store paths as the built-in figures. It
-// panics on an empty or duplicate id, mirroring the init-time checks
-// of the static tables.
+// Register adds an experiment defined outside this package — Figures
+// 13-15 and the compiled scenario specs, which package scenario
+// registers at init — making it runnable through the same CLI, sweep
+// and results-store paths as the built-in figures. It panics on an
+// empty or duplicate id, mirroring the init-time checks of the static
+// tables.
 func Register(e Experiment) { register(e) }
 
 // All returns every experiment in registration order.

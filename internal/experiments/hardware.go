@@ -111,7 +111,7 @@ func init() {
 					g.Add(func(c sweep.Cell) []sweep.Row {
 						d := systems.WaitingStress(n, pol, o.dur(3_300_000))
 						rn := systems.NewRunner(o.machineSeeded(c.Seed), o.dur(300_000), o.dur(3_000_000))
-						d.Build(rn, workload.FactoryFor(core.KindMutex))
+						d(rn, workload.FactoryFor(core.KindMutex))
 						r := rn.Finish()
 						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
 					})
@@ -137,7 +137,7 @@ func init() {
 					g.Add(func(c sweep.Cell) []sweep.Row {
 						d := systems.WaitingStress(n, pol, o.dur(3_300_000))
 						rn := systems.NewRunner(o.machineSeeded(c.Seed), o.dur(300_000), o.dur(3_000_000))
-						d.Build(rn, workload.FactoryFor(core.KindMutex))
+						d(rn, workload.FactoryFor(core.KindMutex))
 						r := rn.Finish()
 						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
 					})

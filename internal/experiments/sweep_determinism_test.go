@@ -26,7 +26,8 @@ func renderAll(t *testing.T, id string, o Options) string {
 // engine: for a fixed seed, a parallel run (Workers=8) must produce
 // byte-identical tables to the serial fallback (Workers=1). It covers
 // the microbenchmark path (fig11), the ratio/baseline path (fig10),
-// and the systems path (fig13).
+// and the §6 systems path (fig13, which package scenario registers;
+// see sect6_test.go).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	for _, id := range []string{"fig11", "fig10", "fig13"} {
 		id := id

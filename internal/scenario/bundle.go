@@ -8,11 +8,12 @@ import (
 	"lockin/internal/experiments"
 )
 
-// The bundled scenario library: the §6 system profiles re-expressed
-// declaratively plus contention patterns the paper never ran. Every
-// spec in specs/ compiles and registers as an experiment at init, so
-// importing this package makes them runnable as
-// `lockbench -experiment scenario:<name>`.
+// The bundled scenario library: the §6 systems expressed declaratively
+// plus contention patterns the paper never ran. Every spec in specs/
+// compiles and registers as an experiment at init, so importing this
+// package makes them runnable as `lockbench -experiment
+// scenario:<name>`. Init registers Figures 13-15 first: they run
+// Table 3, which is points of the bundled §6 specs (sect6.go).
 //
 //go:embed specs/*.json
 var specFS embed.FS
@@ -52,6 +53,10 @@ func init() {
 		// tests and `lockbench -validate-scenarios` in CI.
 		panic(err)
 	}
+	if sect6, err = resolveTable3(cs); err != nil {
+		panic(err)
+	}
+	registerSect6()
 	for _, c := range cs {
 		experiments.Register(c.Experiment())
 	}

@@ -18,8 +18,8 @@ import (
 
 // Compiled is a scenario lowered onto the simulation primitives: a
 // cell-grid experiment whose cells are the cross product of the spec's
-// sweep axes (a sweep.Space), each executed as a systems.Runner
-// profile on its own seeded machine.
+// sweep axes (a sweep.Space), each simulated on a systems.Runner with
+// its own seeded machine.
 type Compiled struct {
 	Spec Spec
 	// Hash is the spec's content hash (see Spec.Hash); it rides into
@@ -405,18 +405,7 @@ func (c *Compiled) Run(o experiments.Options) []*metrics.Table {
 		// The thread count dominates a cell's simulation cost, so it is
 		// the cost hint: skewed grids dispatch their big cells first.
 		g.AddHinted(float64(c.totalThreads(p)), func(cell sweep.Cell) []sweep.Row {
-			var stats *groupStats
-			if c.Spec.perGroup() {
-				stats = &groupStats{ops: make([]uint64, len(c.Spec.Groups))}
-			}
-			def := systems.Definition{
-				System:  "scenario",
-				Config:  c.Spec.Name,
-				Threads: c.totalThreads(p),
-				Build:   c.buildFn(p, stats),
-			}
-			res := def.Run(c.machineConfig(cell.Seed), p.kind.factory,
-				o.Window(sim.Cycles(warmup)), o.Window(sim.Cycles(duration)))
+			res, stats := c.simulate(p, cell.Seed, o.Window(sim.Cycles(warmup)), o.Window(sim.Cycles(duration)))
 			return []sweep.Row{c.row(p, res, stats)}
 		})
 	}
@@ -515,59 +504,69 @@ func (s condQueueInst) access(t *machine.Thread, _ *rand.Rand, _ bool, cs sim.Cy
 	s.q.Unlock(t)
 }
 
-// buildFn generates the Definition.Build body for one cell: it
-// instantiates the spec's locks (pinned kinds keep their own factory,
-// the rest use the cell's axis factory) and spawns every group's
+// simulate runs one cell: the grid point p on a fresh machine seeded
+// with seed, measured for duration cycles after warmup. The tallies
+// are nil unless the spec asks for per-group columns.
+func (c *Compiled) simulate(p cellParams, seed int64, warmup, duration sim.Cycles) (systems.Result, *groupStats) {
+	var stats *groupStats
+	if c.Spec.perGroup() {
+		stats = &groupStats{ops: make([]uint64, len(c.Spec.Groups))}
+	}
+	r := systems.NewRunner(c.machineConfig(seed), warmup, duration)
+	c.build(r, p, stats)
+	return r.Finish(), stats
+}
+
+// build instantiates the spec's locks (pinned kinds keep their own
+// factory, the rest use the cell's lock kind) and spawns every group's
 // threads running the compiled loop.
-func (c *Compiled) buildFn(p cellParams, stats *groupStats) func(*systems.Runner, workload.LockFactory) {
-	return func(r *systems.Runner, f workload.LockFactory) {
-		insts := make([]lockInst, len(c.Spec.Locks))
-		for i, ls := range c.Spec.Locks {
-			mk := f
-			if c.pinned[i] != nil {
-				mk = c.pinned[i]
-			}
-			switch ls.Topology {
-			case TopoSingle:
-				insts[i] = singleInst{l: mk(r.M)}
-			case TopoStriped:
-				n := ls.Stripes
-				if n == 0 {
-					n = defaultStripes
-				}
-				arr := make([]core.Lock, n)
-				for j := range arr {
-					arr[j] = mk(r.M)
-				}
-				var z *workload.Zipf
-				if ls.Pick == "zipf" {
-					skew := p.skew
-					if ls.Skew != nil {
-						skew = *ls.Skew
-					}
-					z = workload.NewZipf(n, skew)
-				}
-				insts[i] = stripedInst{ls: arr, zipf: z}
-			case TopoRW:
-				insts[i] = rwInst{rw: core.NewRWLock(r.M, mk(r.M), machine.WaitMbar)}
-			case TopoCondQueue:
-				insts[i] = condQueueInst{q: mk(r.M), cond: core.NewCond(r.M), queued: new(int)}
-			default:
-				panic(fmt.Sprintf("scenario %s: unvalidated topology %q", c.Spec.Name, ls.Topology))
-			}
+func (c *Compiled) build(r *systems.Runner, p cellParams, stats *groupStats) {
+	insts := make([]lockInst, len(c.Spec.Locks))
+	for i, ls := range c.Spec.Locks {
+		mk := p.kind.factory
+		if c.pinned[i] != nil {
+			mk = c.pinned[i]
 		}
-		tid := 0
-		for gi := range c.Spec.Groups {
-			g := &c.Spec.Groups[gi]
-			n := c.groupThreads(g, p)
-			for i := 0; i < n; i++ {
-				rng := r.RNG(tid)
-				tid++
-				gi := gi
-				r.M.Spawn(g.Name, func(t *machine.Thread) {
-					c.groupLoop(r, t, rng, gi, insts, p, stats)
-				})
+		switch ls.Topology {
+		case TopoSingle:
+			insts[i] = singleInst{l: mk(r.M)}
+		case TopoStriped:
+			n := ls.Stripes
+			if n == 0 {
+				n = defaultStripes
 			}
+			arr := make([]core.Lock, n)
+			for j := range arr {
+				arr[j] = mk(r.M)
+			}
+			var z *workload.Zipf
+			if ls.Pick == "zipf" {
+				skew := p.skew
+				if ls.Skew != nil {
+					skew = *ls.Skew
+				}
+				z = workload.NewZipf(n, skew)
+			}
+			insts[i] = stripedInst{ls: arr, zipf: z}
+		case TopoRW:
+			insts[i] = rwInst{rw: core.NewRWLock(r.M, mk(r.M), machine.WaitMbar)}
+		case TopoCondQueue:
+			insts[i] = condQueueInst{q: mk(r.M), cond: core.NewCond(r.M), queued: new(int)}
+		default:
+			panic(fmt.Sprintf("scenario %s: unvalidated topology %q", c.Spec.Name, ls.Topology))
+		}
+	}
+	tid := 0
+	for gi := range c.Spec.Groups {
+		g := &c.Spec.Groups[gi]
+		n := c.groupThreads(g, p)
+		for i := 0; i < n; i++ {
+			rng := r.RNG(tid)
+			tid++
+			gi := gi
+			r.M.Spawn(g.Name, func(t *machine.Thread) {
+				c.groupLoop(r, t, rng, gi, insts, p, stats)
+			})
 		}
 	}
 }

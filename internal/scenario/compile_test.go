@@ -6,12 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"lockin/internal/core"
 	"lockin/internal/experiments"
 	"lockin/internal/metrics"
 	"lockin/internal/results"
-	"lockin/internal/systems"
-	"lockin/internal/workload"
 )
 
 // bundled returns one compiled bundled scenario by name.
@@ -77,92 +74,6 @@ func TestBundledRegistered(t *testing.T) {
 				t.Fatalf("%s: quick-run axis %s has %d values, want <= 2", c.ID(), a.Name, a.Len())
 			}
 		}
-	}
-}
-
-// handTable runs the given hand-coded §6 definitions through the same
-// grid (def-major, lock-minor, identical cell seeds) and renders them
-// with the scenario row formula, cloning title/header/notes from the
-// scenario table so results.Diff pairs them up. extras[di], when
-// non-nil, are axis-value cells spliced in after the lock column —
-// the columns a declared extra axis adds.
-func handTable(t *testing.T, o experiments.Options, like *metrics.Table,
-	defs []systems.Definition, css []int64, extras [][]any, kinds []core.Kind) *metrics.Table {
-	t.Helper()
-	var jobs []systems.Job
-	for _, d := range defs {
-		for _, k := range kinds {
-			jobs = append(jobs, systems.Job{
-				Def: d, Factory: workload.FactoryFor(k),
-				Warmup: o.Window(300_000), Duration: o.Window(10_000_000),
-			})
-		}
-	}
-	res := systems.RunJobs(o.SweepOptions(), jobs)
-	want := metrics.NewTable(like.Title, like.Header...)
-	i := 0
-	for di, d := range defs {
-		for _, k := range kinds {
-			r := res[i]
-			i++
-			row := []any{d.Threads, css[di], k.String()}
-			if extras != nil {
-				row = append(row, extras[di]...)
-			}
-			row = append(row, r.Throughput()/1e3, r.TPP()/1e3,
-				float64(r.Latency.Percentile(0.99))/1e3)
-			want.AddRow(row...)
-		}
-	}
-	for _, n := range like.Notes {
-		want.AddNote("%s", n)
-	}
-	return want
-}
-
-// TestKyotoSpecReproducesHandCodedProfile is the subsystem's
-// acceptance test: the bundled kyoto spec must reproduce the
-// hand-coded systems.Kyoto() profile — same table structure, every
-// value within the results.Diff default tolerance (exact), and the
-// rendered tables byte-identical — proving the compiler lowers a spec
-// onto exactly the primitives the Go profile uses.
-func TestKyotoSpecReproducesHandCodedProfile(t *testing.T) {
-	o := experiments.Options{Seed: 42, Scale: 0.5, Workers: 4}
-	got := bundled(t, "kyoto").Run(o)
-	if len(got) != 1 {
-		t.Fatalf("kyoto produced %d tables, want 1", len(got))
-	}
-	kinds := []core.Kind{core.KindMutex, core.KindTicket, core.KindMutexee}
-	want := handTable(t, o, got[0], systems.Kyoto(), []int64{3200, 3600, 4500}, nil, kinds)
-
-	rep := results.Diff(
-		&results.Run{Tables: []*metrics.Table{want}},
-		&results.Run{Tables: got},
-		results.Tolerance{})
-	if !rep.Empty() {
-		t.Fatalf("spec-compiled kyoto differs from the hand-coded profile:\n%s", rep)
-	}
-	if want.String() != got[0].String() {
-		t.Fatalf("rendered tables differ:\n--- hand-coded ---\n%s--- compiled ---\n%s", want, got[0])
-	}
-}
-
-// TestHamsterDBSpecReproducesHandCodedProfiles pins the folded
-// hamsterdb spec — a read-ratio axis over the reader-writer
-// environment lock — to ALL THREE hand-coded HamsterDB configurations
-// (RD 90%, WT/RD 50%, WT 10% reads), including their RNG draw
-// sequences: one 9-cell multi-axis grid, byte-identical to the three
-// profiles run def-major through the same seeds.
-func TestHamsterDBSpecReproducesHandCodedProfiles(t *testing.T) {
-	o := experiments.Options{Seed: 7, Scale: 0.5, Workers: 4}
-	got := bundled(t, "hamsterdb").Run(o)
-	ham := systems.HamsterDB() // WT, WT/RD, RD — the read axis runs 90, 50, 10
-	defs := []systems.Definition{ham[2], ham[1], ham[0]}
-	kinds := []core.Kind{core.KindMutex, core.KindTicket, core.KindMutexee}
-	want := handTable(t, o, got[0], defs, []int64{0, 0, 0},
-		[][]any{{90}, {50}, {10}}, kinds)
-	if want.String() != got[0].String() {
-		t.Fatalf("rendered tables differ:\n--- hand-coded ---\n%s--- compiled ---\n%s", want, got[0])
 	}
 }
 

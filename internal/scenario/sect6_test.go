@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,5 +199,45 @@ func TestSliceReproducesLegacyMemcached(t *testing.T) {
 		if strings.Join(lr[i], "|") != strings.Join(sr[i], "|") {
 			t.Fatalf("row %d not byte-identical:\nlegacy %v\nsliced %v", i, lr[i], sr[i])
 		}
+	}
+}
+
+// TestFigures13To15ReproduceStoredRuns reruns each stored Figure 13-15
+// run in testdata/sect6 under its own seed, scale and mode and requires
+// zero differences: results.Compare at tolerance 0 and byte-identical
+// rendered tables. The quick runs and full-mode fig15 were saved by the
+// hand-coded system profiles Table 3 replaced, so they pin the move.
+// Full-mode fig13 and fig14 were saved after it: their RocksDB rows
+// run the bundled spec's leader/follower write queue.
+func TestFigures13To15ReproduceStoredRuns(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "sect6", "*", "*.json"))
+	if err != nil || len(paths) != 6 {
+		t.Fatalf("want 6 stored runs, found %v (%v)", paths, err)
+	}
+	for _, path := range paths {
+		t.Run(path, func(t *testing.T) {
+			want, err := results.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := experiments.Find(want.Meta.Experiment)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := want.Meta
+			got := &results.Run{Meta: m, Tables: e.Run(experiments.Options{Seed: m.Seed, Scale: m.Scale, Quick: m.Quick, Workers: 4})}
+			rep, err := results.Compare(want, got, results.Tolerance{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Empty() {
+				t.Fatalf("%s differs from its stored run:\n%s", m.Experiment, rep)
+			}
+			for i := range want.Tables {
+				if w, g := want.Tables[i].String(), got.Tables[i].String(); w != g {
+					t.Fatalf("rendered tables differ:\n--- stored ---\n%s--- rerun ---\n%s", w, g)
+				}
+			}
+		})
 	}
 }

@@ -11,6 +11,10 @@
 // through internal/results exactly like the hand-coded paper figures,
 // so opening a new contention pattern means writing a spec file, not a
 // Go package.
+//
+// The §6 systems are bundled specs too: the package defines the
+// paper's Table 3 as seventeen points of their grids and registers
+// Figures 13-15, which run it (sect6.go).
 package scenario
 
 import (

@@ -175,9 +175,6 @@ func (s *Scheduler) Kernel() *sim.Kernel { return s.k }
 // Live returns the number of threads that have not exited.
 func (s *Scheduler) Live() int { return s.live }
 
-// RunQueueLen returns the current number of ready (undispatched) threads.
-func (s *Scheduler) RunQueueLen() int { return len(s.runq) }
-
 // Oversubscribed reports whether some thread is waiting for a context.
 func (s *Scheduler) Oversubscribed() bool { return len(s.runq) > 0 }
 

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -123,6 +124,39 @@ func TestGuardedPaths(t *testing.T) {
 	}
 	if m["submissions_oversized_total"] != 1 {
 		t.Errorf("submissions_oversized_total = %v, want 1", m["submissions_oversized_total"])
+	}
+}
+
+// TestRateLimitKeysUnverifiedTokensByIP: without an auth token the
+// server cannot verify a bearer token, so rotating tokens must not buy
+// a fresh bucket per request. Ten POSTs from one address under a burst
+// of 2 draw eight 429s, whatever tokens they carry.
+func TestRateLimitKeysUnverifiedTokensByIP(t *testing.T) {
+	_, hs := newServerConfig(t, serve.Config{Pool: 1, RateLimit: 0.01, RateBurst: 2})
+	limited := 0
+	for i := 0; i < 10; i++ {
+		resp := postAuth(t, hs, "/v1/runs?experiment=no-such", "", "token-"+strconv.Itoa(i))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			limited++
+		}
+	}
+	if limited != 8 {
+		t.Fatalf("%d of 10 POSTs with rotating unverified tokens answered 429, want 8", limited)
+	}
+}
+
+// TestRateLimitMessageShowsFlooredBurst: a burst below 1 runs as a
+// bucket of 1, and the 429 must name the burst actually applied.
+func TestRateLimitMessageShowsFlooredBurst(t *testing.T) {
+	_, hs := newServerConfig(t, serve.Config{Pool: 1, RateLimit: 0.01, RateBurst: 0})
+	postAuth(t, hs, "/v1/runs?experiment=no-such", "", "")
+	resp := postAuth(t, hs, "/v1/runs?experiment=no-such", "", "")
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(b), "burst 1)") {
+		t.Fatalf("second POST under burst 0: status %d, body %q; want 429 naming burst 1", resp.StatusCode, b)
 	}
 }
 

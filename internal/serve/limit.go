@@ -89,11 +89,13 @@ func bearerToken(r *http.Request) string {
 }
 
 // clientKey identifies the requester for rate limiting: the bearer
-// token when one is presented (authenticated clients budget per
-// credential, not per NAT'd address), else the remote IP.
+// token when the server checks one (authenticated clients budget per
+// credential, not per NAT'd address), else the remote IP. Without
+// Config.AuthToken a presented token is unverified, and keying by it
+// would let a client mint a fresh bucket per request.
 func (s *Server) clientKey(r *http.Request) string {
-	if tok := bearerToken(r); tok != "" {
-		return "token:" + tok
+	if s.cfg.AuthToken != "" {
+		return "token:" + bearerToken(r)
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -127,8 +129,8 @@ func (s *Server) guardPOST(h http.HandlerFunc) http.HandlerFunc {
 					secs = 1
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, fmt.Sprintf("request budget exhausted for this client (%g POSTs/s, burst %d); retry in %ds",
-					s.cfg.RateLimit, s.cfg.RateBurst, secs), http.StatusTooManyRequests)
+				http.Error(w, fmt.Sprintf("request budget exhausted for this client (%g POSTs/s, burst %g); retry in %ds",
+					s.limiter.rate, s.limiter.burst, secs), http.StatusTooManyRequests)
 				return
 			}
 		}

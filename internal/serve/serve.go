@@ -69,7 +69,8 @@ type Config struct {
 	CacheMaxRuns int
 	// RateLimit is the per-client POST budget in requests per second
 	// (token bucket, burst RateBurst). Clients are keyed by bearer
-	// token when presented, else remote IP. 0 disables limiting.
+	// token when AuthToken is set (the token is then verified), else by
+	// remote IP. 0 disables limiting.
 	RateLimit float64
 	// RateBurst is the token-bucket depth per client. Values < 1 are
 	// treated as 1 when RateLimit is active.

@@ -142,20 +142,6 @@ func (o Options) WorkerCount() int {
 	return 1
 }
 
-// Counted wraps a Progress hook with a finished-cell counter, the basis
-// of front-end throughput reporting (lockbench's "N cells, X cells/sec"):
-// the returned hook increments *n once per completed cell — Progress
-// fires exactly once per cell, across however many grids an experiment
-// sweeps — then chains to next (nil for counting alone).
-func Counted(n *int, next func(done, total int)) func(done, total int) {
-	return func(done, total int) {
-		*n++
-		if next != nil {
-			next(done, total)
-		}
-	}
-}
-
 // CellSeed derives the machine seed of grid cell index from the base
 // seed. It is a pure function (splitmix64-style finalizer), so a cell's
 // seed is independent of evaluation order, worker count, and the

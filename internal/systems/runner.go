@@ -1,34 +1,29 @@
-// Package systems models the six software systems of the paper's §6
-// evaluation — HamsterDB, Kyoto Cabinet, Memcached, MySQL, RocksDB and
-// SQLite — as synthetic lock-usage profiles, plus the Figure 1
-// CopyOnWriteArrayList stress test and the Figure 2 memory-stress
-// benchmark.
+// Package systems is the harness the paper's whole-program workloads
+// run on: a Runner (one machine, a measurement window, operation and
+// latency accounting) and Definition, a workload body spawned against
+// it. The package holds the Figure 1 CopyOnWriteArrayList stress test,
+// the Figure 2 memory-stress benchmark and the Figures 3-5 waiting
+// stress tests.
 //
-// The paper attributes every §6 effect to how each system uses pthread
-// locks: HamsterDB and Kyoto serialize on one hot lock (sleeping "kills"
-// throughput); Memcached mixes a hot cache lock with striped bucket
-// locks; MySQL and SQLite oversubscribe threads to cores (spinning
-// "kills" throughput and fair spinlocks collapse); RocksDB funnels
-// writers through a condvar-based write queue, so the mutex choice
-// barely matters. The profiles encode exactly those patterns; swapping
-// the lock algorithm under them reproduces Figures 13-15.
+// The six software systems of the paper's §6 evaluation (HamsterDB,
+// Kyoto Cabinet, Memcached, MySQL, RocksDB and SQLite) are not coded
+// here: they are bundled scenario specs, and package scenario compiles
+// them onto this Runner and defines Table 3 and Figures 13-15 as
+// points of their grids.
 package systems
 
 import (
-	"fmt"
 	"math/rand"
 
-	"lockin/internal/core"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/power"
 	"lockin/internal/sim"
-	"lockin/internal/sweep"
 	"lockin/internal/workload"
 )
 
 // Runner hosts one system execution: machine, measurement window and
-// operation accounting shared by all profile bodies.
+// operation accounting shared by all workload bodies.
 type Runner struct {
 	M        *machine.Machine
 	measFrom sim.Cycles
@@ -94,96 +89,25 @@ func (r *Runner) Finish() Result {
 	}
 }
 
-// Definition describes one (system, configuration) cell of Table 3.
-type Definition struct {
-	System  string
-	Config  string
-	Threads int
-	// Build spawns the profile's threads against the runner using locks
-	// from the factory.
-	Build func(r *Runner, f workload.LockFactory)
-}
-
-// ID returns "System/Config", the key used by the experiment harness.
-func (d Definition) ID() string { return fmt.Sprintf("%s/%s", d.System, d.Config) }
+// Definition is a workload body: it spawns the workload's threads
+// against the runner, taking locks from the factory.
+type Definition func(r *Runner, f workload.LockFactory)
 
 // Run executes the definition with the given lock factory and window.
 func (d Definition) Run(mc machine.Config, f workload.LockFactory, warmup, duration sim.Cycles) Result {
 	r := NewRunner(mc, warmup, duration)
-	d.Build(r, f)
+	d(r, f)
 	return r.Finish()
-}
-
-// All returns the 17 (system, configuration) cells of Figures 13-14, in
-// the paper's order.
-func All() []Definition {
-	var out []Definition
-	out = append(out, HamsterDB()...)
-	out = append(out, Kyoto()...)
-	out = append(out, Memcached()...)
-	out = append(out, MySQL()...)
-	out = append(out, RocksDB()...)
-	out = append(out, SQLite()...)
-	return out
-}
-
-// Find returns the definition with the given ID.
-func Find(id string) (Definition, error) {
-	for _, d := range All() {
-		if d.ID() == id {
-			return d, nil
-		}
-	}
-	return Definition{}, fmt.Errorf("systems: unknown definition %q", id)
-}
-
-// Job is one sweep cell: a system definition executed under one lock
-// factory on its own simulated machine.
-type Job struct {
-	Def      Definition
-	Factory  workload.LockFactory
-	Warmup   sim.Cycles
-	Duration sim.Cycles
-	// Machine optionally overrides the machine configuration template;
-	// its Seed is replaced with the cell's derived seed. Nil means the
-	// default Xeon.
-	Machine *machine.Config
-}
-
-// RunJobs fans the jobs out as a parallel sweep grid — one simulated
-// machine per job, seeded with sweep.CellSeed(o.Seed, job index) — and
-// returns the results in job order. Output is identical for any
-// worker count.
-func RunJobs(o sweep.Options, jobs []Job) []Result {
-	return sweep.Run(o, len(jobs), func(c sweep.Cell) Result {
-		j := jobs[c.Index]
-		mc := machine.DefaultConfig(c.Seed)
-		if j.Machine != nil {
-			mc = *j.Machine
-			mc.Seed = c.Seed
-		}
-		return j.Def.Run(mc, j.Factory, j.Warmup, j.Duration)
-	})
 }
 
 // Block deschedules the thread for roughly d cycles, modelling
 // blocking I/O: the hardware context is released to the OS until the
-// wakeup fires. Profiles and compiled scenarios use it for SSD reads
-// and bursty producers.
+// wakeup fires. Compiled scenarios use it for SSD reads and bursty
+// producers.
 func Block(t *machine.Thread, d sim.Cycles) {
 	th := t.Thread
 	s := th.Scheduler()
 	k := s.Kernel()
 	k.Schedule(d, func() { s.Unblock(th, 0) })
 	th.Block()
-}
-
-// lockedOp is the common "acquire, work, release, note" request body.
-func lockedOp(r *Runner, t *machine.Thread, l core.Lock, cs, outside sim.Cycles) {
-	start := t.Proc().Now()
-	l.Lock(t)
-	t.Compute(cs)
-	l.Unlock(t)
-	r.Note(t, start)
-	t.Compute(outside)
 }

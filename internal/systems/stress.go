@@ -13,27 +13,22 @@ import (
 // are lock-free. The waiting strategy of the lock (sleeping vs busy
 // waiting) dominates both power and throughput.
 func CopyOnWriteList(threads int) Definition {
-	return Definition{
-		System:  "COWList",
-		Config:  "stress",
-		Threads: threads,
-		Build: func(r *Runner, f workload.LockFactory) {
-			l := f(r.M)
-			for i := 0; i < threads; i++ {
-				r.M.Spawn("cow", func(t *machine.Thread) {
-					for r.Running(t) {
-						start := t.Proc().Now()
-						l.Lock(t)
-						// Copy the array: memory-bound critical section.
-						t.SetActivity(power.MemStress)
-						t.Run(2500)
-						l.Unlock(t)
-						r.Note(t, start)
-						t.Compute(5000) // produce the next element
-					}
-				})
-			}
-		},
+	return func(r *Runner, f workload.LockFactory) {
+		l := f(r.M)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("cow", func(t *machine.Thread) {
+				for r.Running(t) {
+					start := t.Proc().Now()
+					l.Lock(t)
+					// Copy the array: memory-bound critical section.
+					t.SetActivity(power.MemStress)
+					t.Run(2500)
+					l.Unlock(t)
+					r.Note(t, start)
+					t.Compute(5000) // produce the next element
+				}
+			})
+		}
 	}
 }
 
@@ -42,22 +37,17 @@ func CopyOnWriteList(threads int) Definition {
 // chart the power breakdown against active hyper-thread count and
 // voltage-frequency setting.
 func MemoryStress(threads int, vf power.VF) Definition {
-	return Definition{
-		System:  "MemStress",
-		Config:  vf.String(),
-		Threads: threads,
-		Build: func(r *Runner, f workload.LockFactory) {
-			for i := 0; i < threads; i++ {
-				r.M.Spawn("mem", func(t *machine.Thread) {
-					t.SetVF(vf)
-					for r.Running(t) {
-						start := t.Proc().Now()
-						t.ComputeMem(10_000)
-						r.Note(t, start)
-					}
-				})
-			}
-		},
+	return func(r *Runner, f workload.LockFactory) {
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("mem", func(t *machine.Thread) {
+				t.SetVF(vf)
+				for r.Running(t) {
+					start := t.Proc().Now()
+					t.ComputeMem(10_000)
+					r.Note(t, start)
+				}
+			})
+		}
 	}
 }
 
@@ -66,38 +56,28 @@ func MemoryStress(threads int, vf power.VF) Definition {
 // waiting" experiments (Figures 3-5). The threads spin on a real shared
 // line so global spinning exhibits its contention-scaled CPI.
 func WaitingStress(threads int, pol machine.WaitPolicy, dur sim.Cycles) Definition {
-	return Definition{
-		System:  "Waiting",
-		Config:  pol.String(),
-		Threads: threads,
-		Build: func(r *Runner, f workload.LockFactory) {
-			line := r.M.NewLine("held-forever")
-			line.Init(1)
-			for i := 0; i < threads; i++ {
-				r.M.Spawn("waiter", func(t *machine.Thread) {
-					t.SpinUntilLimit(line, func(v uint64) bool { return v == 0 }, pol, dur)
-				})
-			}
-		},
+	return func(r *Runner, f workload.LockFactory) {
+		line := r.M.NewLine("held-forever")
+		line.Init(1)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("waiter", func(t *machine.Thread) {
+				t.SpinUntilLimit(line, func(v uint64) bool { return v == 0 }, pol, dur)
+			})
+		}
 	}
 }
 
 // SleepingStress parks every thread on a futex that is never woken —
 // the "sleeping" series of Figure 3.
 func SleepingStress(threads int) Definition {
-	return Definition{
-		System:  "Waiting",
-		Config:  "sleeping",
-		Threads: threads,
-		Build: func(r *Runner, f workload.LockFactory) {
-			line := r.M.NewLine("never")
-			line.Init(1)
-			w := r.M.NewFutexWord(line)
-			for i := 0; i < threads; i++ {
-				r.M.Spawn("sleeper", func(t *machine.Thread) {
-					t.FutexWait(w, 1, 0)
-				})
-			}
-		},
+	return func(r *Runner, f workload.LockFactory) {
+		line := r.M.NewLine("never")
+		line.Init(1)
+		w := r.M.NewFutexWord(line)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("sleeper", func(t *machine.Thread) {
+				t.FutexWait(w, 1, 0)
+			})
+		}
 	}
 }

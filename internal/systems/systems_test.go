@@ -19,93 +19,6 @@ func runDef(t *testing.T, d Definition, k core.Kind, seed int64) Result {
 	return d.Run(machine.DefaultConfig(seed), workload.FactoryFor(k), testWarmup, testDur)
 }
 
-func TestAllDefinitionsProduceWork(t *testing.T) {
-	for _, d := range All() {
-		d := d
-		t.Run(d.ID(), func(t *testing.T) {
-			if testing.Short() && d.Threads > 16 {
-				t.Skip("short mode")
-			}
-			r := runDef(t, d, core.KindMutex, 1)
-			if r.Ops == 0 {
-				t.Fatal("no operations")
-			}
-			if r.Latency.Count() == 0 {
-				t.Fatal("no latencies recorded")
-			}
-			if r.Power().Total < 50 {
-				t.Fatalf("implausible power %.1f W", r.Power().Total)
-			}
-		})
-	}
-}
-
-func TestSeventeenConfigs(t *testing.T) {
-	if n := len(All()); n != 17 {
-		t.Fatalf("Table 3 has 17 cells, got %d", n)
-	}
-	seen := map[string]bool{}
-	for _, d := range All() {
-		if seen[d.ID()] {
-			t.Fatalf("duplicate definition %s", d.ID())
-		}
-		seen[d.ID()] = true
-	}
-}
-
-func TestFindDefinition(t *testing.T) {
-	d, err := Find("SQLite/64 CON")
-	if err != nil || d.Threads != 64 {
-		t.Fatalf("Find failed: %v %+v", err, d)
-	}
-	if _, err := Find("nope/nope"); err == nil {
-		t.Fatal("Find accepted garbage")
-	}
-}
-
-func TestHamsterDBSpinBeatsSleep(t *testing.T) {
-	// §6.1: on HamsterDB, avoiding sleeping improves throughput
-	// substantially (TICKET 1.26-1.85x over MUTEX).
-	d := HamsterDB()[0] // WT
-	mutex := runDef(t, d, core.KindMutex, 1)
-	ticket := runDef(t, d, core.KindTicket, 1)
-	ratio := ticket.Throughput() / mutex.Throughput()
-	if ratio < 1.05 {
-		t.Fatalf("TICKET/MUTEX throughput ratio %.2f, want >1 (paper: 1.38)", ratio)
-	}
-}
-
-func TestMySQLTicketCollapsesUnderOversubscription(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	d := MySQL()[0] // MEM: 64 threads on 40 contexts
-	mc := machine.DefaultConfig(1)
-	f := func(k core.Kind) Result {
-		return d.Run(mc, workload.FactoryFor(k), testWarmup, 60_000_000)
-	}
-	mutex := f(core.KindMutex)
-	ticket := f(core.KindTicket)
-	ratio := ticket.Throughput() / mutex.Throughput()
-	if ratio > 0.6 {
-		t.Fatalf("TICKET/MUTEX ratio %.2f under oversubscription, want collapse (paper: 0.01)", ratio)
-	}
-}
-
-func TestRocksDBLockInsensitive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	// §6.1: RocksDB's write queue means the lock choice barely matters.
-	d := RocksDB()[1] // WT/RD
-	mutex := runDef(t, d, core.KindMutex, 1)
-	mutexee := runDef(t, d, core.KindMutexee, 1)
-	ratio := mutexee.Throughput() / mutex.Throughput()
-	if ratio < 0.75 || ratio > 1.6 {
-		t.Fatalf("MUTEXEE/MUTEX ratio %.2f on RocksDB, want ≈1 (paper: 1.02-1.11)", ratio)
-	}
-}
-
 func TestCopyOnWriteListSpinVsSleep(t *testing.T) {
 	// Figure 1: the spinlock version consumes more power than mutex but
 	// achieves higher throughput.
@@ -163,14 +76,5 @@ func TestWaitingStressPowerOrdering(t *testing.T) {
 	// Sleeping with everything parked should approach idle power.
 	if sleep > 70 {
 		t.Fatalf("sleeping power %.1f W, want near idle 55.5", sleep)
-	}
-}
-
-func TestDeterministicSystemRuns(t *testing.T) {
-	d := Memcached()[0]
-	a := runDef(t, d, core.KindMutexee, 9)
-	b := runDef(t, d, core.KindMutexee, 9)
-	if a.Ops != b.Ops {
-		t.Fatalf("nondeterministic: %d vs %d ops", a.Ops, b.Ops)
 	}
 }

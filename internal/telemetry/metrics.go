@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -196,14 +195,6 @@ func (r *Registry) LabeledCounter(name, help, labels string) *Counter {
 	return c
 }
 
-// LabeledGauge registers a gauge as one labeled series of a shared
-// family name; the same memoization caveat as LabeledCounter applies.
-func (r *Registry) LabeledGauge(name, help, labels string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, labels, &series{g: g})
-	return g
-}
-
 // Histogram registers and returns a duration histogram with the given
 // bucket bounds (ascending; nil means DefBuckets). labels is an
 // optional pre-rendered label set built with Label — one histogram per
@@ -319,17 +310,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-}
-
-// Names returns the registered family names, sorted — handy for tests
-// asserting coverage.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -10,9 +10,9 @@
 //     paper's lock algorithms (NewLock, Kinds) run with calibrated
 //     coherence, futex, scheduler and power models — including RAPL-style
 //     energy counters, which portable Go cannot read from real hardware.
-//   - The microbenchmark and system workloads of the paper's evaluation
-//     (RunMicro, Systems) and one runner per paper table/figure
-//     (Experiments, RunExperiment).
+//   - The microbenchmark of the paper's evaluation (RunMicro) and one
+//     runner per paper table/figure (Experiments, RunExperiment),
+//     including the §6 systems of Figures 13-15.
 //   - Native Go locks (package internal/golocks re-exported via
 //     NewNativeLock) for real-hardware benchmarks with the testing
 //     package's testing.B.
@@ -33,12 +33,12 @@ import (
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/sweep"
-	"lockin/internal/systems"
 	"lockin/internal/topo"
 	"lockin/internal/workload"
 
-	// Register the bundled declarative scenarios (scenario:*) so
-	// Experiments()/RunExperiment see them like the built-in figures.
+	// Register the bundled declarative scenarios (scenario:*) and
+	// Figures 13-15, which run on them, so Experiments()/RunExperiment
+	// see them like the built-in figures.
 	_ "lockin/internal/scenario"
 )
 
@@ -128,10 +128,6 @@ func RunMicroSweep(o SweepOptions, cfgs []MicroConfig) []MicroResult {
 
 // FactoryFor adapts a Kind into the factory used by MicroConfig.
 func FactoryFor(k Kind) workload.LockFactory { return workload.FactoryFor(k) }
-
-// Systems returns the six software-system profiles of the paper's §6
-// evaluation (Table 3: 17 system/configuration cells).
-func Systems() []systems.Definition { return systems.All() }
 
 // Experiments returns every paper table/figure runner.
 func Experiments() []experiments.Experiment { return experiments.All() }

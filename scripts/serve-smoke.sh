@@ -19,7 +19,9 @@
 # journal on restart (completed runs byte-identical to direct CLI runs,
 # modulo provenance, via scripts/runcmp), the startup eviction pass
 # enforces -cache-max-runs, and -auth-token/-rate answer 401 and 429
-# (with Retry-After) once the budget is spent.
+# (with Retry-After) once the budget is spent. Without -auth-token,
+# bearer tokens are unverified and must not buy a client a fresh
+# budget: three POSTs under different tokens still draw a 429.
 #
 # Used by `make serve-smoke` (full), `make metrics-smoke` (pass
 # "metrics" as $1 to stop after the observability assertions) and the
@@ -221,5 +223,29 @@ grep -q "^HTTP/1.1 429" "$WORK/429.hdr" || {
     echo "budget exhaustion did not answer 429:" >&2; cat "$WORK/429.hdr" >&2; exit 1; }
 grep -qi "^Retry-After:" "$WORK/429.hdr" || {
     echo "429 without a Retry-After header:" >&2; cat "$WORK/429.hdr" >&2; exit 1; }
+kill "$SERVER_PID" 2>/dev/null || true
+wait "$SERVER_PID" 2>/dev/null || true
+
+echo "== without -auth-token, rotating bearer tokens share the client's budget"
+"$WORK/lockbench" serve -addr "127.0.0.1:$PORT" -cache "$WORK/cache3" -rate 0.1 -rate-burst 2 &
+SERVER_PID=$!
+for i in $(seq 1 50); do
+    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
+    if [ "$i" = 50 ]; then echo "server (bypass phase) never became healthy" >&2; exit 1; fi
+    sleep 0.2
+done
+# Unverified tokens must not key the bucket: the first two POSTs spend
+# the burst of 2 whatever token they carry, so the third is 429.
+for TOK in first second; do
+    CODE=$(curl -s -o /dev/null -w '%{http_code}' -H "Authorization: Bearer $TOK" \
+        -X POST "$BASE/v1/runs?experiment=no-such-exp")
+    [ "$CODE" = 404 ] || { echo "POST with token $TOK answered $CODE, want 404" >&2; exit 1; }
+done
+curl -s -D "$WORK/bypass.hdr" -o /dev/null -H "Authorization: Bearer third" \
+    -X POST "$BASE/v1/runs?experiment=no-such-exp"
+grep -q "^HTTP/1.1 429" "$WORK/bypass.hdr" || {
+    echo "a fresh bearer token bypassed the rate limit:" >&2; cat "$WORK/bypass.hdr" >&2; exit 1; }
+grep -qi "^Retry-After:" "$WORK/bypass.hdr" || {
+    echo "429 without a Retry-After header:" >&2; cat "$WORK/bypass.hdr" >&2; exit 1; }
 
 echo "serve smoke: OK"
