@@ -140,7 +140,9 @@ metrics-smoke:
 # The CI fleet gate: a coordinator plus two workers distribute a
 # quick experiment over HTTP, one worker is SIGKILLed mid-run and a
 # never-reporting lease forces the steal path; the merged run must
-# be byte-identical (runcmp) to a serial run.
+# be byte-identical (runcmp) to a serial run. A second fleet at the
+# default lease TTL requires both workers to exit 0 within 5 s of
+# the coordinator.
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
 

@@ -87,11 +87,14 @@ func runCoordinate(args []string) {
 		os.Exit(1)
 	case <-co.Done():
 	}
-	// Give in-flight lease polls a moment to hear "done" so workers
-	// exit cleanly, then stop listening.
+	// Stop listening, and wait (at most 3 s) for the requests in
+	// flight: the idle workers' held lease requests answer "done" as
+	// the run completes, so they exit cleanly before we do.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	go hs.Shutdown(shutCtx)
+	if err := hs.Shutdown(shutCtx); err != nil {
+		logger.Warn("workers still connected at exit", "err", err)
+	}
 
 	run := co.Result()
 	fmt.Printf("### %s — merged from the fleet\n\n", run.Meta.Experiment)

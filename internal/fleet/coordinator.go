@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,6 +103,11 @@ type Coordinator struct {
 	nextID   uint64
 	result   *results.Run
 	done     chan struct{}
+	// changed is closed and replaced (wakeLocked) whenever a held lease
+	// request could get a different answer: the run completed, or a
+	// chunk went back to the queue.
+	changed chan struct{}
+	held    int // lease requests blocked in grant
 
 	reg       *telemetry.Registry
 	issued    *telemetry.Counter
@@ -145,6 +151,7 @@ func New(cfg Config) (*Coordinator, error) {
 		leases:  map[uint64]*leaseState{},
 		workers: map[string]*workerState{},
 		done:    make(chan struct{}),
+		changed: make(chan struct{}),
 	}
 	c.survey(o)
 	if c.total == 0 {
@@ -243,6 +250,11 @@ func (c *Coordinator) registerMetrics() {
 		defer c.mu.Unlock()
 		return float64(len(c.leases))
 	})
+	c.reg.GaugeFunc("fleet_lease_requests_held", "idle workers' lease requests waiting for a chunk or the end of the run", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(c.held)
+	})
 	c.reg.GaugeFunc("fleet_coordinates_covered", "cell coordinates merged so far", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -280,9 +292,11 @@ func (c *Coordinator) coveredLocked() int {
 }
 
 // reapLocked requeues every lease whose deadline has passed — the
-// steal path. Runs on every lease request, so a fleet with at least
-// one live worker always reclaims dead workers' chunks.
+// steal path — and wakes the held lease requests to take them. Runs on
+// every pass of grant, so a fleet with at least one live worker always
+// reclaims dead workers' chunks, at most maxHold after their deadline.
 func (c *Coordinator) reapLocked(now time.Time) {
+	queued := len(c.queue)
 	for id, l := range c.leases {
 		if now.Before(l.Deadline) {
 			continue
@@ -295,23 +309,49 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		c.cfg.Logger.Warn("lease expired", "lease", id, "worker", l.worker,
 			"lo", ck.lo, "hi", ck.hi)
 	}
-	sortChunks(c.queue)
+	if len(c.queue) > queued {
+		sortChunks(c.queue)
+		c.wakeLocked()
+	}
 }
 
-// grant pops the best chunk for a worker, or reports wait/done.
-func (c *Coordinator) grant(worker string) leaseResponse {
+// wakeLocked wakes every held lease request to look again.
+func (c *Coordinator) wakeLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// grant pops the best chunk for a worker, or reports done. While every
+// chunk is leased out it holds the request, without c.mu, until the
+// run completes or a chunk returns to the queue, so an idle worker
+// hears either the moment it happens. After maxHold, or once ctx ends
+// (the worker hung up), it answers wait and the worker asks again.
+func (c *Coordinator) grant(ctx context.Context, worker string) leaseResponse {
+	ctx, cancel := context.WithTimeout(ctx, maxHold(c.cfg.LeaseTTL))
+	defer cancel()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.workerLocked(worker)
-	if c.result != nil {
-		return leaseResponse{Done: true}
-	}
-	c.reapLocked(c.cfg.now())
-	if len(c.queue) == 0 {
-		// Everything is leased out (or a failed merge is about to
-		// requeue): wait and retry — if a lease expires meanwhile, the
-		// retry steals it.
-		return leaseResponse{Wait: true, RetryMS: retryMS(c.cfg.LeaseTTL)}
+	for {
+		if c.result != nil {
+			return leaseResponse{Done: true}
+		}
+		c.reapLocked(c.cfg.now())
+		if len(c.queue) > 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			return leaseResponse{Wait: true}
+		}
+		changed := c.changed
+		c.held++
+		c.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		c.held--
 	}
 	ck := c.queue[0]
 	c.queue = c.queue[1:]
@@ -335,17 +375,13 @@ func (c *Coordinator) grant(worker string) leaseResponse {
 	return leaseResponse{Lease: &l.Lease, Job: &job}
 }
 
-// retryMS spaces worker polling off the lease TTL: fast enough to
-// steal promptly, slow enough not to hammer the coordinator.
-func retryMS(ttl time.Duration) int64 {
-	ms := (ttl / 8).Milliseconds()
-	if ms < 50 {
-		ms = 50
-	}
-	if ms > 1000 {
-		ms = 1000
-	}
-	return ms
+// maxHold bounds how long grant holds a lease request it has nothing
+// for: an eighth of the lease TTL, within [50ms, 1s]. Expired leases
+// are reaped only inside grant, so this is also how late after its
+// deadline an idle worker steals a chunk; and it keeps a held request
+// well inside the worker's HTTP client timeout (WorkerConfig.Client).
+func maxHold(ttl time.Duration) time.Duration {
+	return min(max(ttl/8, 50*time.Millisecond), time.Second)
 }
 
 // accept merges one posted chunk result. The lease may have expired:
@@ -385,6 +421,7 @@ func (c *Coordinator) accept(req resultRequest) (resultResponse, error) {
 		// queue for a healthy worker and reject this one.
 		c.queue = append(c.queue, chunk{lo: lo, hi: hi, cost: c.chunkCost(lo, hi)})
 		sortChunks(c.queue)
+		c.wakeLocked()
 		return resultResponse{}, err
 	}
 	w := c.workerLocked(req.Worker)
@@ -488,6 +525,7 @@ func (c *Coordinator) completeLocked(run *results.Run) {
 	c.result = run
 	c.segments = nil
 	close(c.done)
+	c.wakeLocked()
 	c.cfg.Logger.Info("fleet complete", "experiment", c.exp.ID, "cells", c.cells,
 		"wall", c.cfg.now().Sub(c.start).Round(time.Millisecond))
 }
@@ -548,7 +586,7 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "fleet: lease request without a worker name", http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, http.StatusOK, c.grant(req.Worker))
+		writeJSON(w, http.StatusOK, c.grant(r.Context(), req.Worker))
 	})
 	mux.HandleFunc("POST /fleet/v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req resultRequest

@@ -22,11 +22,19 @@
 //
 // The protocol is three JSON-over-HTTP endpoints on the coordinator:
 //
-//	POST /fleet/v1/lease   {worker} → {lease, job} | {wait, retry_ms} | {done}
+//	POST /fleet/v1/lease   {worker} → {lease, job} | {wait} | {done}
 //	POST /fleet/v1/result  {worker, lease_id, busy_ms, run} → {ok} | {done}
 //	GET  /fleet/v1/status  coverage, queue, leases, per-worker counters
 //	GET  /metrics          Prometheus text (leases issued/expired/stolen,
-//	                       per-worker cells and busy time)
+//	                       lease requests held, per-worker cells and
+//	                       busy time)
+//
+// A lease request with nothing to hand out is held, not refused: the
+// coordinator answers it the moment a chunk returns to the queue (an
+// expired lease, a rejected result) or the run completes. Only a hold
+// that reaches its bound (maxHold, ≤1s) answers {wait}, and the worker
+// asks again at once, so an idle worker hears "done" when the last
+// chunk merges instead of a polling interval later.
 //
 // A lease's job is a JobSpec in its JSON form: {experiment} or {spec}
 // — a scenario spec travels under "spec", as in the service's
@@ -75,12 +83,11 @@ type leaseRequest struct {
 type leaseResponse struct {
 	// Done: the run is complete (or completing); the worker should exit.
 	Done bool `json:"done,omitempty"`
-	// Wait: no chunk is available right now but the run is not done —
-	// every chunk is leased out. Retry after RetryMS.
-	Wait    bool     `json:"wait,omitempty"`
-	RetryMS int64    `json:"retry_ms,omitempty"`
-	Lease   *Lease   `json:"lease,omitempty"`
-	Job     *JobSpec `json:"job,omitempty"`
+	// Wait: the request was held for its whole bound and every chunk is
+	// still leased out. Ask again at once; the next request is held too.
+	Wait  bool     `json:"wait,omitempty"`
+	Lease *Lease   `json:"lease,omitempty"`
+	Job   *JobSpec `json:"job,omitempty"`
 }
 
 // resultRequest is the body of POST /fleet/v1/result.

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,26 @@ func serialRun(t *testing.T, job JobSpec) *results.Run {
 	}
 	tables := e.Run(o.ExperimentOptions())
 	return &results.Run{Meta: o.RunMeta(e), Tables: tables}
+}
+
+// chunkRun simulates one lease's cell range the way a worker does.
+func chunkRun(t *testing.T, job JobSpec, l Lease) *results.Run {
+	t.Helper()
+	e, o, err := job.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.RangeLo, o.RangeHi, o.RangeTotal = l.Lo, l.Hi, l.Total
+	return &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.ExperimentOptions())}
+}
+
+func encode(t *testing.T, r *results.Run) []byte {
+	t.Helper()
+	b, err := results.Encode(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // encodeSansPerf canonicalizes a run for comparison the way
@@ -125,6 +146,67 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// TestIdleWorkerHearsDone is the end-to-end test of the held lease
+// request: a worker with nothing left to do returns as soon as the run
+// merges, not a polling interval later. One whole-space chunk leaves
+// one of two workers idle for the whole run, and the chunk's result is
+// held back until the idle worker has asked for work, so the run
+// completes while it waits.
+func TestIdleWorkerHearsDone(t *testing.T) {
+	co, err := New(Config{Job: testJob(), Expect: 1, MinChunk: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaseRequests atomic.Int32
+	idleAsked := make(chan struct{})
+	h := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fleet/v1/lease":
+			// The first request takes the only chunk; the second is
+			// the idle worker's.
+			if leaseRequests.Add(1) == 2 {
+				close(idleAsked)
+			}
+		case "/fleet/v1/result":
+			<-idleAsked
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	merged := make(chan time.Time, 1)
+	go func() {
+		<-co.Done()
+		merged <- time.Now()
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	returned := make([]time.Time, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = Work(context.Background(), WorkerConfig{
+				Addr: srv.URL, Name: fmt.Sprintf("w%d", i),
+			})
+			returned[i] = time.Now()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	doneAt := <-merged
+	for i, at := range returned {
+		if lag := at.Sub(doneAt); lag > 250*time.Millisecond {
+			t.Errorf("worker %d returned %v after the run merged", i, lag.Round(time.Millisecond))
+		}
+	}
+}
+
 // TestLeaseExpiryStealByteIdentity kills a worker mid-run, in effect:
 // worker A leases the whole space and vanishes; once the lease
 // expires, worker B steals the chunk, re-runs it, and completes the
@@ -146,7 +228,8 @@ func TestLeaseExpiryStealByteIdentity(t *testing.T) {
 		t.Fatalf("want a single whole-space chunk, got %d", len(co.queue))
 	}
 
-	doomed := co.grant("doomed")
+	bg := context.Background()
+	doomed := co.grant(bg, "doomed")
 	if doomed.Lease == nil {
 		t.Fatalf("no lease granted: %+v", doomed)
 	}
@@ -154,13 +237,16 @@ func TestLeaseExpiryStealByteIdentity(t *testing.T) {
 		t.Fatalf("whole-space lease is [%d,%d), want [0,%d)", doomed.Lease.Lo, doomed.Lease.Hi, co.total)
 	}
 
-	// Before the deadline the chunk is held: a second worker waits.
-	if resp := co.grant("thief"); !resp.Wait {
+	// Before the deadline the chunk is held: a second worker waits. A
+	// cancelled context ends the request's hold at once.
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	if resp := co.grant(cancelled, "thief"); !resp.Wait {
 		t.Fatalf("chunk double-leased before expiry: %+v", resp)
 	}
 
 	cur = cur.Add(11 * time.Second) // past the TTL
-	stolen := co.grant("thief")
+	stolen := co.grant(bg, "thief")
 	if stolen.Lease == nil {
 		t.Fatalf("expired chunk not re-leased: %+v", stolen)
 	}
@@ -170,21 +256,7 @@ func TestLeaseExpiryStealByteIdentity(t *testing.T) {
 
 	// Execute the chunk once; the doomed worker's late copy is the same
 	// bytes by the determinism contract.
-	e, err := experiments.Find(job.Experiment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts.Defaults()
-	o.Seed, o.Scale, o.Quick, o.Workers = job.Seed, job.Scale, job.Quick, job.Workers
-	o.RangeLo, o.RangeHi, o.RangeTotal = stolen.Lease.Lo, stolen.Lease.Hi, stolen.Lease.Total
-	if err := o.NormalizeAndValidate(); err != nil {
-		t.Fatal(err)
-	}
-	part := &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.ExperimentOptions())}
-	b, err := results.Encode(part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encode(t, chunkRun(t, job, *stolen.Lease))
 
 	// The dead worker wakes up and posts against its expired,
 	// re-leased chunk: discarded, not merged, not an error.
@@ -226,7 +298,7 @@ func TestLeaseExpiryStealByteIdentity(t *testing.T) {
 	}
 
 	// The fleet is over: the next poll (and any further result) says so.
-	if resp := co.grant("straggler"); !resp.Done {
+	if resp := co.grant(bg, "straggler"); !resp.Done {
 		t.Fatalf("post-completion lease poll: %+v", resp)
 	}
 	if resp, err := co.accept(resultRequest{Worker: "doomed", LeaseID: 99, Run: b}); err != nil || !resp.Done || !resp.Discarded {
@@ -249,7 +321,7 @@ func TestAcceptLateResultForQueuedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := co.grant("slow")
+	l := co.grant(context.Background(), "slow")
 	cur = cur.Add(11 * time.Second)
 	co.mu.Lock()
 	co.reapLocked(cur) // deadline passed: chunk requeued, lease gone
@@ -259,20 +331,7 @@ func TestAcceptLateResultForQueuedChunk(t *testing.T) {
 		t.Fatalf("expired chunk not requeued: %d queued", queued)
 	}
 
-	e, err := experiments.Find(job.Experiment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts.Defaults()
-	o.Seed, o.Scale, o.Quick, o.Workers = job.Seed, job.Scale, job.Quick, job.Workers
-	if err := o.NormalizeAndValidate(); err != nil {
-		t.Fatal(err)
-	}
-	part := &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.ExperimentOptions())}
-	b, err := results.Encode(part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encode(t, chunkRun(t, job, *l.Lease))
 	resp, err := co.accept(resultRequest{Worker: "slow", LeaseID: l.Lease.ID, BusyMS: 1, Run: b})
 	if err != nil {
 		t.Fatal(err)

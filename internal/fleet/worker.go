@@ -27,8 +27,9 @@ type WorkerConfig struct {
 	// Name identifies this worker in leases, status and metrics.
 	// Default "<hostname>:<pid>".
 	Name string
-	// Client is the HTTP client leases and results travel over.
-	// Default: a client with defaultWorkerTimeout — NOT
+	// Client is the HTTP client leases and results travel over. Its
+	// timeout must outlast the coordinator's hold of a lease request
+	// (at most 1s). Default: a client with defaultWorkerTimeout — NOT
 	// http.DefaultClient, whose missing timeout would wedge the worker
 	// forever on a hung coordinator connection even after its lease was
 	// reaped and the chunk stolen.
@@ -120,9 +121,8 @@ func (w *worker) run(ctx context.Context) error {
 			w.cfg.Logger.Info("fleet done", "worker", w.cfg.Name, "chunks", w.leases)
 			return nil
 		case resp.Wait:
-			if err := sleepCtx(ctx, time.Duration(resp.RetryMS)*time.Millisecond); err != nil {
-				return err
-			}
+			// The coordinator held the request as long as it holds one
+			// and every chunk is still out: ask again at once.
 		case resp.Lease != nil && resp.Job != nil:
 			done, err := w.execute(ctx, *resp.Lease, *resp.Job)
 			if err != nil {

@@ -10,6 +10,12 @@
 # The merged run the coordinator writes must be byte-identical
 # (modulo wall-clock provenance, scripts/runcmp) to the serial run.
 #
+# A second fleet, at the default lease TTL, checks the clean exit: both
+# workers join before the first chunk lands, the one that runs out of
+# work first is held on its lease request, and both must exit 0 within
+# 5 s of the coordinator, with the merged run again byte-identical to a
+# serial one.
+#
 # Used by `make fleet-smoke` and the CI fleet job.
 set -eu
 
@@ -25,16 +31,21 @@ go build -o "$WORK/lockbench" ./cmd/lockbench
 echo "== serial baseline (one process, -workers 1)"
 "$WORK/lockbench" -experiment fig10 -quick -scale 0.25 -workers 1 -json "$WORK/serial" > /dev/null
 
+# await_coordinator <log> — poll the status endpoint until it answers.
+await_coordinator() {
+    for i in $(seq 1 50); do
+        if curl -fsS "$BASE/fleet/v1/status" >/dev/null 2>&1; then return; fi
+        if [ "$i" = 50 ]; then echo "coordinator never came up" >&2; cat "$1" >&2; exit 1; fi
+        sleep 0.2
+    done
+}
+
 echo "== start coordinator on :$PORT (lease TTL 3s)"
 "$WORK/lockbench" coordinate -addr "127.0.0.1:$PORT" -experiment fig10 \
     -quick -scale 0.25 -workers 1 -expect 2 -lease-ttl 3s \
     -json "$WORK/fleet" > "$WORK/coord.out" 2> "$WORK/coord.log" &
 COORD_PID=$!
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/fleet/v1/status" >/dev/null 2>&1; then break; fi
-    if [ "$i" = 50 ]; then echo "coordinator never came up" >&2; cat "$WORK/coord.log" >&2; exit 1; fi
-    sleep 0.2
-done
+await_coordinator "$WORK/coord.log"
 
 echo "== a doomed worker takes a lease and never reports"
 curl -fsS -X POST -H 'Content-Type: application/json' \
@@ -70,5 +81,38 @@ grep -q 'chunk stolen' "$WORK/coord.log" || {
 
 echo "== merged run is byte-identical to the serial run (modulo perf provenance)"
 go run ./scripts/runcmp "$WORK/serial/fig10.json" "$WORK/fleet/fig10.json"
+
+echo "== clean exit: serial baseline of a longer job (fig11, -scale 3)"
+"$WORK/lockbench" -experiment fig11 -quick -scale 3 -workers 1 -json "$WORK/serial" > /dev/null
+
+echo "== clean exit: coordinator at the default lease TTL, two workers"
+"$WORK/lockbench" coordinate -addr "127.0.0.1:$PORT" -experiment fig11 \
+    -quick -scale 3 -workers 1 -expect 2 \
+    -json "$WORK/fleet" > "$WORK/coord2.out" 2> "$WORK/coord2.log" &
+COORD_PID=$!
+await_coordinator "$WORK/coord2.log"
+"$WORK/lockbench" work -join "$BASE" -name w3 2> "$WORK/w3.log" &
+W1_PID=$!
+"$WORK/lockbench" work -join "$BASE" -name w4 2> "$WORK/w4.log" &
+W2_PID=$!
+if ! wait "$COORD_PID"; then
+    echo "coordinator failed:" >&2; cat "$WORK/coord2.log" >&2; exit 1
+fi
+COORD_PID=""
+
+echo "== both workers exit 0 within 5 s of the coordinator"
+( sleep 5; kill "$W1_PID" "$W2_PID" 2>/dev/null ) > /dev/null 2>&1 &
+WATCH_PID=$!
+W1_RC=0; wait "$W1_PID" || W1_RC=$?
+W2_RC=0; wait "$W2_PID" || W2_RC=$?
+W1_PID=""; W2_PID=""
+kill "$WATCH_PID" 2>/dev/null || true
+if [ "$W1_RC" != 0 ] || [ "$W2_RC" != 0 ]; then
+    echo "workers did not exit 0 within 5 s of the coordinator (w3: $W1_RC, w4: $W2_RC):" >&2
+    cat "$WORK/w3.log" "$WORK/w4.log" >&2; exit 1
+fi
+
+echo "== merged run is byte-identical to the serial run (modulo perf provenance)"
+go run ./scripts/runcmp "$WORK/serial/fig11.json" "$WORK/fleet/fig11.json"
 
 echo "fleet smoke: OK"
