@@ -57,8 +57,8 @@ lint:
 sweep:
 	$(GO) run ./cmd/lockbench -experiment all -quick -workers $(WORKERS)
 
-# The CI smoke steps: quick experiments plus the parallel-vs-serial
-# output comparison.
+# The CI smoke steps: quick experiments, the parallel-vs-serial output
+# comparison, and a one-cell trace of Figure 13.
 smoke:
 	$(GO) run ./cmd/lockbench -list
 	$(GO) run ./cmd/lockbench -experiment tbl2 -quick -workers 4
@@ -67,16 +67,22 @@ smoke:
 	$(GO) run ./cmd/lockbench -experiment fig8 -quick -scale 0.25 -workers 8 | sed '/done in/d' > /tmp/lockin-parallel.txt
 	diff -u /tmp/lockin-serial.txt /tmp/lockin-parallel.txt
 	$(GO) run ./examples/polysweep -workers 4
+	$(GO) run ./cmd/lockbench -experiment fig13 -quick -scale 0.25 -trace cell=5 > /dev/null
 
 # The CI determinism gate: save a quick baseline of every experiment,
-# rerun, and self-diff (zero differences), then check that a sharded
-# rerun merges back byte-identical — once from two -shard parts, once
-# from a -shard part and a -cells part (-shard i/n is the cell range
-# [i, i+1) of total n).
+# rerun, and self-diff (zero differences); merge a -shard part and a
+# -cells part of every experiment (fig13 also by name) back
+# byte-identical; then check that a sharded fig10 rerun merges back
+# byte-identical — once from two -shard parts, once from a -shard part
+# and a -cells part (-shard i/n is the cell range [i, i+1) of total n).
 results:
 	rm -rf /tmp/lockin-results
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -json /tmp/lockin-results/baseline > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -baseline /tmp/lockin-results/baseline -diff > /dev/null
+	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -shard 0/2 -json /tmp/lockin-results/all-s0 > /dev/null
+	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -cells 1-2/2 -json /tmp/lockin-results/all-s1 > /dev/null
+	$(GO) run ./cmd/lockbench -experiment all -merge /tmp/lockin-results/all-s0,/tmp/lockin-results/all-s1 -baseline /tmp/lockin-results/baseline -diff > /dev/null
+	$(GO) run ./cmd/lockbench -experiment fig13 -merge /tmp/lockin-results/all-s0,/tmp/lockin-results/all-s1 -baseline /tmp/lockin-results/baseline -diff
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -shard 0/2 -json /tmp/lockin-results/s0 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -shard 1/2 -json /tmp/lockin-results/s1 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment fig10 -quick -scale 0.25 -merge /tmp/lockin-results/s0,/tmp/lockin-results/s1 -baseline /tmp/lockin-results/baseline -diff

@@ -170,7 +170,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lockbench: -trace inspects one cell of one experiment; it excludes 'all', -merge, -shard, -cells, -json, -baseline, -slice and -project")
 			os.Exit(2)
 		}
-		runTraced(selectExperiments(*id, *scenFile, "", o)[0], o, cell)
+		runTraced(selectExperiments(*id, *scenFile, o)[0], o, cell)
 		return
 	}
 
@@ -196,13 +196,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	todo := selectExperiments(*id, *scenFile, *mergeArg, o)
+	todo := selectExperiments(*id, *scenFile, o)
 
 	differs := false
 	for _, e := range todo {
 		var run *results.Run
 		if *mergeArg != "" {
-			run, err = mergeStored(e.ID, strings.Split(*mergeArg, ","))
+			run, err = mergeStored(e, strings.Split(*mergeArg, ","))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -282,47 +282,26 @@ func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeA
 
 // selectExperiments resolves -experiment/-scenario into the list of
 // experiments to run — every one for 'all', else the one job
-// (opts.Job.Resolve) — dropping aggregates under cell ranges (their
-// tables are whole-grid statistics; a partial run's table is a partial
-// summary, not a row slice, so merging parts would produce duplicated,
-// wrong rows).
-func selectExperiments(id, scenFile, mergeArg string, o opts.Options) []experiments.Experiment {
-	var todo []experiments.Experiment
+// (opts.Job.Resolve).
+func selectExperiments(id, scenFile string, o opts.Options) []experiments.Experiment {
 	if id == "all" && scenFile == "" {
-		todo = experiments.All()
-	} else {
-		job := opts.Job{Experiment: id, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers}
-		if scenFile != "" {
-			data, err := os.ReadFile(scenFile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lockbench: read scenario spec: %v\n", err)
-				os.Exit(2)
-			}
-			job.Scenario = data
-		}
-		e, _, err := job.Resolve()
+		return experiments.All()
+	}
+	job := opts.Job{Experiment: id, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers}
+	if scenFile != "" {
+		data, err := os.ReadFile(scenFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "lockbench: read scenario spec: %v\n", err)
 			os.Exit(2)
 		}
-		todo = []experiments.Experiment{e}
+		job.Scenario = data
 	}
-	if o.Partial() || mergeArg != "" {
-		kept := todo[:0]
-		for _, e := range todo {
-			if !e.Aggregate {
-				kept = append(kept, e)
-				continue
-			}
-			if id != "all" {
-				fmt.Fprintf(os.Stderr, "lockbench: %s aggregates statistics across its whole grid; shards cannot be merged — run it unsharded\n", e.ID)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "lockbench: skipping aggregate experiment %s under -shard/-merge; run it unsharded\n", e.ID)
-		}
-		todo = kept
+	e, _, err := job.Resolve()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
+		os.Exit(2)
 	}
-	return todo
+	return []experiments.Experiment{e}
 }
 
 // simulate runs one experiment under the shared options and returns
@@ -417,10 +396,6 @@ const (
 // OnlyCell), so the traced execution is the same one the full run
 // simulates.
 func runTraced(e experiments.Experiment, o opts.Options, cell int) {
-	if e.Aggregate {
-		fmt.Fprintf(os.Stderr, "lockbench: %s aggregates statistics across its whole grid; -trace runs one cell — pick a grid experiment\n", e.ID)
-		os.Exit(2)
-	}
 	eo := o.ExperimentOptions()
 	eo.OnlyCell = cell
 	eo.Workers = 1 // one cell; a worker pool would only interleave arming
@@ -537,12 +512,12 @@ func diffBaseline(run *results.Run, id, baselineArg string, q opts.Query, o opts
 
 // mergeStored loads the stored partial runs of one experiment — cell
 // ranges, or the shards older stores hold (results.Decode reads them
-// as ranges) — from the given store directories and reassembles the
-// full run.
-func mergeStored(id string, dirs []string) (*results.Run, error) {
+// as ranges) — from the given store directories, reassembles the full
+// grid and reduces it to the published tables.
+func mergeStored(e experiments.Experiment, dirs []string) (*results.Run, error) {
 	// The store file name sanitizes the id (scenario:* ids), so derive
 	// the glob prefix from the same mapping Save uses.
-	base := strings.TrimSuffix(results.Meta{Experiment: id}.Filename(), ".json")
+	base := strings.TrimSuffix(results.Meta{Experiment: e.ID}.Filename(), ".json")
 	var shards []*results.Run
 	for _, dir := range dirs {
 		dir = strings.TrimSpace(dir)
@@ -572,7 +547,12 @@ func mergeStored(id string, dirs []string) (*results.Run, error) {
 		}
 	}
 	if len(shards) == 1 && shards[0].Meta.Range == nil {
-		return shards[0], nil
+		return shards[0], nil // a whole run, already reduced
 	}
-	return results.Merge(shards...)
+	run, err := results.Merge(shards...)
+	if err != nil {
+		return nil, err
+	}
+	run.Tables = e.Fold(run.Tables)
+	return run, nil
 }

@@ -310,6 +310,12 @@ func QueryKeys() []string {
 	return keys
 }
 
+// maxScale bounds Scale. README puts the paper's 10-second runs at
+// scale ≈ 1000. Scenario specs bound their windows to 1e12 cycles, so
+// every scaled window stays below 2^63 cycles, where converting it
+// from float64 to sim.Cycles is defined.
+const maxScale = 1e6
+
 // NormalizeAndValidate folds harmless out-of-range values onto their
 // canonical forms (a negative worker count means "all CPUs") and
 // rejects options that would silently corrupt a run or its stored
@@ -320,8 +326,8 @@ func (o *Options) NormalizeAndValidate() error {
 	if o.Workers < 0 {
 		o.Workers = 0
 	}
-	if !(o.Scale > 0) || math.IsInf(o.Scale, 0) {
-		return fmt.Errorf("bad scale %v: want a positive, finite window multiplier", o.Scale)
+	if !(o.Scale > 0) || o.Scale > maxScale {
+		return fmt.Errorf("bad scale %v: want a positive, finite window multiplier of at most %g", o.Scale, maxScale)
 	}
 	// !(x >= 0) also rejects NaN, which would otherwise disable every
 	// baseline comparison.
@@ -488,10 +494,9 @@ func (o Options) Meta(experiment string) results.Meta {
 // Partial reports whether these options run a strict subset of each
 // grid — a cell range that does not cover [0,total) — so the output is
 // a partial run that must be merged (results.Merge) before it can be
-// compared or queried as a full run.
-func (o Options) Partial() bool {
-	return o.RangeTotal > 0 && !(o.RangeLo == 0 && o.RangeHi == o.RangeTotal)
-}
+// compared or queried as a full run. It is the predicate by which
+// experiments.Experiment.Run decides whether to reduce.
+func (o Options) Partial() bool { return o.ExperimentOptions().Partial() }
 
 // RunMeta assembles the results metadata of running experiment e under
 // these options — one construction shared by the CLI and the HTTP

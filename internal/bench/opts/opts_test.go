@@ -2,6 +2,7 @@ package opts_test
 
 import (
 	"flag"
+	"math"
 	"net/url"
 	"reflect"
 	"strings"
@@ -293,6 +294,8 @@ func TestNormalizeAndValidate(t *testing.T) {
 	bad := []func(*opts.Options){
 		func(o *opts.Options) { o.Scale = 0 },
 		func(o *opts.Options) { o.Scale = -2 },
+		func(o *opts.Options) { o.Scale = 1e14 }, // overflows a window
+		func(o *opts.Options) { o.Scale = math.Inf(1) },
 		func(o *opts.Options) { o.Tol = -0.1 },
 		func(o *opts.Options) { o.RangeLo, o.RangeHi, o.RangeTotal = 3, 2, 4 },
 		func(o *opts.Options) { o.RangeLo, o.RangeHi, o.RangeTotal = -1, 1, 2 },

@@ -4,8 +4,10 @@
 // the corresponding rows or series on the simulated Xeon and annotates
 // them with the paper's reported expectation, so paper-vs-measured
 // comparisons can be refreshed with a single command (`lockbench
-// -experiment all`). Figures 13-15 and the bundled scenarios register
-// from package scenario, which imports this one.
+// -experiment all`). A runner is a grid of cells that emits rows per
+// cell, plus, for the figures that summarize a whole grid, a pure
+// reduce step over those rows. Figures 13-15 and the bundled scenarios
+// register from package scenario, which imports this one.
 //
 // Durations default to quick settings (tens of millions of cycles per
 // data point instead of the paper's 10-second runs); Options.Scale
@@ -40,8 +42,9 @@ type Options struct {
 	// this contiguous range of cells simulates, and the surviving cells
 	// keep their index-derived seeds, so concatenating the table rows of
 	// ranges that tile [0, RangeTotal) (results.Merge) is byte-identical
-	// to a full run. The fleet worker executes leased chunks through
-	// these, and the CLI's -shard i/n is the range [i, i+1) of total n.
+	// to a full run's grid rows (Experiment.Grid). The fleet worker
+	// executes leased chunks through these, and the CLI's -shard i/n is
+	// the range [i, i+1) of total n.
 	RangeLo    int
 	RangeHi    int
 	RangeTotal int
@@ -93,6 +96,15 @@ func (o Options) SweepOptions() sweep.Options {
 	}
 }
 
+// Partial reports whether o runs less than the whole of each grid: a
+// cell range short of [0, RangeTotal), one traced cell (OnlyCell), or
+// a survey that simulates nothing. Its tables hold rows to merge, not
+// results to reduce or compare.
+func (o Options) Partial() bool {
+	return o.Survey != nil || o.OnlyCell > 0 ||
+		o.RangeTotal > 0 && (o.RangeLo > 0 || o.RangeHi < o.RangeTotal)
+}
+
 // grid starts an empty cell grid executing under these options.
 func (o Options) grid() *sweep.Grid { return sweep.NewGrid(o.SweepOptions()) }
 
@@ -108,13 +120,6 @@ type Experiment struct {
 	Title string
 	// Paper summarizes what the paper reports, for side-by-side reading.
 	Paper string
-	// Aggregate marks experiments whose tables are post-processed
-	// across all grid cells (correlations, per-configuration
-	// normalization, averages) instead of one row per cell. A sharded
-	// run of an aggregate reports the statistics of its own cell
-	// subset — valid on its own, but shards must NOT be merged
-	// row-wise into a full run (fig12-fig15).
-	Aggregate bool
 	// SpecHash is the content hash of the declarative spec a dynamic
 	// experiment was compiled from (empty for the built-in figures). It
 	// is recorded in results.Meta so diffs refuse to compare runs of
@@ -126,8 +131,36 @@ type Experiment struct {
 	// what each table row's leading columns mean. Nil for the built-in
 	// figures (whose grids are hand-coded); compiled scenarios fill it.
 	Axes func(o Options) []sweep.Axis
-	// Run executes the experiment and returns its rendered tables.
-	Run func(o Options) []*metrics.Table
+	// Grid simulates the cells of the experiment's grids that o selects
+	// and returns their rows, one or more per cell in cell order, so
+	// the tables of cell ranges tiling a grid concatenate
+	// (results.Merge) into the tables of the whole grid.
+	Grid func(o Options) []*metrics.Table
+	// Reduce, when non-nil, folds a whole grid's rows into the
+	// published tables: the correlations, normalizations and averages
+	// of Figures 12-15. It is pure, and runs once per run: in Run when
+	// the options cover the whole grid, else after the merged parts
+	// do (lockbench -merge, the fleet coordinator).
+	Reduce func(tables []*metrics.Table) []*metrics.Table
+}
+
+// Run executes the experiment under o and returns its tables: the
+// published ones when o covers the whole grid, the grid's unreduced
+// rows when it runs only part of it (see Options.Partial).
+func (e Experiment) Run(o Options) []*metrics.Table {
+	if o.Partial() {
+		return e.Grid(o)
+	}
+	return e.Fold(e.Grid(o))
+}
+
+// Fold applies Reduce, when the experiment has one, to the rows of a
+// whole grid — what a merge path calls once its parts cover the grid.
+func (e Experiment) Fold(tabs []*metrics.Table) []*metrics.Table {
+	if e.Reduce == nil {
+		return tabs
+	}
+	return e.Reduce(tabs)
 }
 
 var registry = map[string]Experiment{}

@@ -26,7 +26,7 @@ func TestRegistryComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing experiment %s: %v", id, err)
 		}
-		if e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.Title == "" || e.Paper == "" || e.Grid == nil {
 			t.Fatalf("experiment %s incomplete", id)
 		}
 	}

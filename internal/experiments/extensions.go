@@ -13,14 +13,14 @@ func init() {
 		ID:    "ext_future",
 		Title: "Extension — §8 future hardware: user-level mwait, hierarchical and backoff locks",
 		Paper: "§8 (qualitative): user-level monitor/mwait could cut busy-wait power without the kernel toll; hierarchical/backoff designs reduce coherence traffic",
-		Run:   runFutureExtensions,
+		Grid:  runFutureExtensions,
 	})
 
 	register(Experiment{
 		ID:    "ext_fairness",
 		Title: "Extension — Jain fairness index across lock algorithms",
 		Paper: "§5 (qualitative): fair locks serve threads evenly; MUTEXEE trades fairness for throughput and power",
-		Run:   runFairnessExtension,
+		Grid:  runFairnessExtension,
 	})
 }
 

@@ -29,7 +29,7 @@ func init() {
 		ID:    "fig1",
 		Title: "CopyOnWriteArrayList: power and energy efficiency, mutex vs spinlock",
 		Paper: "spinlock: up to ≈1.5x the power of mutex, ≈2x throughput, ≈1.25x TPP at 20 threads",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 1 — CopyOnWriteArrayList stress",
 				"threads", "lock", "power(W)", "thr(Kops/s)", "TPP(Kops/J)", "power vs mutex", "TPP vs mutex")
 			g := o.grid()
@@ -57,7 +57,7 @@ func init() {
 		ID:    "fig2",
 		Title: "Power-consumption breakdown vs active hyper-threads and VF setting",
 		Paper: "idle 55.5 W; max ≈206 W; first core +13.6 W (VF-max) / +6.4 W (VF-min); DRAM 25→74 W",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			var out []*metrics.Table
 			for _, vf := range []power.VF{power.VFMin, power.VFMax} {
 				vf := vf
@@ -96,7 +96,7 @@ func init() {
 		ID:    "fig3",
 		Title: "Power and CPI of waiting: sleeping vs global vs local spinning",
 		Paper: "sleeping ≈ idle power; local spinning up to 3% above global; global CPI ≈530 at 40 threads",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 3 — the price of waiting",
 				"threads", "technique", "power(W)", "CPI")
 			g := o.grid()
@@ -126,7 +126,7 @@ func init() {
 		ID:    "fig4",
 		Title: "Power and CPI of spin pausing techniques",
 		Paper: "pause increases power up to 4%; mbar undercuts both pause (−7%) and global spinning",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 4 — pausing techniques",
 				"threads", "technique", "power(W)", "CPI")
 			pols := []machine.WaitPolicy{machine.WaitGlobal, machine.WaitLocal, machine.WaitPause, machine.WaitMbar}
@@ -152,7 +152,7 @@ func init() {
 		ID:    "fig5",
 		Title: "Busy-wait power with DVFS and monitor/mwait",
 		Paper: "VF-min up to 1.7x below VF-max; DVFS-normal drops only once both hyper-threads lower VF; mwait up to 1.5x below spinning",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 5 — DVFS and monitor/mwait",
 				"threads", "series", "power(W)")
 			g := o.grid()
@@ -197,21 +197,21 @@ func init() {
 		ID:    "fig6",
 		Title: "futex wake-up call and turnaround latency vs sleep→wake delay",
 		Paper: "turnaround ≥7000 cycles; explodes past ≈600K-cycle delays (deep idle); short delays inflate the wake call (bucket lock)",
-		Run:   runFig6,
+		Grid:  runFig6,
 	})
 
 	register(Experiment{
 		ID:    "tbl_sleep",
 		Title: "§4.4 — power vs period between futex wake-ups",
 		Paper: "1024: 72.0 W, 2048: 69.2 W, 4096: 68.8 W, 8192: 68.0 W (no benefit below the sleep latency)",
-		Run:   runSleepPeriodTable,
+		Grid:  runSleepPeriodTable,
 	})
 
 	register(Experiment{
 		ID:    "fig7",
 		Title: "Power and communication throughput: sleep vs spin vs spin-then-sleep(T)",
 		Paper: "larger T → lower power and higher handover throughput; ss-1000 nears spin throughput at sleep-like power",
-		Run:   runFig7,
+		Grid:  runFig7,
 	})
 }
 

@@ -53,7 +53,7 @@ func init() {
 		ID:    "tbl2",
 		Title: "Single-threaded lock throughput and TPP (uncontested)",
 		Paper: "locks perform inversely to complexity: TAS/TTAS/TICKET ≈17 Macq/s; MUTEX 11.9; MCS 12.0; MUTEXEE 13.3",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Table 2 — uncontested locking",
 				"lock", "throughput(Macq/s)", "TPP(Kacq/J)")
 			g := o.grid()
@@ -75,7 +75,7 @@ func init() {
 		ID:    "fig11",
 		Title: "Single (global) lock: throughput and TPP vs thread count",
 		Paper: "MCS best ≤40 threads; TAS worst; MUTEX −63% throughput vs TICKET at 40; fair locks (TICKET/MCS) collapse past 40 threads; MUTEXEE flat and best overall",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 11 — single global lock (1000-cycle critical sections)",
 				"threads", "lock", "throughput(Macq/s)", "TPP(Kacq/J)", "power(W)")
 			threads := []int{1, 10, 20, 30, 40, 50, 60}
@@ -101,7 +101,7 @@ func init() {
 		ID:    "fig8",
 		Title: "MUTEXEE/MUTEX throughput and TPP ratios (threads × critical-section size)",
 		Paper: "MUTEXEE up to ≈3x throughput and ≈6x TPP for critical sections ≤4000 cycles; converges to ≈1 for large critical sections",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 8 — MUTEXEE over MUTEX, single lock",
 				"threads", "cs(cycles)", "thr ratio", "TPP ratio")
 			threads := []int{10, 20, 40, 60}
@@ -130,7 +130,7 @@ func init() {
 		ID:    "fig9",
 		Title: "Tail latency of a single MUTEX vs MUTEXEE vs critical-section size",
 		Paper: "MUTEXEE has lower p95 below 4000-cycle critical sections but far higher p99.99 (long sleepers); the locks converge for large critical sections",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 9 — acquire-latency percentiles (20 threads)",
 				"cs(cycles)", "lock", "p95(Kcycles)", "p99.99(Kcycles)", "max(Kcycles)")
 			css := []sim.Cycles{1000, 2000, 4000, 8000, 16000}
@@ -163,7 +163,7 @@ func init() {
 		ID:    "fig10",
 		Title: "MUTEXEE without timeouts over with timeouts (throughput, TPP)",
 		Paper: "8 µs timeouts cost up to 14x throughput / 24x TPP; timeouts ≥16-32 ms approach timeout-free performance",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 10 — price of bounding MUTEXEE's unfairness (2000-cycle CS)",
 				"threads", "timeout(cycles)", "thr ratio (no-TO/TO)", "TPP ratio")
 			threads := []int{20, 40}
@@ -203,7 +203,7 @@ func init() {
 		ID:    "tbl_timeout",
 		Title: "§5.1 — MUTEX vs MUTEXEE vs MUTEXEE+timeout at 20 threads",
 		Paper: "MUTEX 317 Kacq/s / 4.0 Kacq/J / 2.0 Mcycles max; MUTEXEE 855 / 10.9 / 206.5; MUTEXEE-timeout 474 / 6.5 / 12.0",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("§5.1 — fairness/performance trade-off (20 threads, 2000-cycle CS)",
 				"lock", "throughput(Kacq/s)", "TPP(Kacq/J)", "max latency(Mcycles)")
 			variants := []struct {
@@ -233,11 +233,11 @@ func init() {
 	})
 
 	register(Experiment{
-		ID:        "fig12",
-		Aggregate: true,
-		Title:     "Correlation of throughput with TPP across contention levels",
-		Paper:     "≈85% of 2084 configurations: the best-throughput lock is also the best-TPP lock; near-linear correlation overall",
-		Run:       runFig12,
+		ID:     "fig12",
+		Title:  "Correlation of throughput with TPP across contention levels",
+		Paper:  "≈85% of 2084 configurations: the best-throughput lock is also the best-TPP lock; near-linear correlation overall",
+		Grid:   runFig12,
+		Reduce: reduceFig12,
 	})
 }
 
@@ -249,10 +249,9 @@ func ratio(a, b float64) float64 {
 }
 
 // runFig12 sweeps threads × critical-section × lock-count configurations
-// for all six algorithms and reports the throughput↔TPP correlation and
-// best-lock agreement statistics. Each grid cell is one configuration:
-// it runs all six locks on machines derived from the cell seed, so the
-// best-lock vote is decided within a single cell.
+// for all six algorithms, one grid cell per configuration: it runs all
+// six locks on machines derived from the cell seed and emits one row
+// per lock, so the best-lock vote is decided within a single cell.
 func runFig12(o Options) []*metrics.Table {
 	threads := []int{1, 4, 8, 16}
 	css := []sim.Cycles{0, 1000, 4000, 8000}
@@ -262,48 +261,41 @@ func runFig12(o Options) []*metrics.Table {
 		css = []sim.Cycles{1000, 8000}
 		lockCounts = []int{1, 128}
 	}
-	type config struct {
-		n  int
-		cs sim.Cycles
-		lc int
-	}
-	var cells []config
+	t := metrics.NewTable("Figure 12 — POLY configurations, one row per lock",
+		"threads", "cs(cycles)", "locks", "lock", "throughput(acq/s)", "TPP(acq/J)")
+	g := o.grid()
 	for _, n := range threads {
 		for _, cs := range css {
 			for _, lc := range lockCounts {
-				cells = append(cells, config{n, cs, lc})
+				g.Add(func(c sweep.Cell) []sweep.Row {
+					rows := make([]sweep.Row, len(evalKinds))
+					for i, k := range evalKinds {
+						mc := microCfg(o, c.Seed, workload.FactoryFor(k), n, cs, lc)
+						mc.Duration = o.dur(5_000_000)
+						r := workload.RunMicro(mc)
+						rows[i] = sweep.Row{n, uint64(cs), lc, k.String(), r.Throughput(), r.TPP()}
+					}
+					return rows
+				})
 			}
 		}
 	}
-	type pair struct{ thr, tpp float64 }
-	so := o.SweepOptions()
-	results := sweep.Run(so, len(cells), func(c sweep.Cell) []pair {
-		cfg := cells[c.Index]
-		out := make([]pair, len(evalKinds))
-		for i, k := range evalKinds {
-			mc := microCfg(o, c.Seed, workload.FactoryFor(k), cfg.n, cfg.cs, cfg.lc)
-			mc.Duration = o.dur(5_000_000)
-			r := workload.RunMicro(mc)
-			out[i] = pair{r.Throughput(), r.TPP()}
-		}
-		return out
-	})
+	g.Into(t)
+	return []*metrics.Table{t}
+}
 
+// reduceFig12 folds runFig12's rows, len(evalKinds) per configuration,
+// into the throughput↔TPP correlation and best-lock agreement summary.
+func reduceFig12(tabs []*metrics.Table) []*metrics.Table {
 	var thrs, tpps []float64
 	agree, total := 0, 0
 	var mutexeeThr, mutexThr, mutexeeTPP, mutexTPP float64
-	for ci, runs := range results {
-		// Under sharding the slice has zero-value holes for the cells
-		// other shards own; fig12 is an aggregate (a correlation over
-		// configurations), so a shard reports the statistics of its own
-		// configuration subset rather than garbage rows.
-		if !so.InShard(ci, len(cells)) {
-			continue
-		}
+	rows := tabs[0].Cells()
+	for c := 0; c < len(rows); c += len(evalKinds) {
 		bestThr, bestTPP := -1, -1
 		var bestThrV, bestTPPV float64
-		for i, k := range evalKinds {
-			thr, tpp := runs[i].thr, runs[i].tpp
+		for i, row := range rows[c : c+len(evalKinds)] {
+			thr, tpp := row[4].Float, row[5].Float
 			thrs = append(thrs, thr)
 			tpps = append(tpps, tpp)
 			if thr > bestThrV {
@@ -312,11 +304,11 @@ func runFig12(o Options) []*metrics.Table {
 			if tpp > bestTPPV {
 				bestTPPV, bestTPP = tpp, i
 			}
-			switch k {
-			case core.KindMutex:
+			switch row[3].Text() {
+			case core.KindMutex.String():
 				mutexThr += thr
 				mutexTPP += tpp
-			case core.KindMutexee:
+			case core.KindMutexee.String():
 				mutexeeThr += thr
 				mutexeeTPP += tpp
 			}

@@ -16,7 +16,7 @@ func init() {
 		ID:    "ablation",
 		Title: "MUTEXEE design ablations (single lock, 20 threads)",
 		Paper: "§5.1 sensitivity: ≥4000-cycle spin crucial for throughput; unlock user-space wait crucial for power; mbar vs pause worth ≈4 W on TICKET",
-		Run:   runAblation,
+		Grid:  runAblation,
 	})
 }
 

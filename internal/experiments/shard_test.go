@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"lockin/internal/results"
@@ -24,40 +25,77 @@ func shardedRun(t *testing.T, id string, o Options) *results.Run {
 }
 
 // TestShardUnionMatchesUnsharded is the acceptance test of multi-process
-// sharding on real experiments: merging the shard runs of a grid must
-// reproduce the unsharded tables byte-for-byte (cells are skipped, not
-// re-seeded). fig10 covers the baseline-inside-cell grid, tbl2 the
-// plain one-row-per-cell grid, fig10_tail the percentile grid.
+// sharding on real experiments: merging the cell-range runs of a grid
+// and reducing the merged rows (Experiment.Fold) must reproduce the
+// unsharded tables byte-for-byte (cells are skipped, not re-seeded).
+// fig10 covers the baseline-inside-cell grid, tbl2 the plain
+// one-row-per-cell grid, fig10_tail the percentile grid; fig12-fig15
+// reduce their rows only after the merge. The 3-way split cuts quick
+// fig15 inside a configuration's MUTEX/TICKET/MUTEXEE triple, and the
+// 2-way split cuts quick fig13 and fig14 between Memcached's MUTEX and
+// TICKET cells.
 func TestShardUnionMatchesUnsharded(t *testing.T) {
-	for _, id := range []string{"fig10", "tbl2", "fig10_tail"} {
-		id := id
+	for _, id := range []string{"fig10", "tbl2", "fig10_tail", "fig12", "fig13", "fig14", "fig15"} {
 		t.Run(id, func(t *testing.T) {
+			e, err := Find(id)
+			if err != nil {
+				t.Fatal(err)
+			}
 			o := Options{Seed: 42, Scale: 0.25, Quick: true, Workers: 4}
 			full := shardedRun(t, id, o)
-
-			var shards []*results.Run
-			for s := 0; s < 2; s++ {
-				so := o
-				so.RangeLo, so.RangeHi, so.RangeTotal = s, s+1, 2
-				shards = append(shards, shardedRun(t, id, so))
-			}
-			merged, err := results.Merge(shards[0], shards[1])
-			if err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-			if len(merged.Tables) != len(full.Tables) {
-				t.Fatalf("merged %d tables, want %d", len(merged.Tables), len(full.Tables))
-			}
-			for i := range full.Tables {
-				if got, want := merged.Tables[i].String(), full.Tables[i].String(); got != want {
-					t.Fatalf("%s table %d: merged shards differ from unsharded run:\n--- merged ---\n%s--- unsharded ---\n%s",
-						id, i, got, want)
+			for _, n := range []int{2, 3} {
+				var shards []*results.Run
+				for s := 0; s < n; s++ {
+					so := o
+					so.RangeLo, so.RangeHi, so.RangeTotal = s, s+1, n
+					shards = append(shards, shardedRun(t, id, so))
+				}
+				merged, err := results.Merge(shards...)
+				if err != nil {
+					t.Fatalf("%d-way merge: %v", n, err)
+				}
+				merged.Tables = e.Fold(merged.Tables)
+				if len(merged.Tables) != len(full.Tables) {
+					t.Fatalf("%d-way: merged %d tables, want %d", n, len(merged.Tables), len(full.Tables))
+				}
+				for i := range full.Tables {
+					if got, want := merged.Tables[i].String(), full.Tables[i].String(); got != want {
+						t.Fatalf("%s table %d: %d merged shards differ from unsharded run:\n--- merged ---\n%s--- unsharded ---\n%s",
+							id, i, n, got, want)
+					}
+				}
+				if rep := results.Diff(full, merged, results.Tolerance{}); !rep.Empty() {
+					t.Fatalf("%s: structural diff of %d merged shards vs unsharded:\n%s", id, n, rep)
 				}
 			}
-			if rep := results.Diff(full, merged, results.Tolerance{}); !rep.Empty() {
-				t.Fatalf("%s: structural diff of merged vs unsharded:\n%s", id, rep)
-			}
 		})
+	}
+}
+
+// TestPartialRunsSkipReduce pins that a run of part of a grid returns
+// the grid's rows unreduced: one traced cell (OnlyCell) yields exactly
+// that cell's row of the whole grid, and a survey (Survey) yields the
+// grid's table with no rows.
+func TestPartialRunsSkipReduce(t *testing.T) {
+	e, err := Find("fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Seed: 42, Scale: 0.25, Quick: true, Workers: 2}
+	grid := e.Grid(o)[0]
+
+	one := o
+	one.OnlyCell = 5
+	traced := e.Run(one)[0]
+	if traced.Title != grid.Title || traced.NumRows() != 1 ||
+		strings.Join(traced.Rows()[0], "|") != strings.Join(grid.Rows()[4], "|") {
+		t.Fatalf("OnlyCell=5 run:\n%s\nwant row 5 of:\n%s", traced, grid)
+	}
+
+	surveyed := o
+	surveyed.Survey = func(int, func(int) float64) {}
+	if got := e.Run(surveyed)[0]; got.Title != grid.Title || got.NumRows() != 0 {
+		t.Fatalf("survey run:\n%s", got)
 	}
 }
 

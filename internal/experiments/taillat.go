@@ -20,7 +20,7 @@ func init() {
 		ID:    "fig10_tail",
 		Title: "MUTEXEE timeout × threads: tail-latency percentiles and throughput cost",
 		Paper: "shorter timeouts bound the tail (max latency ≈ the timeout) but surrender the unfairness that makes MUTEXEE fast; timeouts ≥16-32 ms approach timeout-free throughput (§5.1 / Figure 10)",
-		Run: func(o Options) []*metrics.Table {
+		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 10 (tail) — bounding MUTEXEE's unfairness (2000-cycle CS)",
 				"threads", "timeout(cycles)", "thr(Kacq/s)", "TPP(Kacq/J)",
 				"p95(Kcyc)", "p99.99(Kcyc)", "max(Mcyc)")

@@ -141,9 +141,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Aggregate {
-		return nil, fmt.Errorf("fleet: %s aggregates statistics across its whole grid; partial runs cannot be merged — run it in one process", e.ID)
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		exp:     e,
@@ -473,11 +470,12 @@ func (c *Coordinator) rangeCells(lo, hi int) int {
 
 // mergeLocked inserts a partial run into the disjoint segment list and
 // coalesces contiguous neighbors (results.MergeRanges); when one
-// segment covers the whole space the merge clears its Range and the
-// run is complete.
+// segment covers the whole space the merge clears its Range, the
+// experiment's Reduce folds the merged rows, and the run is complete.
 func (c *Coordinator) mergeLocked(part *results.Run) error {
 	if part.Meta.Range == nil {
-		// One chunk covered the whole space; the part IS the run.
+		// One chunk covered the whole space; the part IS the run, which
+		// the worker's Run already reduced.
 		c.completeLocked(part)
 		return nil
 	}
@@ -501,6 +499,7 @@ func (c *Coordinator) mergeLocked(part *results.Run) error {
 		c.segments[i] = m
 		c.segments = append(c.segments[:i+1], c.segments[i+2:]...)
 		if m.Meta.Range == nil {
+			m.Tables = c.exp.Fold(m.Tables)
 			c.completeLocked(m)
 			return nil
 		}

@@ -88,61 +88,83 @@ func waitDone(t *testing.T, c *Coordinator) {
 
 // TestFleetByteIdentity is the tentpole contract end to end: a
 // coordinator plus two workers over real HTTP produce, from leased
-// chunks merged on arrival, the exact bytes of a serial run.
+// chunks merged on arrival, the exact bytes of a serial run. fig13's
+// chunks carry per-cell rows that the coordinator reduces once they
+// cover the grid. fig15 runs as one whole-space chunk, whose run the
+// worker already reduced and the coordinator must not reduce again.
 func TestFleetByteIdentity(t *testing.T) {
-	job := testJob()
-	co, err := New(Config{Job: job, Expect: 2, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
+	for _, c := range []struct {
+		experiment string
+		wholeSpace bool
+	}{
+		{testExperiment, false},
+		{"fig13", false},
+		{"fig15", true},
+	} {
+		t.Run(c.experiment, func(t *testing.T) {
+			job := testJob()
+			job.Experiment = c.experiment
+			cfg := Config{Job: job, Expect: 2, LeaseTTL: time.Minute}
+			if c.wholeSpace {
+				cfg.MinChunk = 1 << 30
+			}
+			co, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if whole := len(co.queue) == 1; whole != c.wholeSpace {
+				t.Fatalf("planned %d chunks over %d coordinates", len(co.queue), co.total)
+			}
+			srv := httptest.NewServer(co.Handler())
+			defer srv.Close()
 
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = Work(context.Background(), WorkerConfig{
-				Addr: srv.URL, Name: fmt.Sprintf("w%d", i),
-			})
-		}(i)
-	}
-	waitDone(t, co)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("worker %d: %v", i, err)
-		}
-	}
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = Work(context.Background(), WorkerConfig{
+						Addr: srv.URL, Name: fmt.Sprintf("w%d", i),
+					})
+				}(i)
+			}
+			waitDone(t, co)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("worker %d: %v", i, err)
+				}
+			}
 
-	run := co.Result()
-	if run == nil {
-		t.Fatal("Done closed but Result is nil")
-	}
-	if run.Meta.Range != nil {
-		t.Fatalf("merged run still carries range %v", run.Meta.Range)
-	}
-	if run.Meta.Perf == nil {
-		t.Fatal("merged run carries no perf provenance")
-	}
-	want := encodeSansPerf(t, serialRun(t, job))
-	got := encodeSansPerf(t, run)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fleet run differs from serial run (%d vs %d bytes)", len(got), len(want))
-	}
+			run := co.Result()
+			if run == nil {
+				t.Fatal("Done closed but Result is nil")
+			}
+			if run.Meta.Range != nil {
+				t.Fatalf("merged run still carries range %v", run.Meta.Range)
+			}
+			if run.Meta.Perf == nil {
+				t.Fatal("merged run carries no perf provenance")
+			}
+			want := encodeSansPerf(t, serialRun(t, job))
+			got := encodeSansPerf(t, run)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("fleet run differs from serial run (%d vs %d bytes)", len(got), len(want))
+			}
 
-	st := co.Status()
-	if !st.Done || st.Covered != st.Total {
-		t.Fatalf("status after completion: %+v", st)
-	}
-	cells := uint64(0)
-	for _, w := range st.Workers {
-		cells += w.Cells
-	}
-	if int(cells) != co.cells {
-		t.Fatalf("workers account for %d cells, fleet has %d", cells, co.cells)
+			st := co.Status()
+			if !st.Done || st.Covered != st.Total {
+				t.Fatalf("status after completion: %+v", st)
+			}
+			cells := uint64(0)
+			for _, w := range st.Workers {
+				cells += w.Cells
+			}
+			if int(cells) != co.cells {
+				t.Fatalf("workers account for %d cells, fleet has %d", cells, co.cells)
+			}
+		})
 	}
 }
 

@@ -103,7 +103,7 @@ func (c *Compiled) Experiment() experiments.Experiment {
 		Paper:    paper,
 		SpecHash: c.Hash,
 		Axes:     c.RunAxes,
-		Run:      c.Run,
+		Grid:     c.Run,
 	}
 }
 

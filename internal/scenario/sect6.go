@@ -169,110 +169,103 @@ func only(names ...string) []SystemConfig {
 	return out
 }
 
-// sysResult is one (configuration, lock) cell of Figures 13-15.
-type sysResult struct {
-	cfg  SystemConfig
-	lock string
-	res  systems.Result
-}
-
 // runSystems simulates every configuration under the three locks, one
-// sweep cell per (configuration, lock) pair, configuration-major.
-func runSystems(o experiments.Options, cfgs []SystemConfig) []sysResult {
-	var cells []sysResult
+// sweep cell per (configuration, lock) pair, configuration-major, and
+// emits one row per cell: the throughput, TPP and p99 acquire latency
+// that Figures 13, 14 and 15 normalize.
+func runSystems(o experiments.Options, cfgs []SystemConfig) []*metrics.Table {
+	t := metrics.NewTable("Table 3 systems, one row per lock",
+		"system", "config", "lock", "throughput(ops/s)", "TPP(ops/J)", "p99(cycles)")
+	g := sweep.NewGrid(o.SweepOptions())
 	for _, s := range cfgs {
-		for _, l := range sect6Locks {
-			cells = append(cells, sysResult{cfg: s, lock: l})
-		}
-	}
-	res := sweep.Run(o.SweepOptions(), len(cells), func(c sweep.Cell) systems.Result {
-		x := cells[c.Index]
 		// Oversubscribed systems need several timeslice rotations for the
 		// spinlock livelock to express itself.
 		dur := sim.Cycles(10_000_000)
-		if x.cfg.Threads() > 32 {
+		if s.Threads() > 32 {
 			dur = 60_000_000
 		}
-		return x.cfg.Run(x.lock, c.Seed, o.Window(300_000), o.Window(dur))
-	})
-	for i := range cells {
-		cells[i].res = res[i]
+		for _, l := range sect6Locks {
+			g.Add(func(c sweep.Cell) []sweep.Row {
+				r := s.Run(l, c.Seed, o.Window(300_000), o.Window(dur))
+				return []sweep.Row{{s.System, s.Config, l, r.Throughput(), r.TPP(), r.Latency.Percentile(0.99)}}
+			})
+		}
 	}
-	return cells
+	g.Into(t)
+	return []*metrics.Table{t}
 }
 
-// normTable renders results normalized to MUTEX per configuration.
-func normTable(title string, results []sysResult, metric func(systems.Result) float64) *metrics.Table {
-	t := metrics.NewTable(title, "system", "config", "lock", "value", "vs MUTEX")
-	base := map[string]float64{}
-	for _, r := range results {
-		if r.lock == "MUTEX" {
-			base[r.cfg.ID()] = metric(r.res)
-		}
-	}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range results {
-		b := base[r.cfg.ID()]
-		v := metric(r.res)
-		n := 0.0
-		if b != 0 {
-			n = v / b
-		}
-		sums[r.lock] += n
-		counts[r.lock]++
-		t.AddRow(r.cfg.System, r.cfg.Config, r.lock, v, n)
-	}
-	for _, k := range sect6Locks {
-		if counts[k] > 0 {
-			t.AddNote("%s average vs MUTEX: %.2f", k, sums[k]/float64(counts[k]))
-		}
-	}
-	return t
-}
-
-// registerSect6 adds Figures 13-15 to the experiment registry. Quick
-// runs chart one configuration of three systems (Figures 13-14) or two
-// (Figure 15).
-func registerSect6() {
-	fig1314 := func(o experiments.Options) []SystemConfig {
-		if o.Quick {
-			return only("HamsterDB/WT", "Memcached/SET/GET", "SQLite/64 CON")
-		}
-		return sect6
-	}
-	experiments.Register(experiments.Experiment{
-		ID:        "fig13",
-		Aggregate: true,
-		Title:     "Normalized throughput of the six systems with different locks",
-		Paper:     "avg: TICKET 1.06x, MUTEXEE 1.26x over MUTEX; TICKET collapses on MySQL (0.01-0.16x) and SQLite 64 CON (0.25x)",
-		Run: func(o experiments.Options) []*metrics.Table {
-			return []*metrics.Table{normTable("Figure 13 — normalized throughput (higher is better)",
-				runSystems(o, fig1314(o)), systems.Result.Throughput)}
-		},
-	})
-	experiments.Register(experiments.Experiment{
-		ID:        "fig14",
-		Aggregate: true,
-		Title:     "Normalized energy efficiency (TPP) of the six systems",
-		Paper:     "avg: TICKET 1.05x, MUTEXEE 1.28x over MUTEX; improvements driven by throughput",
-		Run: func(o experiments.Options) []*metrics.Table {
-			return []*metrics.Table{normTable("Figure 14 — normalized TPP (higher is better)",
-				runSystems(o, fig1314(o)), systems.Result.TPP)}
-		},
-	})
-	experiments.Register(experiments.Experiment{
-		ID:        "fig15",
-		Aggregate: true,
-		Title:     "Normalized 99th-percentile latency of four systems",
-		Paper:     "mostly better throughput → lower tail; HamsterDB RD: MUTEXEE ≈19x tail of MUTEX; TICKET terrible when oversubscribed",
-		Run: func(o experiments.Options) []*metrics.Table {
-			cfgs := only("HamsterDB", "Memcached", "MySQL", "SQLite")
-			if o.Quick {
-				cfgs = only("HamsterDB/RD", "SQLite/64 CON")
+// normTable returns the Reduce step that renders column col of
+// runSystems' rows normalized to MUTEX per configuration.
+func normTable(title string, col int) func([]*metrics.Table) []*metrics.Table {
+	return func(tabs []*metrics.Table) []*metrics.Table {
+		rows := tabs[0].Cells()
+		id := func(r []metrics.Value) string { return r[0].Text() + "/" + r[1].Text() }
+		t := metrics.NewTable(title, "system", "config", "lock", "value", "vs MUTEX")
+		base := map[string]float64{}
+		for _, r := range rows {
+			if r[2].Text() == "MUTEX" {
+				base[id(r)], _ = r[col].Num()
 			}
-			return []*metrics.Table{normTable("Figure 15 — normalized p99 latency (lower is better)",
-				runSystems(o, cfgs), func(r systems.Result) float64 { return float64(r.Latency.Percentile(0.99)) })}
+		}
+		sums := map[string]float64{}
+		counts := map[string]int{}
+		for _, r := range rows {
+			b := base[id(r)]
+			v, _ := r[col].Num()
+			n := 0.0
+			if b != 0 {
+				n = v / b
+			}
+			lock := r[2].Text()
+			sums[lock] += n
+			counts[lock]++
+			t.AddRow(r[0], r[1], r[2], v, n)
+		}
+		for _, k := range sect6Locks {
+			if counts[k] > 0 {
+				t.AddNote("%s average vs MUTEX: %.2f", k, sums[k]/float64(counts[k]))
+			}
+		}
+		return []*metrics.Table{t}
+	}
+}
+
+// registerSect6 adds Figures 13-15 to the experiment registry. Figures
+// 13 and 14 share one grid; Figure 15 sweeps its own configurations,
+// whose cells take seeds from their own indexes. Quick runs chart one
+// configuration of three systems (Figures 13-14) or two (Figure 15).
+func registerSect6() {
+	fig1314 := func(o experiments.Options) []*metrics.Table {
+		if o.Quick {
+			return runSystems(o, only("HamsterDB/WT", "Memcached/SET/GET", "SQLite/64 CON"))
+		}
+		return runSystems(o, sect6)
+	}
+	experiments.Register(experiments.Experiment{
+		ID:     "fig13",
+		Title:  "Normalized throughput of the six systems with different locks",
+		Paper:  "avg: TICKET 1.06x, MUTEXEE 1.26x over MUTEX; TICKET collapses on MySQL (0.01-0.16x) and SQLite 64 CON (0.25x)",
+		Grid:   fig1314,
+		Reduce: normTable("Figure 13 — normalized throughput (higher is better)", 3),
+	})
+	experiments.Register(experiments.Experiment{
+		ID:     "fig14",
+		Title:  "Normalized energy efficiency (TPP) of the six systems",
+		Paper:  "avg: TICKET 1.05x, MUTEXEE 1.28x over MUTEX; improvements driven by throughput",
+		Grid:   fig1314,
+		Reduce: normTable("Figure 14 — normalized TPP (higher is better)", 4),
+	})
+	experiments.Register(experiments.Experiment{
+		ID:    "fig15",
+		Title: "Normalized 99th-percentile latency of four systems",
+		Paper: "mostly better throughput → lower tail; HamsterDB RD: MUTEXEE ≈19x tail of MUTEX; TICKET terrible when oversubscribed",
+		Grid: func(o experiments.Options) []*metrics.Table {
+			if o.Quick {
+				return runSystems(o, only("HamsterDB/RD", "SQLite/64 CON"))
+			}
+			return runSystems(o, only("HamsterDB", "Memcached", "MySQL", "SQLite"))
 		},
+		Reduce: normTable("Figure 15 — normalized p99 latency (lower is better)", 5),
 	})
 }

@@ -58,7 +58,8 @@ type Spec struct {
 	// Machine selects the simulated machine (default: the Xeon).
 	Machine MachineSpec `json:"machine,omitempty"`
 	// WarmupCycles is the window warm-up (default 300000). Options.Scale
-	// multiplies it like every experiment window.
+	// multiplies it like every experiment window. It and DurationCycles
+	// are at most maxWindow.
 	WarmupCycles int64 `json:"warmup_cycles,omitempty"`
 	// DurationCycles is the measurement window (default 10000000).
 	DurationCycles int64 `json:"duration_cycles,omitempty"`
@@ -219,6 +220,10 @@ const (
 	defaultDuration = 10_000_000
 	defaultStripes  = 16
 	maxThreads      = 4096
+	// maxWindow bounds warmup_cycles and duration_cycles: scaled by at
+	// most the largest scale the options accept (1e6), a window stays
+	// below 2^63 cycles.
+	maxWindow = 1_000_000_000_000
 )
 
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
@@ -283,8 +288,8 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown machine topology %q (want xeon or corei7)", s.Name, s.Machine.Topology)
 	}
-	if s.WarmupCycles < 0 || s.DurationCycles < 0 {
-		return fmt.Errorf("scenario %s: warmup_cycles/duration_cycles must be non-negative", s.Name)
+	if s.WarmupCycles < 0 || s.DurationCycles < 0 || s.WarmupCycles > maxWindow || s.DurationCycles > maxWindow {
+		return fmt.Errorf("scenario %s: warmup_cycles/duration_cycles must be non-negative and at most %g", s.Name, float64(maxWindow))
 	}
 	if err := s.validateSweep(); err != nil {
 		return err

@@ -257,6 +257,12 @@ func TestValidationErrors(t *testing.T) {
 			withSweep(strings.ReplaceAll(validSpec, `"topology": "single"`, `"topology": "striped", "pick": "zipf"`),
 				`{"skew": [-0.5]}`),
 			"non-negative"},
+		{"warmup overflows a scaled window",
+			strings.ReplaceAll(validSpec, `"name": "t",`, `"name": "t", "warmup_cycles": 1000000000001,`),
+			"at most 1e+12"},
+		{"duration overflows a scaled window",
+			strings.ReplaceAll(validSpec, `"name": "t",`, `"name": "t", "duration_cycles": 9223372036854775807,`),
+			"at most 1e+12"},
 		{"percentile out of range",
 			strings.ReplaceAll(validSpec, `"name": "t",`, `"name": "t", "columns": {"percentiles": [100]},`),
 			"out of range (0, 100)"},

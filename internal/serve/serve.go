@@ -383,11 +383,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // experimentInfo is one row of the /v1/experiments listing — the HTTP
 // form of `lockbench -list`.
 type experimentInfo struct {
-	ID        string `json:"id"`
-	Title     string `json:"title"`
-	Paper     string `json:"paper"`
-	SpecHash  string `json:"spec_hash,omitempty"`
-	Aggregate bool   `json:"aggregate,omitempty"`
+	ID       string `json:"id"`
+	Title    string `json:"title"`
+	Paper    string `json:"paper"`
+	SpecHash string `json:"spec_hash,omitempty"`
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
@@ -397,8 +396,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue // unreachable: IDs() comes from the registry
 		}
-		out = append(out, experimentInfo{ID: e.ID, Title: e.Title, Paper: e.Paper,
-			SpecHash: e.SpecHash, Aggregate: e.Aggregate})
+		out = append(out, experimentInfo{ID: e.ID, Title: e.Title, Paper: e.Paper, SpecHash: e.SpecHash})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
 }

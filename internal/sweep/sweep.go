@@ -187,15 +187,6 @@ func (o Options) ShardRange(n int) (lo, hi int) {
 	return n * rl / total, n * rh / total
 }
 
-// InShard reports whether cell index i of an n-cell grid belongs to
-// this cell range. Aggregating consumers (experiments that
-// post-process a Run slice) use it to skip the zero values of cells
-// another range owns.
-func (o Options) InShard(i, n int) bool {
-	lo, hi := o.ShardRange(n)
-	return i >= lo && i < hi
-}
-
 // Cell identifies one grid cell of a sweep.
 type Cell struct {
 	// Index is the cell's position in registration order.
@@ -208,10 +199,9 @@ type Cell struct {
 func (o Options) cell(i int) Cell { return Cell{Index: i, Seed: CellSeed(o.Seed, i)} }
 
 // Run executes n independent cells across the worker pool and returns
-// their results in index order. Under a cell range (RangeTotal > 0) the
-// slice still has n entries, but cells outside the range are skipped
-// and left as zero values — post-processing consumers filter them with
-// InShard.
+// their results in index order. Under a cell range (RangeTotal > 0) or
+// OnlyCell the slice still has n entries, but cells outside the range
+// (ShardRange) are skipped and left as zero values.
 func Run[T any](o Options, n int, fn func(Cell) T) []T {
 	out := make([]T, n)
 	Each(o, n, fn, func(i int, v T) { out[i] = v })

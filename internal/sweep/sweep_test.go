@@ -218,11 +218,6 @@ func TestShardRangePartitions(t *testing.T) {
 				if lo != prev || hi < lo {
 					t.Fatalf("n=%d count=%d shard %d: range [%d,%d) after %d", n, count, s, lo, hi, prev)
 				}
-				for i := lo; i < hi; i++ {
-					if !shard(Options{}, s, count).InShard(i, n) {
-						t.Fatalf("InShard(%d) false inside shard %d's range", i, s)
-					}
-				}
 				prev = hi
 			}
 			if prev != n {
@@ -272,14 +267,14 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 }
 
 // TestShardRunLeavesSkippedZero pins Run's sharded contract: the result
-// slice keeps full length, with zero values exactly where InShard is
-// false.
+// slice keeps full length, with zero values exactly outside ShardRange.
 func TestShardRunLeavesSkippedZero(t *testing.T) {
 	o := shard(Options{Workers: 2, Seed: 1}, 1, 2)
 	const n = 9
 	got := Run(o, n, func(c Cell) int { return c.Index + 100 })
+	lo, hi := o.ShardRange(n)
 	for i := 0; i < n; i++ {
-		in := o.InShard(i, n)
+		in := i >= lo && i < hi
 		if in && got[i] != i+100 {
 			t.Fatalf("cell %d in shard but value %d", i, got[i])
 		}
@@ -385,8 +380,8 @@ func TestOnlyCellRunsOneCellWithFullGridSeed(t *testing.T) {
 			t.Errorf("cell %d ran under OnlyCell=4 (seed %d)", i, s)
 		}
 	}
-	if !o.InShard(3, n) || o.InShard(4, n) {
-		t.Error("InShard does not reflect the OnlyCell range")
+	if lo, hi := o.ShardRange(n); lo != 3 || hi != 4 {
+		t.Errorf("ShardRange under OnlyCell=4 is [%d,%d), want [3,4)", lo, hi)
 	}
 	ran := 0
 	Run(Options{Seed: 42, OnlyCell: n + 1}, n, func(c Cell) int { ran++; return 0 })
