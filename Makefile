@@ -146,9 +146,11 @@ metrics-smoke:
 # The CI fleet gate: a coordinator plus two workers distribute a
 # quick experiment over HTTP, one worker is SIGKILLed mid-run and a
 # never-reporting lease forces the steal path; the merged run must
-# be byte-identical (runcmp) to a serial run. A second fleet at the
-# default lease TTL requires both workers to exit 0 within 5 s of
-# the coordinator.
+# be byte-identical (runcmp) to a serial run. Two more fleets at the
+# default lease TTL (fig11 -scale 3, and quick fig12 -scale 0.25,
+# where a worker can be between chunks when the run merges) require
+# both workers to exit 0 within 5 s of the coordinator and a merged
+# run byte-identical to a serial one.
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
 

@@ -87,6 +87,14 @@ func runCoordinate(args []string) {
 		os.Exit(1)
 	case <-co.Done():
 	}
+	// A worker whose chunk merged just before another completed the run
+	// is on its way back for a lease: wait (at most MaxHold) until every
+	// worker seen has been answered "done", so none finds us gone.
+	select {
+	case <-co.Dismissed():
+	case <-time.After(co.MaxHold()):
+		logger.Warn("a worker never heard done before shutdown")
+	}
 	// Stop listening, and wait (at most 3 s) for the requests in
 	// flight: the idle workers' held lease requests answer "done" as
 	// the run completes, so they exit cleanly before we do.

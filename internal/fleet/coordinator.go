@@ -75,6 +75,8 @@ type workerState struct {
 	busy   time.Duration
 	mCells *telemetry.Counter
 	mBusy  *telemetry.Counter
+	// dismissed: the coordinator has answered this worker done.
+	dismissed bool
 }
 
 // gridInfo is one surveyed grid: its cell count and per-cell cost
@@ -103,6 +105,9 @@ type Coordinator struct {
 	nextID   uint64
 	result   *results.Run
 	done     chan struct{}
+	// dismissed is closed once the run is complete and every worker
+	// seen so far has been answered done (see Dismissed).
+	dismissed chan struct{}
 	// changed is closed and replaced (wakeLocked) whenever a held lease
 	// request could get a different answer: the run completed, or a
 	// chunk went back to the queue.
@@ -142,13 +147,14 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		exp:     e,
-		start:   cfg.now(),
-		leases:  map[uint64]*leaseState{},
-		workers: map[string]*workerState{},
-		done:    make(chan struct{}),
-		changed: make(chan struct{}),
+		cfg:       cfg,
+		exp:       e,
+		start:     cfg.now(),
+		leases:    map[uint64]*leaseState{},
+		workers:   map[string]*workerState{},
+		done:      make(chan struct{}),
+		dismissed: make(chan struct{}),
+		changed:   make(chan struct{}),
 	}
 	c.survey(o)
 	if c.total == 0 {
@@ -331,6 +337,7 @@ func (c *Coordinator) grant(ctx context.Context, worker string) leaseResponse {
 	c.workerLocked(worker)
 	for {
 		if c.result != nil {
+			c.dismissLocked(worker)
 			return leaseResponse{Done: true}
 		}
 		c.reapLocked(c.cfg.now())
@@ -394,6 +401,7 @@ func (c *Coordinator) accept(req resultRequest) (resultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.result != nil {
+		c.dismissLocked(req.Worker)
 		return resultResponse{Done: true, Discarded: true}, nil
 	}
 	lo, hi := partRange(part, c.total)
@@ -432,6 +440,7 @@ func (c *Coordinator) accept(req resultRequest) (resultResponse, error) {
 	c.cfg.Logger.Info("chunk merged", "worker", req.Worker, "lo", lo, "hi", hi,
 		"cells", cells, "covered", c.coveredLocked(), "total", c.total)
 	if c.result != nil {
+		c.dismissLocked(req.Worker)
 		return resultResponse{OK: true, Done: true}, nil
 	}
 	return resultResponse{OK: true}, nil
@@ -529,8 +538,38 @@ func (c *Coordinator) completeLocked(run *results.Run) {
 		"wall", c.cfg.now().Sub(c.start).Round(time.Millisecond))
 }
 
+// dismissLocked records that worker is being answered done, and closes
+// dismissed when it was the last worker seen still to hear it. Only
+// called once the run is complete.
+func (c *Coordinator) dismissLocked(worker string) {
+	c.workerLocked(worker).dismissed = true
+	for _, w := range c.workers {
+		if !w.dismissed {
+			return
+		}
+	}
+	select {
+	case <-c.dismissed:
+	default:
+		close(c.dismissed)
+	}
+}
+
 // Done is closed when the merged run is complete.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
+
+// Dismissed is closed once the run is complete and every worker the
+// coordinator has seen has been answered done, in a lease or a result
+// response. A worker whose chunk merged just before another's completed
+// the run is between its result and its next lease request when Done
+// closes; a process that serves the coordinator should wait here, for
+// at most MaxHold, before it stops listening, or that worker finds no
+// one to tell it the run is over.
+func (c *Coordinator) Dismissed() <-chan struct{} { return c.dismissed }
+
+// MaxHold is the longest the coordinator holds an idle worker's lease
+// request (see maxHold): at most 1s.
+func (c *Coordinator) MaxHold() time.Duration { return maxHold(c.cfg.LeaseTTL) }
 
 // Result returns the merged run once Done is closed (nil before).
 func (c *Coordinator) Result() *results.Run {

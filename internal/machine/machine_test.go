@@ -253,3 +253,32 @@ func TestDeterministicMachineRuns(t *testing.T) {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
 	}
 }
+
+// TestReleasedSpinnerPaysNoExitCost: threads still spinning when Drain
+// ends the simulation are released without running simulation code. A
+// DVFS spinner keeps its VF-min point and an mwait spinner its mwait
+// activity, and the energy counters read what the last event left, so
+// the exit cost SpinUntilLimit pays on return is never paid by a
+// released thread.
+func TestReleasedSpinnerPaysNoExitCost(t *testing.T) {
+	m := NewDefault(1)
+	l := m.NewLine("never")
+	never := func(v uint64) bool { return v == 1 }
+	dvfs := m.Spawn("dvfs", func(th *Thread) { th.SpinUntil(l, never, WaitDVFS) })
+	mwait := m.Spawn("mwait", func(th *Thread) { th.SpinUntil(l, never, WaitMwait) })
+	m.K.Run(1_000_000)
+	before := m.Meter.Energy()
+	m.K.Drain()
+	if !dvfs.Proc().Done() || !mwait.Proc().Done() {
+		t.Fatalf("spinners %v and %v after Drain, want both released", dvfs.Proc().State(), mwait.Proc().State())
+	}
+	if vf := dvfs.VF(); vf != power.VFMin || m.Meter.VFOf(dvfs.Ctx()) != power.VFMin {
+		t.Errorf("released DVFS spinner at %v, want VF-min", vf)
+	}
+	if a := mwait.Activity(); a != WaitMwait.Activity() {
+		t.Errorf("released mwait spinner's activity %v, want %v", a, WaitMwait.Activity())
+	}
+	if after := m.Meter.Energy(); after != before {
+		t.Errorf("energy %+v after Drain, want %+v", after, before)
+	}
+}

@@ -154,37 +154,20 @@ func (t *Thread) SpinUntil(l *coherence.Line, pred func(uint64) bool, pol WaitPo
 // predicate was observed. Preemptions pause the budget clock: limit is
 // CPU time spent spinning, matching how spin-then-sleep thresholds are
 // implemented in user space.
+//
+// The exit cost is paid after the returned value is read, as a deferred
+// call would, but explicitly: a proc that Drain releases unwinds through
+// its deferred calls, and those must run no simulation code.
 func (t *Thread) SpinUntilLimit(l *coherence.Line, pred func(uint64) bool, pol WaitPolicy, limit sim.Cycles) (uint64, bool) {
 	spent := sim.Cycles(0)
 	act := pol.Activity()
-	if pol == WaitMwait {
-		// Arm the monitor through the kernel device.
-		t.Compute(t.m.cfg.MwaitEnter)
-	}
-	if pol == WaitMwaitUser {
-		t.Compute(mwaitUserEnter)
-	}
-	if pol == WaitDVFS {
-		t.Compute(t.m.cfg.DVFSSwitch)
-		t.SetVF(power.VFMin)
-	}
-	defer func() {
-		if pol == WaitDVFS {
-			t.SetVF(power.VFMax)
-			t.Compute(t.m.cfg.DVFSSwitch)
-		}
-		if pol == WaitMwait {
-			// Exit latency out of the optimized state.
-			t.Compute(t.m.cfg.MwaitWake)
-		}
-		if pol == WaitMwaitUser {
-			t.Compute(mwaitUserWake)
-		}
-	}()
+	t.spinEnter(pol)
 	st := t.spinEpoch()
 	for {
 		if limit > 0 && spent >= limit {
-			return l.Val(), false
+			v := l.Val()
+			t.spinExit(pol)
+			return v, false
 		}
 		t.SetActivity(act)
 		st.line = l
@@ -227,9 +210,13 @@ func (t *Thread) SpinUntilLimit(l *coherence.Line, pred func(uint64) bool, pol W
 		t.m.K.Cancel(timer)
 		switch got {
 		case wakePred:
-			return st.val, true
+			v := st.val
+			t.spinExit(pol)
+			return v, true
 		case wakeLimit:
-			return l.Val(), false
+			v := l.Val()
+			t.spinExit(pol)
+			return v, false
 		case wakeSlice:
 			if t.m.Sched.Oversubscribed() {
 				t.Preempt()
@@ -259,7 +246,18 @@ func (t *Thread) SpinFor(d sim.Cycles, pol WaitPolicy) {
 		return
 	}
 	act := pol.Activity()
+	t.spinEnter(pol)
+	t.SetActivity(act)
+	t.Run(d)
+	t.m.note(act, d)
+	t.spinExit(pol)
+}
+
+// spinEnter pays the cost of entering pol's waiting state: arming the
+// monitor, or switching the context to VF-min.
+func (t *Thread) spinEnter(pol WaitPolicy) {
 	if pol == WaitMwait {
+		// Arm the monitor through the kernel device.
 		t.Compute(t.m.cfg.MwaitEnter)
 	}
 	if pol == WaitMwaitUser {
@@ -269,14 +267,17 @@ func (t *Thread) SpinFor(d sim.Cycles, pol WaitPolicy) {
 		t.Compute(t.m.cfg.DVFSSwitch)
 		t.SetVF(power.VFMin)
 	}
-	t.SetActivity(act)
-	t.Run(d)
-	t.m.note(act, d)
+}
+
+// spinExit pays the cost of leaving pol's waiting state, undoing
+// spinEnter.
+func (t *Thread) spinExit(pol WaitPolicy) {
 	if pol == WaitDVFS {
 		t.SetVF(power.VFMax)
 		t.Compute(t.m.cfg.DVFSSwitch)
 	}
 	if pol == WaitMwait {
+		// Exit latency out of the optimized state.
 		t.Compute(t.m.cfg.MwaitWake)
 	}
 	if pol == WaitMwaitUser {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -682,5 +683,56 @@ func TestBusyQueueRetryAfter(t *testing.T) {
 	vals := promSamples(t, hs)
 	if vals["submissions_rejected_total"] < 1 {
 		t.Errorf("submissions_rejected_total = %v, want >= 1", vals["submissions_rejected_total"])
+	}
+}
+
+// TestFinishedRunsLeaveNoGoroutines is the service-level leak gate: a
+// long-running server must not keep the machines of the runs it has
+// finished. Figure 3 parks every sleeping thread on a futex nobody
+// wakes; each such thread must end with its simulation, or every fig3
+// submission pins its machine for the life of the process.
+func TestFinishedRunsLeaveNoGoroutines(t *testing.T) {
+	srv, err := serve.New(serve.Config{CacheDir: t.TempDir(), Pool: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	do := func(method, path string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+	before := runtime.NumGoroutine()
+	var keys []string
+	for seed := 1; seed <= 4; seed++ {
+		code, b := do(http.MethodPost, "/v1/runs?experiment=fig3&quick=1&scale=0.25&workers=1&seed="+strconv.Itoa(seed))
+		var sub struct {
+			Key string `json:"key"`
+		}
+		if code != http.StatusAccepted || json.Unmarshal(b, &sub) != nil {
+			t.Fatalf("submit fig3 seed %d: status %d, body %s", seed, code, b)
+		}
+		keys = append(keys, sub.Key)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, key := range keys {
+		for {
+			code, b := do(http.MethodGet, "/v1/runs/"+key)
+			if code == http.StatusOK {
+				break
+			}
+			if code != http.StatusAccepted || time.Now().After(deadline) {
+				t.Fatalf("run %s: status %d, body %s", key, code, b)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for settle := time.Now().Add(time.Second); n > before && time.Now().Before(settle); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after %d fig3 runs landed, want at most %d (%+d)", n, len(keys), before, n-before)
 	}
 }

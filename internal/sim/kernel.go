@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 )
@@ -108,6 +109,15 @@ type Kernel struct {
 	// deferred is the proc awaiting that tail delivery, nil if none.
 	deferred *Proc
 
+	// live heads the list of started procs whose body has not returned,
+	// threaded through Proc.prevLive/nextLive. Drain releases whatever is
+	// still on it once the queue is empty.
+	live *Proc
+	// releasing is true while Drain releases those procs. A released body
+	// that reaches the kernel (park, Wake, Start or a schedule) unwinds
+	// with errReleased instead of acting.
+	releasing bool
+
 	// nrecycled/ncompact/hiwater are kernel-local instrumentation
 	// counters, deliberately plain (not atomic): the hot loop bumps
 	// them for free and flushStats folds them into the process-wide
@@ -133,6 +143,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // alloc takes an event slot from the free list (or allocates one), stamps
 // it with the fire time and the next sequence number, and returns it.
 func (k *Kernel) alloc(d Cycles) *event {
+	k.checkLive()
 	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
@@ -437,6 +448,10 @@ func (k *Kernel) transfer(p *Proc) {
 // can only suspend back to whoever resumed it — so a driver that hands the
 // loop to another proc suspends back to the trampoline below, which
 // resumes the new driver, until one of them ends the loop.
+//
+// Run(0) that ends with an empty queue, not by Stop, ends the simulation:
+// nothing can wake a proc that is still parked, so it is released (see
+// release). Run with a limit and a stopped Run leave parked procs parked.
 func (k *Kernel) Run(until Cycles) Cycles {
 	k.stopped = false
 	k.until = until
@@ -448,9 +463,64 @@ func (k *Kernel) Run(until Cycles) Cycles {
 	if until != 0 && k.now < until && len(k.heap) == 0 {
 		k.now = until
 	}
+	if until == 0 && !k.stopped {
+		k.release()
+	}
 	k.flushStats()
 	return k.now
 }
 
-// Drain runs until the event queue is empty (no time limit).
+// Drain runs until the event queue is empty (no time limit), then
+// releases every proc still parked: each becomes ProcDone and its
+// goroutine exits. Simulation state read after Drain is what the last
+// event left.
 func (k *Kernel) Drain() Cycles { return k.Run(0) }
+
+// errReleased is the panic value a released proc unwinds with. Proc.run
+// recovers it and nothing else.
+var errReleased = errors.New("sim: proc released by Drain")
+
+// checkLive panics with errReleased while Drain releases parked procs, so
+// a released body's deferred code cannot park, wake, start or schedule.
+func (k *Kernel) checkLive() {
+	if k.releasing {
+		panic(errReleased)
+	}
+}
+
+// link adds a started proc to the live list.
+func (k *Kernel) link(p *Proc) {
+	p.nextLive = k.live
+	if k.live != nil {
+		k.live.prevLive = p
+	}
+	k.live = p
+}
+
+// unlink removes p from the live list.
+func (k *Kernel) unlink(p *Proc) {
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		k.live = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+}
+
+// release ends every proc still on the live list, all of them parked once
+// the loop is over. Stopping a coroutine makes its pending yield return
+// false, so park panics with errReleased, the body unwinds through its
+// deferred calls, and Proc.run recovers the sentinel; the goroutine then
+// exits. Any other panic, or a Goexit, surfaces from Run.
+func (k *Kernel) release() {
+	k.releasing = true
+	for p := k.live; p != nil; p = k.live {
+		k.unlink(p)
+		p.state = ProcDone
+		p.stop()
+	}
+	k.releasing = false
+}

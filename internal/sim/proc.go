@@ -15,7 +15,8 @@ const (
 	ProcRunning
 	// ProcParked means the Proc is blocked waiting for a Wake.
 	ProcParked
-	// ProcDone means the body returned.
+	// ProcDone means the body returned, or Drain released the proc while
+	// it was still parked (see Kernel.Run).
 	ProcDone
 )
 
@@ -45,6 +46,12 @@ func (s ProcState) String() string {
 // the next event costs no switch at all. A handover to another proc costs
 // two: the driver suspends to the trampoline in Kernel.Run, which resumes
 // the new driver.
+//
+// A started proc whose body has not returned sits on its kernel's list of
+// live procs. Drain ends the simulation: it releases every proc still
+// parked when the queue empties, so the proc becomes ProcDone and its
+// coroutine's goroutine exits instead of outliving the simulation. A
+// released body unwinds without running simulation code (see Run).
 type Proc struct {
 	k     *Kernel
 	id    int
@@ -53,7 +60,13 @@ type Proc struct {
 	body  func(*Proc)
 
 	next  func() (struct{}, bool) // resumes the coroutine (iter.Pull)
+	stop  func()                  // ends it: the pending yield returns false
 	yield func(struct{}) bool     // suspends it back to whoever resumed it
+
+	// prevLive and nextLive thread the kernel's intrusive list of started
+	// procs whose body has not returned (Kernel.live), so tracking them
+	// allocates nothing and a finished proc is pinned by no one.
+	prevLive, nextLive *Proc
 	// nested is true when the proc was resumed by a synchronous
 	// Wake/Start and yields back to the waker on park; false when it
 	// was resumed by the trampoline as the event loop's driver.
@@ -91,14 +104,19 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the kernel's current virtual time.
 func (p *Proc) Now() Cycles { return p.k.now }
 
-// Start creates the Proc's coroutine and runs it until its first park.
-// Must be called from kernel context (an event callback) or before Run.
+// Start creates the Proc's coroutine, adds it to the kernel's live procs
+// and runs it until its first park. Must be called from kernel context (an
+// event callback) or before Run. The proc leaves the live list when its
+// body returns or when Drain releases it.
 func (p *Proc) Start() {
 	if p.state != ProcNew {
 		panic("sim: Start on a non-new Proc")
 	}
-	p.next, _ = iter.Pull(p.run)
-	p.k.transfer(p)
+	k := p.k
+	k.checkLive()
+	p.next, p.stop = iter.Pull(p.run)
+	k.link(p)
+	k.transfer(p)
 }
 
 // run is the coroutine: execute the body, then release control — back to
@@ -106,10 +124,20 @@ func (p *Proc) Start() {
 // driving the event loop until it is handed on. iter.Pull re-raises a
 // panic anywhere in it (the body or an event callback executed while
 // driving) in whoever resumed the coroutine, so it propagates out of
-// Kernel.Run.
+// Kernel.Run. The one exception is errReleased: while Drain releases the
+// proc, the body unwinds with it and run recovers it, so the coroutine
+// ends quietly.
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
+	defer func() {
+		if p.k.releasing {
+			if r := recover(); r != nil && r != errReleased {
+				panic(r)
+			}
+		}
+	}()
 	p.body(p)
+	p.k.unlink(p)
 	p.state = ProcDone
 	if !p.nested {
 		p.k.drive(nil)
@@ -118,14 +146,18 @@ func (p *Proc) run(yield func(struct{}) bool) {
 
 // park suspends the calling proc until it is woken. A nested-woken proc
 // suspends back to its waker; a driver keeps executing events inline and,
-// if the next wake-up is its own, continues without suspending.
+// if the next wake-up is its own, continues without suspending. A yield
+// that returns false means Drain is releasing the proc: the body unwinds.
 func (p *Proc) park() {
+	p.k.checkLive()
 	p.state = ProcParked
 	if !p.nested && p.k.drive(p) {
 		p.state = ProcRunning
 		return
 	}
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(errReleased)
+	}
 }
 
 // Park blocks the proc until some other actor calls Wake. The returned
@@ -142,13 +174,16 @@ func (p *Proc) Park() uint64 {
 // last observable action (no scheduling, RNG draws or further wakes after
 // it — consecutive wakes are fine) and delivery is optimized: p resumes
 // when the callback returns, by tail handoff, or inline when the callback
-// is already executing inside p's own park as the driver.
+// is already executing inside p's own park as the driver. Wake panics
+// unless p is parked, so waking a proc that Drain released panics as
+// waking a finished one does.
 func (p *Proc) Wake(val uint64) {
+	k := p.k
+	k.checkLive()
 	if p.state != ProcParked {
 		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
 	}
 	p.WakeVal = val
-	k := p.k
 	if k.driver == p {
 		p.wokenInline = true
 		return
@@ -184,7 +219,7 @@ func (p *Proc) Sleep(d Cycles) {
 	p.park()
 }
 
-// Done reports whether the proc body has returned.
+// Done reports whether the proc body has returned or Drain released it.
 func (p *Proc) Done() bool { return p.state == ProcDone }
 
 // startProc is the ScheduleCall callback used by Go.

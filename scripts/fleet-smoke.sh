@@ -10,11 +10,14 @@
 # The merged run the coordinator writes must be byte-identical
 # (modulo wall-clock provenance, scripts/runcmp) to the serial run.
 #
-# A second fleet, at the default lease TTL, checks the clean exit: both
-# workers join before the first chunk lands, the one that runs out of
-# work first is held on its lease request, and both must exit 0 within
+# Two more fleets, at the default lease TTL, check the clean exit: both
+# workers join before the first chunk lands, and both must exit 0 within
 # 5 s of the coordinator, with the merged run again byte-identical to a
-# serial one.
+# serial one. In fig11 (-scale 3) the worker that runs out of work first
+# is held on its lease request. In quick fig12 (-scale 0.25) one
+# worker's chunk can merge just before the other's completes the run,
+# so it hears "done" only on its next lease request, which the
+# coordinator must still be there to answer.
 #
 # Used by `make fleet-smoke` and the CI fleet job.
 set -eu
@@ -82,37 +85,46 @@ grep -q 'chunk stolen' "$WORK/coord.log" || {
 echo "== merged run is byte-identical to the serial run (modulo perf provenance)"
 go run ./scripts/runcmp "$WORK/serial/fig10.json" "$WORK/fleet/fig10.json"
 
-echo "== clean exit: serial baseline of a longer job (fig11, -scale 3)"
-"$WORK/lockbench" -experiment fig11 -quick -scale 3 -workers 1 -json "$WORK/serial" > /dev/null
+# clean_exit <experiment> <scale> — a fleet at the default lease TTL
+# with two workers; both must exit 0 within 5 s of the coordinator, and
+# the merged run must be byte-identical to a serial one.
+clean_exit() {
+    EXP="$1"; SCALE="$2"
+    echo "== clean exit ($EXP, -scale $SCALE): serial baseline"
+    "$WORK/lockbench" -experiment "$EXP" -quick -scale "$SCALE" -workers 1 -json "$WORK/serial" > /dev/null
 
-echo "== clean exit: coordinator at the default lease TTL, two workers"
-"$WORK/lockbench" coordinate -addr "127.0.0.1:$PORT" -experiment fig11 \
-    -quick -scale 3 -workers 1 -expect 2 \
-    -json "$WORK/fleet" > "$WORK/coord2.out" 2> "$WORK/coord2.log" &
-COORD_PID=$!
-await_coordinator "$WORK/coord2.log"
-"$WORK/lockbench" work -join "$BASE" -name w3 2> "$WORK/w3.log" &
-W1_PID=$!
-"$WORK/lockbench" work -join "$BASE" -name w4 2> "$WORK/w4.log" &
-W2_PID=$!
-if ! wait "$COORD_PID"; then
-    echo "coordinator failed:" >&2; cat "$WORK/coord2.log" >&2; exit 1
-fi
-COORD_PID=""
+    echo "== clean exit ($EXP): coordinator at the default lease TTL, two workers"
+    "$WORK/lockbench" coordinate -addr "127.0.0.1:$PORT" -experiment "$EXP" \
+        -quick -scale "$SCALE" -workers 1 -expect 2 \
+        -json "$WORK/fleet" > "$WORK/$EXP.coord.out" 2> "$WORK/$EXP.coord.log" &
+    COORD_PID=$!
+    await_coordinator "$WORK/$EXP.coord.log"
+    "$WORK/lockbench" work -join "$BASE" -name "$EXP-a" 2> "$WORK/$EXP-a.log" &
+    W1_PID=$!
+    "$WORK/lockbench" work -join "$BASE" -name "$EXP-b" 2> "$WORK/$EXP-b.log" &
+    W2_PID=$!
+    if ! wait "$COORD_PID"; then
+        echo "coordinator failed:" >&2; cat "$WORK/$EXP.coord.log" >&2; exit 1
+    fi
+    COORD_PID=""
 
-echo "== both workers exit 0 within 5 s of the coordinator"
-( sleep 5; kill "$W1_PID" "$W2_PID" 2>/dev/null ) > /dev/null 2>&1 &
-WATCH_PID=$!
-W1_RC=0; wait "$W1_PID" || W1_RC=$?
-W2_RC=0; wait "$W2_PID" || W2_RC=$?
-W1_PID=""; W2_PID=""
-kill "$WATCH_PID" 2>/dev/null || true
-if [ "$W1_RC" != 0 ] || [ "$W2_RC" != 0 ]; then
-    echo "workers did not exit 0 within 5 s of the coordinator (w3: $W1_RC, w4: $W2_RC):" >&2
-    cat "$WORK/w3.log" "$WORK/w4.log" >&2; exit 1
-fi
+    echo "== clean exit ($EXP): both workers exit 0 within 5 s of the coordinator"
+    ( sleep 5; kill "$W1_PID" "$W2_PID" 2>/dev/null ) > /dev/null 2>&1 &
+    WATCH_PID=$!
+    W1_RC=0; wait "$W1_PID" || W1_RC=$?
+    W2_RC=0; wait "$W2_PID" || W2_RC=$?
+    W1_PID=""; W2_PID=""
+    kill "$WATCH_PID" 2>/dev/null || true
+    if [ "$W1_RC" != 0 ] || [ "$W2_RC" != 0 ]; then
+        echo "workers did not exit 0 within 5 s of the coordinator ($EXP-a: $W1_RC, $EXP-b: $W2_RC):" >&2
+        cat "$WORK/$EXP-a.log" "$WORK/$EXP-b.log" >&2; exit 1
+    fi
 
-echo "== merged run is byte-identical to the serial run (modulo perf provenance)"
-go run ./scripts/runcmp "$WORK/serial/fig11.json" "$WORK/fleet/fig11.json"
+    echo "== clean exit ($EXP): merged run is byte-identical to the serial run (modulo perf provenance)"
+    go run ./scripts/runcmp "$WORK/serial/$EXP.json" "$WORK/fleet/$EXP.json"
+}
+
+clean_exit fig11 3
+clean_exit fig12 0.25
 
 echo "fleet smoke: OK"
