@@ -133,7 +133,9 @@ scenarios:
 # The CI serve gate: build the benchmark service, drive it with curl —
 # enqueue, poll, dedupe (a second identical POST answers from the
 # content-addressed run cache without simulating), and check the slice
-# endpoint answers byte-identically to the CLI over the same stored run.
+# endpoint answers byte-identically to the CLI over the same stored run,
+# again when the repeated slice comes from the decoded run the server
+# holds.
 serve-smoke:
 	sh scripts/serve-smoke.sh
 

@@ -323,7 +323,9 @@ type Stored struct {
 // ListStored loads the metadata of every run file in a store
 // directory, sorted by key. Unlike List it reads the files, so
 // consumers (the service's run listing) get seeds, scales, axes and
-// spec hashes, not just names.
+// spec hashes, not just names. A file that vanishes between the
+// listing and its load (the service evicts runs while it serves) is
+// skipped; any other failure to load one fails the listing.
 func ListStored(dir string) ([]Stored, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -337,6 +339,9 @@ func ListStored(dir string) ([]Stored, error) {
 		}
 		path := filepath.Join(dir, name)
 		r, err := Load(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

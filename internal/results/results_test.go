@@ -487,6 +487,12 @@ func TestListStored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "scratch.json.tmp"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// So is a run file that is gone by the time it is loaded, as one
+	// evicted during the listing is: a dangling symlink lists but does
+	// not open.
+	if err := os.Symlink(filepath.Join(dir, "evicted-target.json"), filepath.Join(dir, "evicted.json")); err != nil {
+		t.Fatal(err)
+	}
 	got, err := ListStored(dir)
 	if err != nil {
 		t.Fatalf("ListStored: %v", err)
@@ -496,6 +502,13 @@ func TestListStored(t *testing.T) {
 	}
 	if got[0].Meta.Seed != 7 || !metaEqual(got[1].Meta, r1.Meta) {
 		t.Fatalf("ListStored metadata wrong: %+v", got)
+	}
+	// A run file that exists but does not decode still fails the listing.
+	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ListStored(dir); err == nil {
+		t.Fatal("ListStored listed a store holding a corrupt run")
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 
 // evictPass enforces the cache bounds (Config.CacheMaxBytes and
 // CacheMaxRuns): least-recently-used run files are removed until both
-// bounds hold. Recency is file mtime — every cache read refreshes it
-// (cachedBytes touches the file), so mtime order IS access order
-// without depending on the filesystem's atime behavior (relatime mounts
-// make atime useless for LRU). The pass runs at startup and after
-// every save; it also keeps the cache_bytes/cache_runs gauges current,
-// bounds or not.
+// bounds hold, and each removed run's held decoded copy goes with it.
+// Recency is file mtime — every request that uses a run refreshes it
+// (touch and cachedBytes), including queries answered from a held
+// copy, so mtime order IS access order without depending on the
+// filesystem's atime behavior (relatime mounts make atime useless for
+// LRU). The pass runs at startup and after every save; it also keeps
+// the cache_bytes/cache_runs gauges current, bounds or not.
 func (s *Server) evictPass() {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
@@ -57,6 +58,7 @@ func (s *Server) evictPass() {
 			s.log.Warn("eviction failed", "file", f.path, "err", err)
 			continue
 		}
+		s.held.drop(strings.TrimSuffix(filepath.Base(f.path), ".json"))
 		total -= f.size
 		runs--
 		s.metrics.evictions.Inc()

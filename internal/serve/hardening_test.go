@@ -177,14 +177,26 @@ func cacheRunFiles(t *testing.T, dir string) []string {
 }
 
 // TestEvictionMaxRuns fills a cache bounded to 2 runs with 3 distinct
-// submissions; the oldest must be evicted and the bound hold.
+// submissions; the oldest must be evicted and the bound hold. The
+// oldest is sliced before it goes, so the query endpoints hold it
+// decoded: the eviction must drop that copy too, and a later slice
+// answer 404 instead of serving it.
 func TestEvictionMaxRuns(t *testing.T) {
 	dir := t.TempDir()
-	_, hs := newServerConfig(t, serve.Config{CacheDir: dir, Pool: 1, CacheMaxRuns: 2})
+	srv, hs := newServerConfig(t, serve.Config{CacheDir: dir, Pool: 1, CacheMaxRuns: 2})
+	slice := func(key string) string { return "/v1/runs/" + key + "/slice?lock=MUTEX" }
 	var keys []string
 	for _, seed := range []string{"1", "2", "3"} {
 		key, _ := submitAndWait(t, hs, "/v1/runs?seed="+seed, testSpec)
 		keys = append(keys, key)
+		if len(keys) == 1 {
+			if code, b := get(t, hs, slice(key)); code != http.StatusOK {
+				t.Fatalf("slice of %s before its eviction: status %d, body %s", key, code, b)
+			}
+			if serve.HeldRun(srv, key) == nil {
+				t.Fatalf("slicing %s held no decoded run", key)
+			}
+		}
 	}
 	// The eviction pass runs just after the save that made the run
 	// visible, so the bound can lag a GET by a moment.
@@ -207,6 +219,17 @@ func TestEvictionMaxRuns(t *testing.T) {
 	// The newest run survived.
 	if code, _ := get(t, hs, "/v1/runs/"+keys[2]); code != http.StatusOK {
 		t.Errorf("newest run %s: status %d, want 200 (eviction must be LRU)", keys[2], code)
+	}
+	// The pass dropped the evicted run's held copy with its file (it
+	// does so just after the removal this test waited for).
+	for serve.HeldRun(srv, keys[0]) != nil && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if serve.HeldRun(srv, keys[0]) != nil {
+		t.Errorf("evicted run %s is still held", keys[0])
+	}
+	if code, b := get(t, hs, slice(keys[0])); code != http.StatusNotFound {
+		t.Errorf("slice of evicted run %s: status %d, want 404; body %s", keys[0], code, b)
 	}
 }
 

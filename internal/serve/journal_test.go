@@ -124,8 +124,8 @@ func TestJournalReplay(t *testing.T) {
 	if got := s.Simulated(); got != 1 {
 		t.Errorf("Simulated = %d, want 1 (entry B was cached, only A replays)", got)
 	}
-	if got := s.cachedBytes(keyB); !bytes.Equal(got, cachedB) {
-		t.Errorf("cached entry B changed during replay:\n got %q\nwant %q", got, cachedB)
+	if got, err := s.cachedBytes(keyB); err != nil || !bytes.Equal(got, cachedB) {
+		t.Errorf("cached entry B changed during replay (err %v):\n got %q\nwant %q", err, got, cachedB)
 	}
 
 	// Byte-identity of the replayed run against a direct simulation,

@@ -15,8 +15,8 @@ import (
 // limiter is a token bucket per client key over the POST routes: each
 // key accrues Config.RateLimit tokens per second up to a burst of
 // Config.RateBurst, and every POST spends one. GETs are never charged
-// — reads are answered from disk and are cheap; it is submissions that
-// cost a simulation.
+// — reads are answered from the stored runs and are cheap; it is
+// submissions that cost a simulation.
 type limiter struct {
 	rate  float64 // tokens per second
 	burst float64

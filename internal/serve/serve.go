@@ -6,10 +6,11 @@
 // content-addressed cache key results.Meta.CacheKey (spec hash or
 // experiment id, plus seed/scale/quick) against a run-cache directory,
 // so any run is simulated at most once and every later request is
-// answered from disk without simulating. GET endpoints expose the
-// axis-aware query layer (slice/project/diff) over the cached runs,
-// and /v1/runs/{key}/events streams sweep progress as server-sent
-// events.
+// answered from the stored run without simulating. GET endpoints
+// expose the axis-aware query layer (slice/project/diff) over the
+// cached runs, which they hold decoded in memory up to a fixed budget
+// (held.go), and /v1/runs/{key}/events streams sweep progress as
+// server-sent events.
 //
 // The CLI and the service share one options schema
 // (internal/bench/opts) and one byte encoding (results.Encode), so an
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
@@ -60,9 +62,12 @@ type Config struct {
 	// one line per request (with a monotonic request id) and per run
 	// transition (with a run id). Nil discards everything.
 	Logger *slog.Logger
-	// CacheMaxBytes bounds the run cache's total size: when the stored
-	// runs exceed it, the least-recently-used files are evicted (by
-	// mtime, refreshed on every read). 0 means unbounded.
+	// CacheMaxBytes bounds the run cache's total size on disk: when the
+	// stored runs exceed it, the least-recently-used files are evicted
+	// (by mtime, refreshed on every request that uses a run, whether it
+	// reads the file or is answered from a held decoded copy). The
+	// decoded runs the query endpoints hold in memory have a budget of
+	// their own (heldBudget). 0 means unbounded.
 	CacheMaxBytes int64
 	// CacheMaxRuns bounds how many runs the cache holds, with the same
 	// LRU eviction. 0 means unbounded.
@@ -105,6 +110,8 @@ type Server struct {
 	evictMu    sync.Mutex
 	cacheBytes atomic.Int64
 	cacheRuns  atomic.Int64
+
+	held *heldRuns
 }
 
 // New creates the cache directory and starts the worker pool.
@@ -131,6 +138,7 @@ func New(cfg Config) (*Server, error) {
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  map[string]*job{},
 		start: time.Now(),
+		held:  newHeldRuns(),
 	}
 	jrnl, pending, err := openJournal(cfg.CacheDir)
 	if err != nil {
@@ -156,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 // completed, so replay is idempotent and never re-simulates.
 func (s *Server) replay(pending []journalEntry) {
 	for _, je := range pending {
-		if s.cachedBytes(je.Key) != nil {
+		if s.touch(je.Key) {
 			s.journal.complete(je.Key)
 			continue
 		}
@@ -265,18 +273,73 @@ func (s *Server) cachePath(key string) string {
 	return filepath.Join(s.cfg.CacheDir, key+".json")
 }
 
-// cachedBytes returns the stored run bytes of a key, or nil. A hit
-// refreshes the file's mtime — the recency signal the LRU eviction
-// pass orders by — so runs still being read stay in a bounded cache.
-func (s *Server) cachedBytes(key string) []byte {
+// touch reports whether the run of a key is stored, without reading
+// it, and refreshes the file's mtime — the recency signal the LRU
+// eviction pass orders by — so runs still in use stay in a bounded
+// cache. The refresh doubles as the existence test; when it fails for
+// another reason (a cache the server may read but not write), a stat
+// decides. Only fs.ErrNotExist means the run is absent, and an absent
+// run's held copy is dropped.
+func (s *Server) touch(key string) bool {
+	path := s.cachePath(key)
+	now := time.Now()
+	err := os.Chtimes(path, now, now)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		_, err = os.Stat(path)
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		s.held.drop(key)
+		return false
+	}
+	return true
+}
+
+// cachedBytes reads the stored run bytes of a key, refreshing the
+// file's mtime like touch. An absent run is nil bytes and a nil error.
+func (s *Server) cachedBytes(key string) ([]byte, error) {
 	path := s.cachePath(key)
 	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		s.held.drop(key)
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	now := time.Now()
-	os.Chtimes(path, now, now)
-	return b
+	// Best effort: a missed refresh only makes the run look older to
+	// the eviction pass.
+	_ = os.Chtimes(path, now, now)
+	return b, nil
+}
+
+// readRun reads and decodes the stored run of a key with one read and
+// offers it to the held runs, returning the run its query should use.
+// The file stays open until heldRuns.hold has compared it with the
+// file the path names now, so its inode cannot have been freed and
+// reused by a newer file in between.
+func (s *Server) readRun(key string) (*results.Run, error) {
+	path := s.cachePath(key)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// The store replaces files by rename and never writes one in place,
+	// so the size read at open is the size of the whole run.
+	b := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, fmt.Errorf("read %s: %w", path, err)
+	}
+	run, err := results.Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("results: decode %s: %w", path, err)
+	}
+	return s.held.hold(key, path, fi, run), nil
 }
 
 // jobFor returns the in-flight (or failed) job of a key, if any.
@@ -461,7 +524,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := o.RunMeta(e).CacheKey()
 	resp := submitResponse{Key: key, Experiment: e.ID, URL: "/v1/runs/" + key}
-	if s.cachedBytes(key) != nil {
+	if s.touch(key) {
 		s.metrics.cacheHits.Inc()
 		resp.Status = statusCached
 		writeJSON(w, http.StatusOK, resp)
@@ -526,7 +589,12 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad run key", http.StatusBadRequest)
 		return
 	}
-	if b := s.cachedBytes(key); b != nil {
+	b, err := s.cachedBytes(key)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if b != nil {
 		s.metrics.runsServed.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
@@ -544,27 +612,44 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "no such run (POST /v1/runs to submit one)", http.StatusNotFound)
 }
 
-// loadCached loads a cached run for the query endpoints, writing the
-// error response itself when the run is not servable.
+// loadCached returns the stored run of a key for the query endpoints,
+// writing the error response itself when the run is not servable. A
+// held run answers without reading its file; any other is read and
+// decoded once, then held for later queries. The returned run may be
+// shared with concurrent queries, so callers must not modify it.
 func (s *Server) loadCached(w http.ResponseWriter, key string) *results.Run {
 	if !validKey(key) {
 		http.Error(w, "bad run key", http.StatusBadRequest)
 		return nil
 	}
-	if s.cachedBytes(key) == nil {
-		if j := s.jobFor(key); j != nil {
-			writeJSON(w, http.StatusAccepted, j.snapshot())
-			return nil
-		}
-		http.Error(w, "no such run (POST /v1/runs to submit one)", http.StatusNotFound)
+	if !s.touch(key) {
+		s.notStored(w, key)
 		return nil
 	}
-	run, err := results.Load(s.cachePath(key))
+	if run := s.held.get(key); run != nil {
+		return run
+	}
+	run, err := s.readRun(key)
+	if errors.Is(err, fs.ErrNotExist) {
+		// Evicted since the touch.
+		s.notStored(w, key)
+		return nil
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return nil
 	}
 	return run
+}
+
+// notStored answers a query for a key with no stored run: the
+// submission's status while it is known, else 404.
+func (s *Server) notStored(w http.ResponseWriter, key string) {
+	if j := s.jobFor(key); j != nil {
+		writeJSON(w, http.StatusAccepted, j.snapshot())
+		return
+	}
+	http.Error(w, "no such run (POST /v1/runs to submit one)", http.StatusNotFound)
 }
 
 // handleSlice answers GET /v1/runs/{key}/slice?axis=value[&axis=value]:
@@ -720,7 +805,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	j := s.jobFor(key)
 	if j == nil {
-		if s.cachedBytes(key) != nil {
+		if s.touch(key) {
 			send(Event{Key: key, Status: statusDone})
 			return
 		}

@@ -174,10 +174,24 @@ func TestExperimentsListing(t *testing.T) {
 // TestSubmitPollSliceProjectDiff walks the whole service surface over
 // one submitted spec: enqueue, poll to completion, fetch the run,
 // check the slice endpoint answers byte-identically to the query
-// layer's own encoding, project, and self-diff to equality.
+// layer's own encoding, project, and self-diff to equality. Each query
+// is sent twice: the second is answered from the held decoded run and
+// must not differ, and the held run must still encode to the stored
+// bytes afterwards, so no query modified it.
 func TestSubmitPollSliceProjectDiff(t *testing.T) {
-	_, hs := newTestServer(t)
+	srv, hs := newTestServer(t)
 	key, raw := submitAndWait(t, hs, "/v1/runs?seed=7&quick=1", testSpec)
+	// getTwice sends a query twice and returns the first answer once
+	// the second has matched it.
+	getTwice := func(path string) (int, []byte) {
+		t.Helper()
+		code, b := get(t, hs, path)
+		code2, b2 := get(t, hs, path)
+		if code2 != code || !bytes.Equal(b2, b) {
+			t.Errorf("GET %s answered %d then %d, bodies equal %t", path, code, code2, bytes.Equal(b2, b))
+		}
+		return code, b
+	}
 
 	run := decodeRun(t, raw)
 	if run.Meta.Experiment != "scenario:servetest" {
@@ -193,7 +207,7 @@ func TestSubmitPollSliceProjectDiff(t *testing.T) {
 	// Slice over HTTP must be byte-identical to slicing the stored run
 	// locally and encoding with the store's encoder — the same
 	// guarantee the CLI's -load/-slice/-json path gives.
-	code, sliced := get(t, hs, "/v1/runs/"+key+"/slice?lock=MUTEX")
+	code, sliced := getTwice("/v1/runs/" + key + "/slice?lock=MUTEX")
 	if code != http.StatusOK {
 		t.Fatalf("slice: status %d, body %s", code, sliced)
 	}
@@ -209,7 +223,7 @@ func TestSubmitPollSliceProjectDiff(t *testing.T) {
 		t.Errorf("slice over HTTP differs from local slice+encode:\nhttp: %d bytes\nlocal: %d bytes", len(sliced), len(want))
 	}
 
-	code, projected := get(t, hs, "/v1/runs/"+key+"/project?axes=lock")
+	code, projected := getTwice("/v1/runs/" + key + "/project?axes=lock")
 	if code != http.StatusOK {
 		t.Fatalf("project: status %d, body %s", code, projected)
 	}
@@ -221,7 +235,7 @@ func TestSubmitPollSliceProjectDiff(t *testing.T) {
 		t.Errorf("projected run lacks a query annotation: %+v", pr.Meta)
 	}
 
-	code, diff := get(t, hs, "/v1/diff?a="+key+"&b="+key)
+	code, diff := getTwice("/v1/diff?a=" + key + "&b=" + key)
 	if code != http.StatusOK {
 		t.Fatalf("diff: status %d, body %s", code, diff)
 	}
@@ -234,6 +248,14 @@ func TestSubmitPollSliceProjectDiff(t *testing.T) {
 	}
 	if !dr.Equal || dr.Differences != 0 {
 		t.Errorf("self-diff: equal=%t differences=%d, want equal with none", dr.Equal, dr.Differences)
+	}
+
+	held := serve.HeldRun(srv, key)
+	if held == nil {
+		t.Fatal("the queries left no held run")
+	}
+	if b, err := results.Encode(held); err != nil || !bytes.Equal(b, raw) {
+		t.Errorf("the held run no longer encodes to the stored bytes (err %v): a query modified it", err)
 	}
 }
 

@@ -211,12 +211,16 @@ func (r *Registry) Histogram(name, help, labels string, bounds []time.Duration) 
 	return h
 }
 
+// labelEscaper escapes a label value per the exposition format. It is
+// built once because Label runs for every histogram bucket of every
+// scrape; a Replacer is safe for concurrent use.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Label renders one label pair for the labels argument of Histogram,
 // escaping the value per the exposition format. Join multiple pairs
 // with commas.
 func Label(key, value string) string {
-	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(value)
-	return key + `="` + esc + `"`
+	return key + `="` + labelEscaper.Replace(value) + `"`
 }
 
 // fnum renders a float the way Prometheus clients do: integral values

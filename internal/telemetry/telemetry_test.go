@@ -118,6 +118,38 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+func TestLabelEscapes(t *testing.T) {
+	if got, want := Label("route", "a\\b\"c\nd"), `route="a\\b\"c\nd"`; got != want {
+		t.Errorf("Label = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkWritePrometheus renders a registry shaped like the service's
+// /metrics: nine per-route latency histograms over DefBuckets beside
+// a few counters and gauges.
+func BenchmarkWritePrometheus(b *testing.B) {
+	r := NewRegistry()
+	r.Counter("runs_total", "runs executed").Add(3)
+	r.Gauge("queue_depth", "submissions queued").Set(2)
+	r.GaugeFunc("ratio", "hit ratio", func() float64 { return 0.5 })
+	for _, route := range []string{
+		"GET /healthz", "GET /v1/experiments", "POST /v1/runs", "GET /v1/runs",
+		"GET /v1/runs/{key}", "GET /v1/runs/{key}/slice", "GET /v1/runs/{key}/project",
+		"GET /v1/runs/{key}/events", "GET /v1/diff",
+	} {
+		h := r.Histogram("http_request_duration_seconds", "request latency", Label("route", route), nil)
+		h.Observe(3 * time.Millisecond)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := r.WritePrometheus(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x")

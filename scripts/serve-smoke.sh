@@ -5,10 +5,11 @@
 # and drives the HTTP surface with curl: enqueue a run, poll it to
 # completion, assert a second identical POST is a cache hit (never
 # re-simulates), and check the slice endpoint answers byte-identically
-# to the CLI's -load/-slice/-json path over the same stored run. The
-# CLI and the server are THE SAME binary here on purpose: both stamp
-# runs with the same results version, which the byte-identity check
-# depends on.
+# to the CLI's -load/-slice/-json path over the same stored run, both
+# the first time, when the server reads and decodes the run, and again
+# from the decoded run it then holds. The CLI and the server are THE
+# SAME binary here on purpose: both stamp runs with the same results
+# version, which the byte-identity check depends on.
 #
 # Along the way it asserts the observability surface: /healthz reports
 # a writable cache, and /metrics (Prometheus text format) shows the
@@ -18,7 +19,8 @@
 # answer 413, a server SIGKILLed with queued submissions replays its
 # journal on restart (completed runs byte-identical to direct CLI runs,
 # modulo provenance, via scripts/runcmp), the startup eviction pass
-# enforces -cache-max-runs, and -auth-token/-rate answer 401 and 429
+# enforces -cache-max-runs (a slice of an evicted run answers 404),
+# and -auth-token/-rate answer 401 and 429
 # (with Retry-After) once the budget is spent. Without -auth-token,
 # bearer tokens are unverified and must not buy a client a fresh
 # budget: three POSTs under different tokens still draw a 429.
@@ -112,6 +114,10 @@ curl -fsS "$BASE/v1/runs/$KEY/slice?read=90" > "$WORK/http-slice.json"
 # overwrite the full baseline) — glob the single file the CLI wrote.
 "$WORK/lockbench" -load "$CACHE/$KEY.json" -slice read=90 -json "$WORK/cli-slice" > /dev/null
 cmp "$WORK/http-slice.json" "$WORK"/cli-slice/*.json
+
+echo "== the repeated slice, answered from the held decoded run, is too"
+curl -fsS "$BASE/v1/runs/$KEY/slice?read=90" > "$WORK/http-slice-held.json"
+cmp "$WORK/http-slice-held.json" "$WORK"/cli-slice/*.json
 
 echo "== project endpoint"
 curl -fsS "$BASE/v1/runs/$KEY/project?axes=lock" > "$WORK/project.json"
@@ -207,6 +213,13 @@ for i in $(seq 1 50); do
 done
 NRUNS=$(ls "$CACHE2"/*.json | wc -l)
 [ "$NRUNS" = 1 ] || { echo "cache holds $NRUNS runs after startup eviction, want 1" >&2; exit 1; }
+EVICTED=""
+for KEY in "$KEY_A" "$KEY_B" "$KEY_C"; do
+    [ -e "$CACHE2/$KEY.json" ] || EVICTED="$KEY"
+done
+[ -n "$EVICTED" ] || { echo "no replayed run was evicted" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/runs/$EVICTED/slice?read=90")
+[ "$CODE" = 404 ] || { echo "slice of evicted run $EVICTED answered $CODE, want 404" >&2; exit 1; }
 
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/runs?experiment=no-such-exp")
 [ "$CODE" = 401 ] || { echo "tokenless POST answered $CODE, want 401" >&2; exit 1; }
