@@ -20,10 +20,10 @@ benchmark-test:
 race:
 	$(GO) test -race ./...
 
-# Hot-path microbenchmarks only (kernel, coherence, futex, power) — the
-# tight loop while optimizing the simulator.
+# Hot-path microbenchmarks only (kernel, coherence, futex, power, and
+# machine's TAS herd) — the tight loop while optimizing the simulator.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex ./internal/power
+	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex ./internal/power ./internal/machine
 
 # Every benchmark in the repo, including the slow experiment sweeps
 # (single-shot: a compile-and-run smoke, not a measurement).
@@ -70,15 +70,18 @@ smoke:
 	$(GO) run ./cmd/lockbench -experiment fig13 -quick -scale 0.25 -trace cell=5 > /dev/null
 
 # The CI determinism gate: save a quick baseline of every experiment,
-# rerun, and self-diff (zero differences); merge a -shard part and a
-# -cells part of every experiment (fig13 also by name) back
-# byte-identical; then check that a sharded fig10 rerun merges back
-# byte-identical — once from two -shard parts, once from a -shard part
-# and a -cells part (-shard i/n is the cell range [i, i+1) of total n).
+# rerun, and self-diff (zero differences); compare the quick suite's
+# output with the digest that testdata/quick-suite.sha256 pins; merge
+# a -shard part and a -cells part of every experiment (fig13 also by
+# name) back byte-identical; then check that a sharded fig10 rerun
+# merges back byte-identical — once from two -shard parts, once from a
+# -shard part and a -cells part (-shard i/n is the cell range [i, i+1)
+# of total n).
 results:
 	rm -rf /tmp/lockin-results
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -json /tmp/lockin-results/baseline > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -baseline /tmp/lockin-results/baseline -diff > /dev/null
+	@want=$$(grep -v '^#' testdata/quick-suite.sha256); got=$$($(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers 4 | sed '/done in/d' | sha256sum | cut -d' ' -f1); echo "quick suite sha256 $$got (pinned $$want)"; test "$$got" = "$$want"
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -shard 0/2 -json /tmp/lockin-results/all-s0 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -cells 1-2/2 -json /tmp/lockin-results/all-s1 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -merge /tmp/lockin-results/all-s0,/tmp/lockin-results/all-s1 -baseline /tmp/lockin-results/baseline -diff > /dev/null

@@ -128,15 +128,10 @@ func NewMwaitLock(m *machine.Machine) *MwaitLock {
 // Name implements Lock.
 func (l *MwaitLock) Name() string { return "MWAIT" }
 
-// Lock implements Lock.
+// Lock implements Lock: TTAS's loop, waiting in user-level mwait on the
+// monitored line between attempts.
 func (l *MwaitLock) Lock(t *machine.Thread) {
-	for {
-		if t.CAS(l.line, 0, 1) {
-			return
-		}
-		// monitor the line, mwait until it changes, then retry.
-		t.SpinUntil(l.line, isZero, machine.WaitMwaitUser)
-	}
+	t.SpinAcquire(l.line, casOne, machine.WaitMwaitUser)
 }
 
 // Unlock implements Lock.
@@ -158,14 +153,9 @@ func NewKernelMwaitLock(m *machine.Machine) *KernelMwaitLock {
 // Name implements Lock.
 func (l *KernelMwaitLock) Name() string { return "MWAIT-K" }
 
-// Lock implements Lock.
+// Lock implements Lock: MwaitLock's loop through the kernel device.
 func (l *KernelMwaitLock) Lock(t *machine.Thread) {
-	for {
-		if t.CAS(l.line, 0, 1) {
-			return
-		}
-		t.SpinUntil(l.line, isZero, machine.WaitMwait)
-	}
+	t.SpinAcquire(l.line, casOne, machine.WaitMwait)
 }
 
 // Unlock implements Lock.

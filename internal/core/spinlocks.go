@@ -24,20 +24,22 @@ func NewTAS(m *machine.Machine) *TAS {
 // Name implements Lock.
 func (l *TAS) Name() string { return "TAS" }
 
-// Lock implements Lock.
+// Lock implements Lock: exchange 1 into the word until the old value
+// was 0, polling it with atomics in between.
 func (l *TAS) Lock(t *machine.Thread) {
-	for {
-		if t.Swap(l.line, 1) == 0 {
-			return
-		}
-		t.SpinUntil(l.line, isZero, machine.WaitGlobal)
-	}
+	t.SpinAcquire(l.line, swapOne, machine.WaitGlobal)
 }
 
 // Unlock implements Lock.
 func (l *TAS) Unlock(t *machine.Thread) { t.Store(l.line, 0) }
 
 func isZero(v uint64) bool { return v == 0 }
+
+// swapOne is TAS's attempt, an exchange that sets the word.
+func swapOne(uint64) (uint64, bool) { return 1, true }
+
+// casOne is TTAS's attempt, a compare-and-swap of 0 for 1.
+func casOne(v uint64) (uint64, bool) { return 1, v == 0 }
 
 // TTAS is test-and-test-and-set: waiters spin locally on a shared copy of
 // the line and only attempt the atomic when the lock looks free.
@@ -56,14 +58,10 @@ func NewTTAS(m *machine.Machine, pol machine.WaitPolicy) *TTAS {
 // Name implements Lock.
 func (l *TTAS) Name() string { return "TTAS" }
 
-// Lock implements Lock.
+// Lock implements Lock: compare-and-swap the word from 0 to 1, and
+// while that fails, spin locally until it reads 0.
 func (l *TTAS) Lock(t *machine.Thread) {
-	for {
-		if t.CAS(l.line, 0, 1) {
-			return
-		}
-		t.SpinUntil(l.line, isZero, l.pol)
-	}
+	t.SpinAcquire(l.line, casOne, l.pol)
 }
 
 // Unlock implements Lock.

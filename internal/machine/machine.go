@@ -62,6 +62,9 @@ type Machine struct {
 	Futex *futex.Table
 
 	instr instrStats
+	// handBacks counts the steps SpinAcquire handed back to a thread,
+	// per point (see handBack); only tests read it.
+	handBacks [numHandBacks]uint64
 }
 
 // instrStats tracks retired-instruction estimates per activity for CPI
@@ -111,7 +114,8 @@ type Thread struct {
 	m *Machine
 
 	// spin is the pooled busy-wait epoch state (see spin.go), created
-	// lazily on the first SpinUntil and reused for every epoch after.
+	// lazily on the first SpinUntil or lost SpinAcquire attempt and
+	// reused for every epoch after.
 	spin *spinState
 }
 
@@ -213,19 +217,13 @@ func (t *Thread) Store(l *coherence.Line, v uint64) {
 
 // CAS performs a compare-and-swap, returning success.
 func (t *Thread) CAS(l *coherence.Line, old, new uint64) bool {
-	_, ok, cost := l.RMW(t.Ctx(), func(v uint64) (uint64, bool) { return new, v == old })
-	t.SetActivity(power.Compute)
-	t.Run(cost)
-	t.m.note(power.Compute, cost)
+	_, ok := t.RMW(l, func(v uint64) (uint64, bool) { return new, v == old })
 	return ok
 }
 
 // Swap atomically exchanges the line value, returning the old value.
 func (t *Thread) Swap(l *coherence.Line, v uint64) uint64 {
-	old, _, cost := l.RMW(t.Ctx(), func(uint64) (uint64, bool) { return v, true })
-	t.SetActivity(power.Compute)
-	t.Run(cost)
-	t.m.note(power.Compute, cost)
+	old, _ := t.RMW(l, func(uint64) (uint64, bool) { return v, true })
 	return old
 }
 
@@ -233,19 +231,25 @@ func (t *Thread) Swap(l *coherence.Line, v uint64) uint64 {
 // value and whether to apply it. Returns the old value and whether it was
 // applied.
 func (t *Thread) RMW(l *coherence.Line, f func(uint64) (uint64, bool)) (uint64, bool) {
-	old, ok, cost := l.RMW(t.Ctx(), f)
-	t.SetActivity(power.Compute)
+	old, ok, cost := t.startRMW(l, f)
 	t.Run(cost)
 	t.m.note(power.Compute, cost)
 	return old, ok
 }
 
+// startRMW is the first half of an atomic: the coherence operation, with
+// the context charged as computing from then on. The caller runs the
+// returned cost and then notes it as Compute: RMW on the thread, and
+// SpinAcquire's attempts as callbacks (acquire.go).
+func (t *Thread) startRMW(l *coherence.Line, f func(uint64) (uint64, bool)) (uint64, bool, sim.Cycles) {
+	old, ok, cost := l.RMW(t.Ctx(), f)
+	t.SetActivity(power.Compute)
+	return old, ok, cost
+}
+
 // FetchAdd atomically adds d, returning the previous value.
 func (t *Thread) FetchAdd(l *coherence.Line, d uint64) uint64 {
-	old, _, cost := l.RMW(t.Ctx(), func(v uint64) (uint64, bool) { return v + d, true })
-	t.SetActivity(power.Compute)
-	t.Run(cost)
-	t.m.note(power.Compute, cost)
+	old, _ := t.RMW(l, func(v uint64) (uint64, bool) { return v + d, true })
 	return old
 }
 

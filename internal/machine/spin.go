@@ -107,6 +107,19 @@ type spinState struct {
 	settled bool
 	val     uint64
 	w       coherence.Watcher
+
+	// The epoch between arm and settle.
+	act     power.Activity
+	start   sim.Cycles
+	pollers int // the line's pollers right after Watch
+	timer   sim.Event
+
+	// fused is set while the epoch belongs to a SpinAcquire whose
+	// retries run as callbacks (acquire.go): its end runs acq.fired
+	// instead of waking the thread. acq lives here so that a thread's
+	// spin state is one allocation, made once.
+	fused bool
+	acq   acquireState
 }
 
 // spinEpoch returns the thread's reusable spin state, creating it (and
@@ -114,17 +127,73 @@ type spinState struct {
 func (t *Thread) spinEpoch() *spinState {
 	if t.spin == nil {
 		st := &spinState{t: t}
+		st.acq.t, st.acq.st = t, st
 		st.w.Fire = func(v uint64) {
 			if st.settled {
 				return
 			}
 			st.settled = true
 			st.val = v
+			if st.fused {
+				st.acq.fired()
+				return
+			}
 			st.t.Proc().Wake(wakePred)
 		}
 		t.spin = st
 	}
 	return t.spin
+}
+
+// arm starts a busy-wait epoch on l: it charges the context at pol's
+// activity, registers the watcher for pred, and arms a timer for the
+// shorter of the slice expiry (when a peer waits for a context) and left
+// cycles of spin budget (0 = no budget).
+func (st *spinState) arm(l *coherence.Line, pred func(uint64) bool, pol WaitPolicy, left sim.Cycles) {
+	t := st.t
+	st.act = pol.Activity()
+	t.SetActivity(st.act)
+	st.line = l
+	st.settled = false
+	st.w.Ctx = t.Ctx()
+	st.w.Kind = pol.watchKind()
+	st.w.Pred = pred
+	st.start = t.Proc().Now()
+	// Arm the shorter of the slice-expiry and budget timers.
+	reason := uint64(0)
+	armed := sim.Cycles(0)
+	if t.m.Sched.Oversubscribed() {
+		armed = t.SliceLeft()
+		reason = wakeSlice
+	}
+	if left > 0 && (armed == 0 || left < armed) {
+		armed = left
+		reason = wakeLimit
+	}
+	st.timer = sim.Event{}
+	if armed > 0 {
+		st.timer = t.m.K.ScheduleCall(armed, spinTimerCall, st, reason, 0)
+	}
+	l.Watch(&st.w)
+	st.pollers = l.Pollers()
+}
+
+// settle ends the epoch that arm started: it charges the cycles spun to
+// the thread's slice and to the CPI counters, cancels the timer, and
+// returns those cycles.
+func (st *spinState) settle() sim.Cycles {
+	t := st.t
+	waited := t.Proc().Now() - st.start
+	t.ChargeSlice(waited)
+	// The poller population varies over the epoch; its peak (seen at
+	// registration or at wake) prices the contention for CPI.
+	peak := st.pollers
+	if p := st.line.Pollers() + 1; p > peak {
+		peak = p
+	}
+	t.m.noteSpin(st.act, waited, peak)
+	t.m.K.Cancel(st.timer)
+	return waited
 }
 
 // spinTimerCall ends a spin epoch for a non-predicate reason (timeslice
@@ -160,54 +229,21 @@ func (t *Thread) SpinUntil(l *coherence.Line, pred func(uint64) bool, pol WaitPo
 // its deferred calls, and those must run no simulation code.
 func (t *Thread) SpinUntilLimit(l *coherence.Line, pred func(uint64) bool, pol WaitPolicy, limit sim.Cycles) (uint64, bool) {
 	spent := sim.Cycles(0)
-	act := pol.Activity()
 	t.spinEnter(pol)
 	st := t.spinEpoch()
 	for {
-		if limit > 0 && spent >= limit {
-			v := l.Val()
-			t.spinExit(pol)
-			return v, false
-		}
-		t.SetActivity(act)
-		st.line = l
-		st.settled = false
-		st.w.Ctx = t.Ctx()
-		st.w.Kind = pol.watchKind()
-		st.w.Pred = pred
-		start := t.Proc().Now()
-		// Arm the shorter of the slice-expiry and budget timers.
-		var timer sim.Event
-		reason := uint64(0)
-		armed := sim.Cycles(0)
-		if t.m.Sched.Oversubscribed() {
-			armed = t.SliceLeft()
-			reason = wakeSlice
-		}
+		left := sim.Cycles(0)
 		if limit > 0 {
-			rem := limit - spent
-			if armed == 0 || rem < armed {
-				armed = rem
-				reason = wakeLimit
+			if spent >= limit {
+				v := l.Val()
+				t.spinExit(pol)
+				return v, false
 			}
+			left = limit - spent
 		}
-		if armed > 0 {
-			timer = t.m.K.ScheduleCall(armed, spinTimerCall, st, reason, 0)
-		}
-		l.Watch(&st.w)
-		pollersAtWatch := l.Pollers()
+		st.arm(l, pred, pol, left)
 		got := t.Proc().Park()
-		waited := t.Proc().Now() - start
-		spent += waited
-		t.ChargeSlice(waited)
-		// The poller population varies over the epoch; its peak (seen at
-		// registration or at wake) prices the contention for CPI.
-		peak := pollersAtWatch
-		if p := l.Pollers() + 1; p > peak {
-			peak = p
-		}
-		t.m.noteSpin(act, waited, peak)
-		t.m.K.Cancel(timer)
+		spent += st.settle()
 		switch got {
 		case wakePred:
 			v := st.val
@@ -253,9 +289,24 @@ func (t *Thread) SpinFor(d sim.Cycles, pol WaitPolicy) {
 	t.spinExit(pol)
 }
 
+// transitionFree reports whether waiting under p costs nothing to enter
+// or leave: spinEnter and spinExit skip these policies, and SpinAcquire
+// runs only these as callbacks. A new policy stays off the list, and so
+// runs on its thread, until it is known to cost nothing.
+func (p WaitPolicy) transitionFree() bool {
+	switch p {
+	case WaitLocal, WaitPause, WaitMbar, WaitGlobal:
+		return true
+	}
+	return false
+}
+
 // spinEnter pays the cost of entering pol's waiting state: arming the
 // monitor, or switching the context to VF-min.
 func (t *Thread) spinEnter(pol WaitPolicy) {
+	if pol.transitionFree() {
+		return
+	}
 	if pol == WaitMwait {
 		// Arm the monitor through the kernel device.
 		t.Compute(t.m.cfg.MwaitEnter)
@@ -272,6 +323,9 @@ func (t *Thread) spinEnter(pol WaitPolicy) {
 // spinExit pays the cost of leaving pol's waiting state, undoing
 // spinEnter.
 func (t *Thread) spinExit(pol WaitPolicy) {
+	if pol.transitionFree() {
+		return
+	}
 	if pol == WaitDVFS {
 		t.SetVF(power.VFMax)
 		t.Compute(t.m.cfg.DVFSSwitch)

@@ -354,22 +354,45 @@ func (t *Thread) mustBeRunning(op string) {
 func (t *Thread) Run(cost sim.Cycles) {
 	t.mustBeRunning("Run")
 	for cost > 0 {
-		if t.sliceLeft == 0 {
-			if t.s.Oversubscribed() {
-				t.Preempt()
-			}
-			t.sliceLeft = t.s.cfg.Timeslice
+		chunk, wait, ok := t.Step(cost)
+		if !ok {
+			t.Preempt()
+			continue
 		}
-		chunk := cost
-		if chunk > t.sliceLeft {
-			chunk = t.sliceLeft
-		}
-		slow := t.s.meter.EffectiveSlowdown(t.ctx)
-		t.p.Sleep(sim.Cycles(float64(chunk) * slow))
-		t.RunCycles += chunk
+		t.p.Sleep(wait)
+		t.Ran(chunk)
 		cost -= chunk
-		t.sliceLeft -= chunk
 	}
+}
+
+// Step begins the next chunk of a Run with cost > 0 cycles left. It
+// refreshes a spent slice and returns the part of cost that the slice
+// covers, and how long that chunk takes at the context's current
+// slowdown. The caller waits that long, then reports the chunk to Ran.
+// Step is Run's loop body, so code that waits out a chunk as an event
+// callback instead of sleeping the thread runs the same steps (see
+// machine.SpinAcquire). When the slice is spent while a peer waits for a
+// context, Step changes nothing and returns ok false: the thread must
+// Preempt itself first, which only its own code can do.
+func (t *Thread) Step(cost sim.Cycles) (chunk, wait sim.Cycles, ok bool) {
+	if t.sliceLeft == 0 {
+		if t.s.Oversubscribed() {
+			return 0, 0, false
+		}
+		t.sliceLeft = t.s.cfg.Timeslice
+	}
+	chunk = cost
+	if chunk > t.sliceLeft {
+		chunk = t.sliceLeft
+	}
+	slow := t.s.meter.EffectiveSlowdown(t.ctx)
+	return chunk, sim.Cycles(float64(chunk) * slow), true
+}
+
+// Ran accounts a chunk that Step began, once its wait is over.
+func (t *Thread) Ran(chunk sim.Cycles) {
+	t.RunCycles += chunk
+	t.sliceLeft -= chunk
 }
 
 // SliceLeft returns the remaining quantum of the running thread.

@@ -1,6 +1,20 @@
 package serve
 
-import "lockin/internal/results"
+import (
+	"lockin/internal/bench/opts"
+	"lockin/internal/experiments"
+	"lockin/internal/results"
+)
+
+// AddFailedJob puts a job for key into the server's table as a run
+// whose simulation failed with msg, as runJob leaves it.
+func AddFailedJob(s *Server, key, msg string) {
+	j := newJob(key, experiments.Experiment{ID: "failed"}, opts.Defaults())
+	j.fail(msg)
+	s.mu.Lock()
+	s.jobs[key] = j
+	s.mu.Unlock()
+}
 
 // HeldRun returns the decoded run the query endpoints hold for key, or
 // nil, without marking it queried.

@@ -600,16 +600,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		w.Write(b)
 		return
 	}
-	if j := s.jobFor(key); j != nil {
-		ev := j.snapshot()
-		code := http.StatusAccepted
-		if ev.Status == statusFailed {
-			code = http.StatusInternalServerError
-		}
-		writeJSON(w, code, ev)
-		return
-	}
-	http.Error(w, "no such run (POST /v1/runs to submit one)", http.StatusNotFound)
+	s.notStored(w, key)
 }
 
 // loadCached returns the stored run of a key for the query endpoints,
@@ -642,11 +633,18 @@ func (s *Server) loadCached(w http.ResponseWriter, key string) *results.Run {
 	return run
 }
 
-// notStored answers a query for a key with no stored run: the
-// submission's status while it is known, else 404.
+// notStored answers a GET or a query for a key with no stored run:
+// the submission's status, 202 while it is in flight and 500 once it
+// failed (failed jobs stay in the table), else 404. So a client that
+// polls until the answer is no longer 202 stops on a failed run too.
 func (s *Server) notStored(w http.ResponseWriter, key string) {
 	if j := s.jobFor(key); j != nil {
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		ev := j.snapshot()
+		code := http.StatusAccepted
+		if ev.Status == statusFailed {
+			code = http.StatusInternalServerError
+		}
+		writeJSON(w, code, ev)
 		return
 	}
 	http.Error(w, "no such run (POST /v1/runs to submit one)", http.StatusNotFound)

@@ -451,6 +451,35 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestFailedRunAnswers500 pins the answer for a run whose simulation
+// failed: GET and every query answer 500 with the failed status, as a
+// client polling until the answer stops being 202 expects. A failed job
+// stays in the server's table, so before the fix the queries answered
+// 202 forever.
+func TestFailedRunAnswers500(t *testing.T) {
+	srv, hs := newTestServer(t)
+	key, _ := submitAndWait(t, hs, "/v1/runs?quick=1", testSpec)
+	const failed = "failed-run"
+	serve.AddFailedJob(srv, failed, "simulation panicked: boom")
+	for _, path := range []string{
+		"/v1/runs/" + failed,
+		"/v1/runs/" + failed + "/slice?lock=MUTEX",
+		"/v1/runs/" + failed + "/project?axes=lock",
+		"/v1/diff?a=" + failed + "&b=" + key,
+		"/v1/diff?a=" + key + "&b=" + failed,
+	} {
+		code, b := get(t, hs, path)
+		var ev serve.Event
+		if err := json.Unmarshal(b, &ev); err != nil {
+			t.Errorf("GET %s: %d %s: not an event: %v", path, code, b, err)
+			continue
+		}
+		if code != http.StatusInternalServerError || ev.Status != "failed" || !strings.Contains(ev.Error, "boom") {
+			t.Errorf("GET %s: %d %+v, want 500 with the failed status", path, code, ev)
+		}
+	}
+}
+
 // TestSubmitByExperimentID runs a registered experiment end to end
 // through the service, by id rather than by spec body.
 func TestSubmitByExperimentID(t *testing.T) {
