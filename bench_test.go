@@ -1,7 +1,6 @@
 package lockin
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"lockin/internal/core"
@@ -87,47 +86,6 @@ func BenchmarkSimLock(b *testing.B) {
 			}
 			b.ReportMetric(thr, "sim-acq/s")
 			b.ReportMetric(tpp, "sim-acq/J")
-		})
-	}
-}
-
-// BenchmarkNativeUncontended measures the native Go locks' uncontended
-// round-trip on the host hardware.
-func BenchmarkNativeUncontended(b *testing.B) {
-	for _, k := range Kinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			l := NewNativeLock(k)
-			var sink atomic.Uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.Lock()
-				sink.Add(1)
-				l.Unlock()
-			}
-		})
-	}
-}
-
-// BenchmarkNativeContended measures the native locks under all-core
-// contention on the host (the real-hardware analogue of Figure 11's
-// throughput axis; energy requires the simulator).
-func BenchmarkNativeContended(b *testing.B) {
-	for _, k := range Kinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			l := NewNativeLock(k)
-			var counter uint64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					l.Lock()
-					counter++
-					l.Unlock()
-				}
-			})
-			if counter == 0 {
-				b.Fatal("no progress")
-			}
 		})
 	}
 }

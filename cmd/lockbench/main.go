@@ -352,9 +352,9 @@ func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress b
 		os.Exit(1)
 	}
 	printTables(run.Tables)
-	// The cells/sec rate tracks the simulator's raw speed (BENCH_7.json
-	// records its trajectory). CI output gates strip "done in" lines, so
-	// the wall-clock-dependent rate never breaks byte-identity checks.
+	// The cells/sec rate tracks the simulator's raw speed. CI output
+	// gates strip "done in" lines, so the wall-clock-dependent rate never
+	// breaks byte-identity checks.
 	elapsed := time.Since(start)
 	cells := int(stats.Cells())
 	// Provenance rides in Meta.Perf when the run is stored: excluded

@@ -2,9 +2,9 @@
 // consumer: one Options struct with one set of defaults, bindable onto
 // a CLI flag set (FromFlags) and onto an HTTP URL query (ApplyQuery),
 // with one validation pass (NormalizeAndValidate) behind both. The CLI
-// binaries (lockbench, powerprof, mutexeetune) and the benchmark
-// service (internal/serve) all assemble their runs through this
-// package, so "-scale 4" on a command line and "?scale=4" in a request
+// (lockbench) and the benchmark service (internal/serve) both assemble
+// their runs through this package, so "-scale 4" on a command line and
+// "?scale=4" in a request
 // are the same option by construction, and a knob added here shows up
 // everywhere with identical parsing, defaults and error messages.
 //
@@ -28,8 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"math"
 	"net/url"
 	"sort"
@@ -81,10 +79,10 @@ type Options struct {
 	// serving process, not a property of the run.
 	CPUProfile string
 	MemProfile string
-	// LogLevel/LogJSON shape the binary's structured logger (-log-level,
-	// -log-json; see Logger). CLI-only, like -cells: logging is a
-	// property of the running process, never of a run, so the service
-	// accepts neither from a URL query.
+	// LogLevel/LogJSON are the structured-log settings (-log-level,
+	// -log-json; see telemetry.NewLogger). CLI-only, like -cells:
+	// logging is a property of the running process, never of a run, so
+	// the service accepts neither from a URL query.
 	LogLevel string
 	LogJSON  bool
 }
@@ -105,11 +103,11 @@ type Flags struct {
 	tolCols *string
 }
 
-// FromRunFlags binds the execution core — -seed, -scale, -quick,
-// -workers — onto fs with the canonical names, defaults and help
-// strings. It is the subset every binary shares; lockbench binds the
-// full surface with FromFlags.
-func FromRunFlags(fs *flag.FlagSet) *Flags {
+// FromFlags binds the shared option surface — seed, scale, quick,
+// workers, profiles and logging, plus cell ranges (-shard, -cells),
+// axis queries and diff tolerances — onto fs with the canonical names,
+// defaults and help strings.
+func FromFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{opts: Defaults()}
 	fs.Int64Var(&f.opts.Seed, "seed", f.opts.Seed, "simulation RNG seed")
 	fs.Float64Var(&f.opts.Scale, "scale", f.opts.Scale, "measurement-window multiplier")
@@ -119,14 +117,6 @@ func FromRunFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.opts.MemProfile, "memprofile", "", "write a heap pprof profile at exit to this file")
 	fs.StringVar(&f.opts.LogLevel, "log-level", f.opts.LogLevel, "structured-log level: debug, info, warn or error")
 	fs.BoolVar(&f.opts.LogJSON, "log-json", false, "emit structured logs as JSON instead of logfmt-style text")
-	return f
-}
-
-// FromFlags binds the full shared option surface — the execution core
-// plus cell ranges (-shard, -cells), axis queries and diff tolerances
-// — onto fs.
-func FromFlags(fs *flag.FlagSet) *Flags {
-	f := FromRunFlags(fs)
 	f.shard = fs.String("shard", "", "run one shard of each grid, format i/n (e.g. 0/2)")
 	f.cells = fs.String("cells", "", "run one contiguous cell range of each grid, format lo-hi/total (e.g. 3-7/12; -shard i/n equals i-(i+1)/n)")
 	f.slice = fs.String("slice", "", "fix axes of a multi-axis run, comma-separated axis=value (e.g. 'read=90'); keeps only that plane's rows")
@@ -142,12 +132,10 @@ func FromFlags(fs *flag.FlagSet) *Flags {
 func (f *Flags) Options() (Options, error) {
 	o := f.opts
 	var err error
-	if f.cells != nil {
-		if o.RangeLo, o.RangeHi, o.RangeTotal, err = ParseCells(*f.cells); err != nil {
-			return o, err
-		}
+	if o.RangeLo, o.RangeHi, o.RangeTotal, err = ParseCells(*f.cells); err != nil {
+		return o, err
 	}
-	if f.shard != nil && *f.shard != "" {
+	if *f.shard != "" {
 		if o.RangeTotal > 0 {
 			return o, errors.New("-shard and -cells are two spellings of the same split; give one")
 		}
@@ -158,20 +146,14 @@ func (f *Flags) Options() (Options, error) {
 		}
 		o.RangeLo, o.RangeHi, o.RangeTotal = i, i+1, n
 	}
-	if f.slice != nil {
-		if o.Slice, err = ParseSlice(*f.slice); err != nil {
-			return o, err
-		}
+	if o.Slice, err = ParseSlice(*f.slice); err != nil {
+		return o, err
 	}
-	if f.project != nil {
-		if o.Project, err = ParseProject(*f.project); err != nil {
-			return o, err
-		}
+	if o.Project, err = ParseProject(*f.project); err != nil {
+		return o, err
 	}
-	if f.tolCols != nil {
-		if o.TolCols, err = ParseTolCols(*f.tolCols); err != nil {
-			return o, err
-		}
+	if o.TolCols, err = ParseTolCols(*f.tolCols); err != nil {
+		return o, err
 	}
 	if err := o.NormalizeAndValidate(); err != nil {
 		return o, err
@@ -454,16 +436,6 @@ func ParseCells(s string) (lo, hi, total int, err error) {
 	return lo, hi, total, nil
 }
 
-// Logger builds the structured logger these options ask for, writing
-// to w — the one construction every binary shares, so -log-level and
-// -log-json behave identically across lockbench, powerprof,
-// mutexeetune and the service. The level was validated by
-// NormalizeAndValidate, so construction cannot fail after a clean
-// options assembly.
-func (o Options) Logger(w io.Writer) (*slog.Logger, error) {
-	return telemetry.NewLogger(w, o.LogLevel, o.LogJSON)
-}
-
 // Tolerance assembles the diff tolerance of baseline comparisons.
 func (o Options) Tolerance() results.Tolerance {
 	return results.Tolerance{Default: o.Tol, Columns: o.TolCols}
@@ -478,19 +450,6 @@ func (o Options) ExperimentOptions() experiments.Options {
 	}
 }
 
-// Meta assembles the results metadata of a run produced under these
-// options by a non-registry producer (powerprof, mutexeetune).
-func (o Options) Meta(experiment string) results.Meta {
-	m := results.Meta{
-		Experiment: experiment, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
-		Workers: o.Workers, Version: results.Version(),
-	}
-	if o.Partial() {
-		m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
-	}
-	return m
-}
-
 // Partial reports whether these options run a strict subset of each
 // grid — a cell range that does not cover [0,total) — so the output is
 // a partial run that must be merged (results.Merge) before it can be
@@ -503,8 +462,13 @@ func (o Options) Partial() bool { return o.ExperimentOptions().Partial() }
 // service, so a stored run's bytes are identical no matter which
 // front-end produced it.
 func (o Options) RunMeta(e experiments.Experiment) results.Meta {
-	m := o.Meta(e.ID)
-	m.SpecHash = e.SpecHash
+	m := results.Meta{
+		Experiment: e.ID, Seed: o.Seed, Scale: o.Scale, Quick: o.Quick,
+		Workers: o.Workers, Version: results.Version(), SpecHash: e.SpecHash,
+	}
+	if o.Partial() {
+		m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
+	}
 	if e.Axes != nil {
 		m.Axes = e.Axes(o.ExperimentOptions())
 	}

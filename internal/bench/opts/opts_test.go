@@ -192,35 +192,6 @@ func TestFromFlagsBadComposite(t *testing.T) {
 	}
 }
 
-// TestFromRunFlagsSubset checks the tool binaries' surface: only the
-// execution core is registered.
-func TestFromRunFlagsSubset(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := opts.FromRunFlags(fs)
-	for _, name := range []string{"seed", "scale", "quick", "workers"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("FromRunFlags: flag -%s not registered", name)
-		}
-	}
-	for _, name := range []string{"shard", "slice", "project", "tol", "tol-cols"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("FromRunFlags: flag -%s must stay lockbench-only", name)
-		}
-	}
-	if err := fs.Parse([]string{"-seed", "9", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	o, err := f.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := opts.Defaults()
-	want.Seed, want.Workers = 9, 2
-	if !reflect.DeepEqual(o, want) {
-		t.Errorf("Options() = %+v, want %+v", o, want)
-	}
-}
-
 func TestApplyQuery(t *testing.T) {
 	q := url.Values{
 		"seed": {"7"}, "scale": {"0.5"}, "quick": {"1"}, "workers": {"2"},

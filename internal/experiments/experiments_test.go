@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"tbl2", "tbl_sleep", "tbl_timeout", "ablation",
+		"tbl2", "tbl_sleep", "tbl_timeout", "ablation", "tbl_tune",
 	}
 	for _, id := range want {
 		e, err := Find(id)
@@ -323,6 +324,44 @@ func TestAblationSpin500BehavesLikeMutex(t *testing.T) {
 	if s500 > mutex*2.5 && def > s500*1.1 {
 		// loose: spin=500 should be much closer to MUTEX than default is
 		t.Logf("spin500=%.0f mutex=%.0f default=%.0f", s500, mutex, def)
+	}
+}
+
+// TestTuneFollowsFromProbes checks tbl_tune at the default seed and at
+// the held-out seed 7: the three probes measure positive latencies, and
+// the recommended budgets follow from them by the §5.1 rules — SpinLock
+// is the wake turnaround rounded up to 1000 cycles, SpinUnlock the
+// coherence latency rounded up to 128, and the mutex-mode budgets are
+// SpinLock/32 and SpinUnlock/3.
+func TestTuneFollowsFromProbes(t *testing.T) {
+	e, _ := Find("tbl_tune")
+	for _, seed := range []int64{42, 7} {
+		o := quickOpts()
+		o.Seed = seed
+		rows := e.Run(o)[0].Rows()
+		if len(rows) != 7 {
+			t.Fatalf("seed %d: %d rows, want 7", seed, len(rows))
+		}
+		get := func(name string) float64 {
+			return cell(t, rows, func(r []string) bool { return r[0] == name }, 1)
+		}
+		for _, name := range []string{"futex sleep call latency", "futex wake turnaround", "max coherence latency"} {
+			if v := get(name); v <= 0 {
+				t.Errorf("seed %d: %s = %v, want > 0", seed, name, v)
+			}
+		}
+		spinLock := math.Ceil(get("futex wake turnaround")/1000) * 1000
+		spinUnlock := math.Ceil(get("max coherence latency")/128) * 128
+		for name, want := range map[string]float64{
+			"SpinLock":    spinLock,
+			"SpinUnlock":  spinUnlock,
+			"MutexLock":   math.Floor(spinLock / 32),
+			"MutexUnlock": math.Floor(spinUnlock / 3),
+		} {
+			if got := get(name); got != want {
+				t.Errorf("seed %d: %s = %v, want %v", seed, name, got, want)
+			}
+		}
 	}
 }
 

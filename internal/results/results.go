@@ -36,8 +36,8 @@ import (
 // scale, quick flag and code version reproduce the same tables for any
 // worker count or cell-range split.
 type Meta struct {
-	// Experiment is the registry id ("fig11", "tbl2", ...) or a tool
-	// name for non-experiment producers ("mutexeetune", "powerprof").
+	// Experiment is the experiment id ("fig11", "tbl2",
+	// "scenario:kyoto", ...).
 	Experiment string  `json:"experiment"`
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`

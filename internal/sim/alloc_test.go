@@ -44,28 +44,32 @@ func TestCancelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProcSleepSteadyStateZeroAlloc: a parked/woken proc pair in steady
-// state — typed wake events plus the token handoff — allocates nothing
-// per sleep.
+// TestProcSleepSteadyStateZeroAlloc: sleeping procs in steady state —
+// typed wake events plus the token handoff — allocate nothing per
+// sleep. Two sleepers in phase hand control over at every park; one
+// sleeping alone gets it back without a switch (the self-wake path of
+// BenchmarkProcParkWake).
 func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
-	k := NewKernel(1)
-	for i := 0; i < 2; i++ {
-		k.Go(i, "sleeper", 0, func(p *Proc) {
-			for {
-				p.Sleep(10)
-			}
-		})
-	}
-	until := Cycles(0)
-	step := func() {
-		until += 100
-		k.Run(until)
-	}
-	for i := 0; i < 64; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("park/wake allocates %.1f per 100 cycles, want 0", n)
+	for _, sleepers := range []int{2, 1} {
+		k := NewKernel(1)
+		for i := 0; i < sleepers; i++ {
+			k.Go(i, "sleeper", 0, func(p *Proc) {
+				for {
+					p.Sleep(10)
+				}
+			})
+		}
+		until := Cycles(0)
+		step := func() {
+			until += 100
+			k.Run(until)
+		}
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(200, step); n != 0 {
+			t.Errorf("%d sleepers: park/wake allocates %.1f per 100 cycles, want 0", sleepers, n)
+		}
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 
 // IdlePower measures the power breakdown of a machine running nothing
 // at all for dur cycles — the zero-active-threads baseline of the
-// Figure 2 power charts. It exists so every consumer (the fig2
-// experiment, cmd/powerprof) shares one definition of "idle" instead of
-// hand-rolling the meter bookkeeping.
+// Figure 2 power charts.
 func IdlePower(mc machine.Config, dur sim.Cycles) power.Breakdown {
 	m := machine.New(mc)
 	e0 := m.Meter.Energy()

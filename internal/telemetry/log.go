@@ -23,7 +23,7 @@ func ParseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("bad log level %q: want debug, info, warn or error", s)
 }
 
-// NewLogger builds the structured logger every binary and the service
+// NewLogger builds the structured logger the service and the fleet
 // share: slog onto w at the given level, in logfmt-style text by
 // default or JSON when jsonFormat is set. The level string follows
 // ParseLevel; a bad level is the caller's flag error.

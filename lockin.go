@@ -4,7 +4,7 @@
 // efficiency go hand in hand in locks), and MUTEXEE, an optimized
 // futex-based mutex.
 //
-// The package offers three entry points:
+// The package offers two entry points:
 //
 //   - A deterministic simulated two-socket Xeon (NewMachine) on which the
 //     paper's lock algorithms (NewLock, Kinds) run with calibrated
@@ -12,10 +12,8 @@
 //     energy counters, which portable Go cannot read from real hardware.
 //   - The microbenchmark of the paper's evaluation (RunMicro) and one
 //     runner per paper table/figure (Experiments, RunExperiment),
-//     including the §6 systems of Figures 13-15.
-//   - Native Go locks (package internal/golocks re-exported via
-//     NewNativeLock) for real-hardware benchmarks with the testing
-//     package's testing.B.
+//     including the §5.1 tuning probes (tbl_tune) and the §6 systems of
+//     Figures 13-15.
 //
 // Experiment grids (lock kind × thread count × critical-section length)
 // run through the parallel sweep engine (internal/sweep, re-exported as
@@ -29,7 +27,6 @@ package lockin
 import (
 	"lockin/internal/core"
 	"lockin/internal/experiments"
-	"lockin/internal/golocks"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/sweep"
@@ -154,26 +151,4 @@ func RunExperimentWith(id string, o ExperimentOptions) ([]*metrics.Table, error)
 		return nil, err
 	}
 	return e.Run(o), nil
-}
-
-// NativeLocker is a lock runnable on the host machine with real atomics.
-type NativeLocker = golocks.Locker
-
-// NewNativeLock returns the native Go implementation of the given
-// algorithm (CLH maps to MCS, its closest native sibling).
-func NewNativeLock(k Kind) NativeLocker {
-	switch k {
-	case TAS:
-		return &golocks.TAS{}
-	case TTAS:
-		return &golocks.TTAS{}
-	case TICKET:
-		return &golocks.Ticket{}
-	case MCS, CLH:
-		return &golocks.MCS{}
-	case MUTEXEE:
-		return golocks.NewMutexee()
-	default:
-		return &golocks.Mutex{}
-	}
 }

@@ -46,12 +46,7 @@ func TestFacadeDesktopMachine(t *testing.T) {
 	}
 }
 
-func TestFacadeNativeLocks(t *testing.T) {
-	for _, k := range Kinds() {
-		l := NewNativeLock(k)
-		l.Lock()
-		l.Unlock()
-	}
+func TestFacadeMutexeeConstructor(t *testing.T) {
 	o := DefaultMutexeeOptions()
 	m := NewMachine(2)
 	if NewMutexee(m, o).Name() != "MUTEXEE" {
