@@ -21,10 +21,11 @@ benchmark-test:
 race:
 	$(GO) test -race ./...
 
-# Hot-path microbenchmarks only (kernel, coherence, futex, power, and
-# machine's TAS herd) — the tight loop while optimizing the simulator.
+# Hot-path microbenchmarks only (kernel, coherence, futex, power,
+# machine's TAS herd and core's MUTEX herd) — the tight loop while
+# optimizing the simulator.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex ./internal/power ./internal/machine
+	$(GO) test -run='^$$' -bench=. -benchtime=0.5s ./internal/sim ./internal/coherence ./internal/futex ./internal/power ./internal/machine ./internal/core
 
 # Every benchmark in the repo, including the slow experiment sweeps
 # (single-shot: a compile-and-run smoke, not a measurement).

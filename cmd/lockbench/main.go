@@ -479,7 +479,10 @@ func loadBaseline(arg, experiment string) (*results.Run, error) {
 }
 
 // diffBaseline compares a (possibly sliced/projected) run against its
-// baseline and reports whether differences survived the tolerance.
+// baseline and reports whether differences survived the tolerance. A
+// baseline that is missing or cannot be compared prints its error and
+// counts as a difference, so that a run of several experiments still
+// compares every other one and -diff fails at the end.
 // Under an active query — or when either run was STORED queried
 // (Meta.Query records a slice/projection applied before saving) — the
 // comparison is plane-wise (results.ComparePlanes): axis metadata
@@ -491,7 +494,7 @@ func diffBaseline(run *results.Run, id, baselineArg string, q opts.Query, o opts
 	base, err := loadBaseline(baselineArg, id)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return true
 	}
 	var rep *results.Report
 	if q.Active() || run.Meta.Query != "" || base.Meta.Query != "" {
@@ -504,7 +507,7 @@ func diffBaseline(run *results.Run, id, baselineArg string, q opts.Query, o opts
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return true
 	}
 	fmt.Printf("### %s vs baseline %s (tol %g): %s\n", id, baselineArg, o.Tol, strings.TrimRight(rep.String(), "\n"))
 	return !rep.Empty()

@@ -36,7 +36,6 @@ import (
 
 	"lockin/internal/experiments"
 	"lockin/internal/results"
-	"lockin/internal/telemetry"
 )
 
 // Options is every knob shared between the CLI binaries and the HTTP
@@ -79,17 +78,11 @@ type Options struct {
 	// serving process, not a property of the run.
 	CPUProfile string
 	MemProfile string
-	// LogLevel/LogJSON are the structured-log settings (-log-level,
-	// -log-json; see telemetry.NewLogger). CLI-only, like -cells:
-	// logging is a property of the running process, never of a run, so
-	// the service accepts neither from a URL query.
-	LogLevel string
-	LogJSON  bool
 }
 
 // Defaults returns the option values every consumer starts from: the
 // fixed default seed, unit scale, full grids, one worker per CPU.
-func Defaults() Options { return Options{Seed: 42, Scale: 1.0, LogLevel: "info"} }
+func Defaults() Options { return Options{Seed: 42, Scale: 1.0} }
 
 // Flags holds options bound onto a flag set but not yet finalized:
 // scalar fields bind directly, composite flags (-shard, -slice,
@@ -104,7 +97,7 @@ type Flags struct {
 }
 
 // FromFlags binds the shared option surface — seed, scale, quick,
-// workers, profiles and logging, plus cell ranges (-shard, -cells),
+// workers and profiles, plus cell ranges (-shard, -cells),
 // axis queries and diff tolerances — onto fs with the canonical names,
 // defaults and help strings.
 func FromFlags(fs *flag.FlagSet) *Flags {
@@ -115,8 +108,6 @@ func FromFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.opts.Workers, "workers", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&f.opts.CPUProfile, "cpuprofile", "", "write a CPU pprof profile of the run to this file")
 	fs.StringVar(&f.opts.MemProfile, "memprofile", "", "write a heap pprof profile at exit to this file")
-	fs.StringVar(&f.opts.LogLevel, "log-level", f.opts.LogLevel, "structured-log level: debug, info, warn or error")
-	fs.BoolVar(&f.opts.LogJSON, "log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	f.shard = fs.String("shard", "", "run one shard of each grid, format i/n (e.g. 0/2)")
 	f.cells = fs.String("cells", "", "run one contiguous cell range of each grid, format lo-hi/total (e.g. 3-7/12; -shard i/n equals i-(i+1)/n)")
 	f.slice = fs.String("slice", "", "fix axes of a multi-axis run, comma-separated axis=value (e.g. 'read=90'); keeps only that plane's rows")
@@ -319,9 +310,6 @@ func (o *Options) NormalizeAndValidate() error {
 	if o.RangeTotal < 0 || (o.RangeTotal > 0 &&
 		(o.RangeLo < 0 || o.RangeHi < o.RangeLo || o.RangeHi > o.RangeTotal)) {
 		return fmt.Errorf("bad cells %d-%d/%d: want 0 <= lo <= hi <= total", o.RangeLo, o.RangeHi, o.RangeTotal)
-	}
-	if _, err := telemetry.ParseLevel(o.LogLevel); err != nil {
-		return err
 	}
 	return nil
 }

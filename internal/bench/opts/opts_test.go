@@ -160,7 +160,6 @@ func TestFromFlagsFullSurface(t *testing.T) {
 		Slice:   []results.Fix{{Axis: "read", Value: "90"}},
 		Project: []string{"lock"},
 		Tol:     0.01, TolCols: map[string]float64{"p95(Kcyc)": 0.05},
-		LogLevel: "info",
 	}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("Options() = %+v, want %+v", o, want)
@@ -207,7 +206,6 @@ func TestApplyQuery(t *testing.T) {
 		Slice:   []results.Fix{{Axis: "read", Value: "90"}, {Axis: "lock", Value: "MUTEX"}},
 		Project: []string{"lock"},
 		Tol:     0.02, TolCols: map[string]float64{"p95(Kcyc)": 0.05},
-		LogLevel: "info",
 	}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("ApplyQuery = %+v, want %+v", o, want)

@@ -33,48 +33,86 @@ func steadyZeroAlloc(t *testing.T, h *harness, done *bool, window sim.Cycles, pr
 	h.k.Drain()
 }
 
+// allocInputs are the tables the zero-alloc tests run on: one word on
+// the default table, and two words on a one-bucket table, whose calls
+// wait for each other's bucket lock.
+var allocInputs = []struct {
+	name           string
+	words, buckets int
+}{
+	{"one-word", 1, DefaultConfig().Buckets},
+	{"contended-bucket", 2, 1},
+}
+
+// newAllocHarness builds a harness whose table has the given bucket
+// count.
+func newAllocHarness(buckets int) *harness {
+	cfg := DefaultConfig()
+	cfg.Buckets = buckets
+	return newHarnessWith(1, sched.DefaultConfig(), cfg)
+}
+
 // TestWaitWakeZeroAlloc: a FUTEX_WAIT blocked until a FUTEX_WAKE (the
 // MUTEX and MUTEXEE sleep-and-handover path) allocates nothing per round
-// trip once the waiter and event pools are warm.
+// trip once the waiter and event pools are warm, with or without a
+// contended bucket lock.
 func TestWaitWakeZeroAlloc(t *testing.T) {
-	h := newHarness(1)
-	var word uint64 = 1
-	w := h.tb.NewWord(func() uint64 { return word })
-	done, woken := false, 0
-	h.s.Spawn("sleeper", func(th *sched.Thread) {
-		for !done {
-			word = 1
-			if h.tb.Wait(th, w, 1, 0) == Woken {
-				woken++
+	for _, in := range allocInputs {
+		t.Run(in.name, func(t *testing.T) {
+			h := newAllocHarness(in.buckets)
+			done, woken := false, 0
+			for i := 0; i < in.words; i++ {
+				var word uint64 = 1
+				w := h.tb.NewWord(func() uint64 { return word })
+				h.s.Spawn("sleeper", func(th *sched.Thread) {
+					for !done {
+						word = 1
+						if h.tb.Wait(th, w, 1, 0) == Woken {
+							woken++
+						}
+					}
+				})
+				h.s.Spawn("waker", func(th *sched.Thread) {
+					for !done {
+						for w.Waiters() == 0 && !done {
+							th.Run(500)
+						}
+						word = 0
+						h.tb.Wake(th, w, 1)
+					}
+				})
 			}
-		}
-	})
-	h.s.Spawn("waker", func(th *sched.Thread) {
-		for !done {
-			for w.Waiters() == 0 && !done {
-				th.Run(500)
+			steadyZeroAlloc(t, h, &done, 100_000, func() int { return woken }, "futex wait/wake")
+			if in.buckets == 1 && h.tb.Stats().BucketWait == 0 {
+				t.Error("no call waited for the shared bucket lock")
 			}
-			word = 0
-			h.tb.Wake(th, w, 1)
-		}
-	})
-	steadyZeroAlloc(t, h, &done, 100_000, func() int { return woken }, "futex wait/wake")
+		})
+	}
 }
 
 // TestWaitTimeoutZeroAlloc: a timed FUTEX_WAIT whose timeout fires (the
 // MUTEXEE spin-then-sleep fallback) arms, fires and retires its timer
-// without allocating.
+// without allocating, with or without a contended bucket lock.
 func TestWaitTimeoutZeroAlloc(t *testing.T) {
-	h := newHarness(1)
-	var word uint64 = 1
-	w := h.tb.NewWord(func() uint64 { return word })
-	done, timeouts := false, 0
-	h.s.Spawn("sleeper", func(th *sched.Thread) {
-		for !done {
-			if h.tb.Wait(th, w, 1, 50_000) == TimedOut {
-				timeouts++
+	for _, in := range allocInputs {
+		t.Run(in.name, func(t *testing.T) {
+			h := newAllocHarness(in.buckets)
+			done, timeouts := false, 0
+			for i := 0; i < in.words; i++ {
+				var word uint64 = 1
+				w := h.tb.NewWord(func() uint64 { return word })
+				h.s.Spawn("sleeper", func(th *sched.Thread) {
+					for !done {
+						if h.tb.Wait(th, w, 1, 50_000) == TimedOut {
+							timeouts++
+						}
+					}
+				})
 			}
-		}
-	})
-	steadyZeroAlloc(t, h, &done, 100_000, func() int { return timeouts }, "timed futex wait")
+			steadyZeroAlloc(t, h, &done, 100_000, func() int { return timeouts }, "timed futex wait")
+			if in.buckets == 1 && h.tb.Stats().BucketWait == 0 {
+				t.Error("no call waited for the shared bucket lock")
+			}
+		})
+	}
 }

@@ -96,13 +96,40 @@ type Word struct {
 	waiters []*waiter
 }
 
+// waiter is one futex call in flight, FUTEX_WAIT or FUTEX_WAKE, and the
+// wait-queue node a FUTEX_WAIT enqueues. The call takes it from the
+// table's pool when it starts and returns it when it returns, so a call
+// allocates nothing in steady state. Its kernel-side steps run as
+// callbacks while the calling thread stays parked (see Next).
 type waiter struct {
 	t        *sched.Thread
 	w        *Word
 	timedOut bool
 	timer    sim.Event
 	index    int
+
+	phase   phase
+	wake    bool           // FUTEX_WAKE, else FUTEX_WAIT
+	val     uint64         // FUTEX_WAIT: the value the word must hold
+	timeout sim.Cycles     // FUTEX_WAIT: 0 = none
+	n       int            // FUTEX_WAKE: the most waiters to wake
+	ret     uint64         // the call's result: a WaitResult, or the count woken
+	prev    power.Activity // the activity a bucket-lock wait interrupted
 }
+
+// phase names the step of a futex call that runs next: each follows the
+// cost before it, or the dispatch after a sleep.
+type phase int
+
+const (
+	entered    phase = iota // after the entry crossing: take the bucket lock
+	spun                    // after the bucket-lock wait: hold the lock
+	held                    // after the hold: check the value, or wake
+	queued                  // after the descheduling tail: deschedule
+	dispatched              // dispatched again: cross back to user space
+	fixedUp                 // after the wake fix-up: cross back
+	returned                // after the return crossing: the call returns
+)
 
 type bucket struct {
 	freeAt sim.Cycles // kernel-lock FIFO horizon
@@ -120,24 +147,39 @@ type Table struct {
 	// pool recycles waiter nodes so the Wait/Wake hot path does not
 	// allocate. A waiter is returned to the pool only after its timer is
 	// dead (fired or cancelled), so a pooled node can never receive a
-	// stale timeout.
+	// stale timeout. It holds at most the peak number of calls in flight.
 	pool []*waiter
+
+	// permits counts the calls whose Deschedule found a wake permit (an
+	// Unblock raced the descheduling tail) and dispatches those whose
+	// return crossing a dispatch started. Only tests read them; the
+	// third point they must see reached, a cost handed back to the
+	// thread, is sched's Thread.HandBacks.
+	permits, dispatches uint64
 }
 
+// waiterBlock is how many nodes an empty pool grows by at once.
+const waiterBlock = 8
+
+// getWaiter takes a node from the pool. An empty pool grows by a block
+// of waiterBlock nodes, so a table's peak of calls in flight costs one
+// allocation per block, not one per node.
 func (tb *Table) getWaiter() *waiter {
-	if n := len(tb.pool); n > 0 {
-		wt := tb.pool[n-1]
-		tb.pool[n-1] = nil
-		tb.pool = tb.pool[:n-1]
-		return wt
+	if len(tb.pool) == 0 {
+		block := make([]waiter, waiterBlock)
+		for i := range block {
+			tb.pool = append(tb.pool, &block[i])
+		}
 	}
-	return &waiter{}
+	n := len(tb.pool) - 1
+	wt := tb.pool[n]
+	tb.pool[n] = nil
+	tb.pool = tb.pool[:n]
+	return wt
 }
 
 func (tb *Table) putWaiter(wt *waiter) {
-	wt.t = nil
-	wt.w = nil
-	wt.timer = sim.Event{}
+	*wt = waiter{}
 	tb.pool = append(tb.pool, wt)
 }
 
@@ -166,11 +208,106 @@ func (tb *Table) NewWord(load func() uint64) *Word {
 // Waiters returns the current wait-queue length.
 func (w *Word) Waiters() int { return len(w.waiters) }
 
-// acquireBucket charges the kernel-spinlock wait (if the bucket is held)
-// plus the hold time, advancing the thread's clock. The thread spins at
-// kernel level while waiting (global spinning power).
-func (tb *Table) acquireBucket(t *sched.Thread, b *bucket) {
-	now := t.Proc().Now()
+// Wait implements FUTEX_WAIT: if the word still equals val, the calling
+// thread sleeps until woken or until timeout (0 = none) expires. The call
+// itself costs ≈2100 cycles before descheduling.
+func (tb *Table) Wait(t *sched.Thread, w *Word, val uint64, timeout sim.Cycles) WaitResult {
+	tb.stats.Waits++
+	c := tb.startCall(t, w)
+	c.val, c.timeout = val, timeout
+	c.carry(tb.cfg.SyscallEntry, entered)
+	return WaitResult(t.Await())
+}
+
+// Wake implements FUTEX_WAKE: it makes up to n waiters runnable and
+// returns how many were woken. The call costs ≈2700 cycles on the waker;
+// each woken thread additionally pays its idle-exit and scheduling
+// latency before running (charged by sched).
+func (tb *Table) Wake(t *sched.Thread, w *Word, n int) int {
+	tb.stats.Wakes++
+	c := tb.startCall(t, w)
+	c.wake, c.n = true, n
+	c.carry(tb.cfg.SyscallEntry, entered)
+	return int(t.Await())
+}
+
+// startCall takes a pooled node for a call of t on w.
+func (tb *Table) startCall(t *sched.Thread, w *Word) *waiter {
+	c := tb.getWaiter()
+	c.t, c.w = t, w
+	return c
+}
+
+// carry runs cost on the calling thread, then the step next.
+func (c *waiter) carry(cost sim.Cycles, next phase) {
+	c.phase = next
+	c.t.Carry(cost, c)
+}
+
+// Next runs the call's next step where the thread would run it if it
+// made the whole call itself (sched.Call; reference_test.go keeps that
+// version), so the thread stays parked until the call returns. The
+// steps: the entry crossing, the bucket-lock wait at SpinGlobal power
+// and the hold, the value check (EAGAIN costs the return crossing) or
+// the wake loop, the enqueue with its timeout timer and the descheduling
+// tail, the wake fix-up, and the return crossing, which a woken waiter's
+// dispatch starts.
+func (c *waiter) Next() {
+	tb, t := c.w.table, c.t
+	switch c.phase {
+	case entered:
+		tb.lockBucket(c)
+	case spun:
+		t.SetActivity(c.prev)
+		c.carry(tb.cfg.BucketHold, held)
+	case held:
+		if c.wake {
+			tb.wakeWaiters(c)
+			c.carry(tb.cfg.WakeFixup, fixedUp)
+			return
+		}
+		if c.w.Load() != c.val {
+			// Value changed while entering the kernel: EAGAIN.
+			tb.stats.WaitMisses++
+			c.ret = uint64(ValMismatch)
+			c.carry(tb.cfg.SyscallEntry, returned)
+			return
+		}
+		w := c.w
+		c.index = len(w.waiters)
+		w.waiters = append(w.waiters, c)
+		if c.timeout > 0 {
+			c.timer = tb.k.ScheduleCall(c.timeout, waiterTimeout, c, 0, 0)
+		}
+		c.carry(tb.cfg.Deschedule, queued)
+	case queued:
+		c.phase = dispatched
+		if t.Deschedule(c) {
+			return // off CPU until a wake or the timeout dispatches it
+		}
+		tb.permits++
+		c.carry(tb.cfg.SyscallEntry, returned)
+	case dispatched:
+		tb.dispatches++
+		c.carry(tb.cfg.SyscallEntry, returned)
+	case fixedUp:
+		c.carry(tb.cfg.SyscallEntry, returned)
+	case returned:
+		ret := c.ret
+		if c.timedOut {
+			ret = uint64(TimedOut)
+		}
+		tb.putWaiter(c)
+		t.Return(ret)
+	}
+}
+
+// lockBucket charges the kernel-spinlock wait (if the bucket is held)
+// plus the hold time. The thread spins at kernel level while waiting
+// (global spinning power).
+func (tb *Table) lockBucket(c *waiter) {
+	b := c.w.bucket
+	now := tb.k.Now()
 	wait := sim.Cycles(0)
 	if b.freeAt > now {
 		wait = b.freeAt - now
@@ -178,45 +315,30 @@ func (tb *Table) acquireBucket(t *sched.Thread, b *bucket) {
 	tb.stats.BucketWait += wait
 	b.freeAt = now + wait + tb.cfg.BucketHold
 	if wait > 0 {
-		prev := t.Activity()
-		t.SetActivity(power.SpinGlobal)
-		t.Run(wait)
-		t.SetActivity(prev)
+		c.prev = c.t.Activity()
+		c.t.SetActivity(power.SpinGlobal)
+		c.carry(wait, spun)
+		return
 	}
-	t.Run(tb.cfg.BucketHold)
+	c.carry(tb.cfg.BucketHold, held)
 }
 
-// Wait implements FUTEX_WAIT: if the word still equals val, the calling
-// thread sleeps until woken or until timeout (0 = none) expires. The call
-// itself costs ≈2100 cycles before descheduling.
-func (tb *Table) Wait(t *sched.Thread, w *Word, val uint64, timeout sim.Cycles) WaitResult {
-	tb.stats.Waits++
-	t.Run(tb.cfg.SyscallEntry)
-	tb.acquireBucket(t, w.bucket)
-	if w.Load() != val {
-		// Value changed while entering the kernel: EAGAIN.
-		tb.stats.WaitMisses++
-		t.Run(tb.cfg.SyscallEntry) // kernel→user return
-		return ValMismatch
+// wakeWaiters dequeues up to c.n waiters of the word in FIFO order and
+// makes them runnable behind the wake fix-up, counting them in c.ret.
+func (tb *Table) wakeWaiters(c *waiter) {
+	w := c.w
+	for c.ret < uint64(c.n) && len(w.waiters) > 0 {
+		wt := w.waiters[0]
+		w.remove(wt)
+		if wt.timer != (sim.Event{}) && !wt.timer.Cancelled() {
+			totalTimeoutWakeRaces.Add(1)
+		}
+		tb.k.Cancel(wt.timer)
+		wt.timer = sim.Event{}
+		tb.s.Unblock(wt.t, tb.cfg.WakeFixup)
+		c.ret++
+		tb.stats.WokenThreads++
 	}
-	wt := tb.getWaiter()
-	wt.t, wt.w = t, w
-	wt.timedOut = false
-	wt.index = len(w.waiters)
-	w.waiters = append(w.waiters, wt)
-	if timeout > 0 {
-		wt.timer = tb.k.ScheduleCall(timeout, waiterTimeout, wt, 0, 0)
-	}
-	t.Run(tb.cfg.Deschedule)
-	t.Block()
-	// Back on CPU: charge the kernel→user return path.
-	t.Run(tb.cfg.SyscallEntry)
-	timedOut := wt.timedOut
-	tb.putWaiter(wt)
-	if timedOut {
-		return TimedOut
-	}
-	return Woken
 }
 
 // waiterTimeout is the ScheduleCall callback of a Wait timeout timer.
@@ -227,7 +349,7 @@ func waiterTimeout(obj any, _, _ uint64) {
 	}
 	tb := wt.w.table
 	if wt.t.State() != sched.Blocked {
-		// The waiter is still on its way into Block (descheduling
+		// The waiter is still on its way to Deschedule (descheduling
 		// path); retry shortly rather than waking a running thread.
 		wt.timer = tb.k.ScheduleCall(100, waiterTimeout, wt, 0, 0)
 		return
@@ -250,32 +372,6 @@ func (w *Word) remove(wt *waiter) {
 		w.waiters[i].index = i
 	}
 	wt.index = -1
-}
-
-// Wake implements FUTEX_WAKE: it makes up to n waiters runnable and
-// returns how many were woken. The call costs ≈2700 cycles on the waker;
-// each woken thread additionally pays its idle-exit and scheduling
-// latency before running (charged by sched).
-func (tb *Table) Wake(t *sched.Thread, w *Word, n int) int {
-	tb.stats.Wakes++
-	t.Run(tb.cfg.SyscallEntry)
-	tb.acquireBucket(t, w.bucket)
-	woken := 0
-	for woken < n && len(w.waiters) > 0 {
-		wt := w.waiters[0]
-		w.remove(wt)
-		if wt.timer != (sim.Event{}) && !wt.timer.Cancelled() {
-			totalTimeoutWakeRaces.Add(1)
-		}
-		tb.k.Cancel(wt.timer)
-		wt.timer = sim.Event{}
-		tb.s.Unblock(wt.t, tb.cfg.WakeFixup)
-		woken++
-		tb.stats.WokenThreads++
-	}
-	t.Run(tb.cfg.WakeFixup)
-	t.Run(tb.cfg.SyscallEntry)
-	return woken
 }
 
 // KernelWakeAll is a helper for non-thread contexts (e.g. experiment

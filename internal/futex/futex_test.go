@@ -11,15 +11,22 @@ import (
 
 type harness struct {
 	k  *sim.Kernel
+	m  *power.Meter
 	s  *sched.Scheduler
 	tb *Table
 }
 
 func newHarness(seed int64) *harness {
+	return newHarnessWith(seed, sched.DefaultConfig(), DefaultConfig())
+}
+
+// newHarnessWith builds a Xeon harness with the given scheduler and
+// futex constants.
+func newHarnessWith(seed int64, scfg sched.Config, fcfg Config) *harness {
 	k := sim.NewKernel(seed)
 	m := power.NewMeter(k, power.DefaultConfig(), topo.Xeon())
-	s := sched.New(k, sched.DefaultConfig(), topo.Xeon(), m)
-	return &harness{k: k, s: s, tb: NewTable(k, s, DefaultConfig())}
+	s := sched.New(k, scfg, topo.Xeon(), m)
+	return &harness{k: k, m: m, s: s, tb: NewTable(k, s, fcfg)}
 }
 
 func TestWaitWakeRoundTrip(t *testing.T) {

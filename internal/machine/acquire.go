@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"lockin/internal/coherence"
 	"lockin/internal/power"
 	"lockin/internal/sim"
@@ -10,7 +8,10 @@ import (
 
 // handBack names a point where SpinAcquire leaves a step to its thread
 // instead of running it as a kernel callback. Machine.handBacks counts
-// each, so that tests can show every point is reached.
+// each, so that tests can show every point is reached. The third point,
+// an attempt's cost that runs past the end of the slice while a peer
+// waits for a context, is sched's: Carry hands the rest of the cost to
+// the thread and counts it in Thread.HandBacks.
 type handBack int
 
 const (
@@ -20,20 +21,15 @@ const (
 	// handBackArm: a peer waits for a context when an epoch would be
 	// armed. That epoch needs a slice timer, so the thread spins it.
 	handBackArm
-	// handBackRun: an attempt's cost runs past the end of the slice while
-	// a peer waits for a context, so the thread finishes the Run and is
-	// preempted there.
-	handBackRun
 
 	numHandBacks
 )
 
-// Wake tokens of a thread parked in SpinAcquire: acqWon ends the call,
-// and acqArm and acqRun hand it a step (see handBack).
+// Values a thread parked in SpinAcquire resumes with: acqWon ends the
+// call, and acqArm hands it an epoch (see handBack).
 const (
 	acqWon = iota + 1
 	acqArm
-	acqRun
 )
 
 // acquireState is a thread's SpinAcquire state, shared by the callbacks
@@ -46,10 +42,9 @@ type acquireState struct {
 	attempt func(uint64) (uint64, bool)
 	pol     WaitPolicy
 
-	// The attempt in flight: the word it read, its cost and the part of
-	// the cost not run yet.
-	old        uint64
-	cost, left sim.Cycles
+	// The attempt in flight: the word it read and its cost.
+	old  uint64
+	cost sim.Cycles
 }
 
 // isFree is SpinAcquire's spin predicate: the word reads 0.
@@ -60,13 +55,14 @@ func isFree(v uint64) bool { return v == 0 }
 // lose, it spins under pol until the word reads 0 and tries again. TAS
 // and TTAS are this loop with their own attempt.
 //
-// After a lost attempt the thread stays parked. The end of each spin
-// epoch, the next attempt and that attempt's cost run as kernel
-// callbacks, and the thread resumes once, when an attempt wins, so a lost
-// retry costs no coroutine switch. The simulation is the thread's own
-// loop, event for event (DESIGN.md invariant 8): each step runs where the
-// thread would have run it, with nothing in between. A step that only
-// the thread can take goes back to it (see handBack).
+// After a lost attempt the thread stays parked in a sched call. The end
+// of each spin epoch, the next attempt and that attempt's cost (through
+// sched.Thread.Carry) run as kernel callbacks, and the thread resumes
+// once, when an attempt wins, so a lost retry costs no coroutine switch.
+// The simulation is the thread's own loop, event for event (DESIGN.md
+// invariant 8): each step runs where the thread would have run it, with
+// nothing in between. A step that only the thread can take goes back to
+// it (see handBack).
 //
 // attempt is kept between the callbacks, so it should capture nothing,
 // or each retry allocates.
@@ -86,94 +82,49 @@ func (t *Thread) SpinAcquire(l *coherence.Line, attempt func(uint64) (uint64, bo
 	a := &t.spinEpoch().acq
 	a.line, a.attempt, a.pol = l, attempt, pol
 	for {
-		tok := a.spin()
-		if tok == 0 {
-			tok = t.Proc().Park()
-		}
-		var old uint64
-		switch tok {
-		case acqWon:
+		a.spin()
+		if t.Await() == acqWon {
 			return
-		case acqArm:
-			t.SpinUntil(l, isFree, pol)
-			old, _ = t.RMW(l, attempt)
-		case acqRun:
-			t.Run(a.left)
-			t.m.note(power.Compute, a.cost)
-			old = a.old
-		default:
-			panic(fmt.Sprintf("machine: unexpected acquire wake token %d", tok))
 		}
-		if old == 0 {
+		t.SpinUntil(l, isFree, pol)
+		if old, _ := t.RMW(l, attempt); old == 0 {
 			return
 		}
 	}
 }
 
 // spin follows a lost attempt. It arms an epoch whose end runs as a
-// callback (fired) and returns 0: the thread stays parked. While a peer
-// waits for a context it arms nothing and returns acqArm instead: that
-// epoch needs a slice timer, so the thread spins it itself.
-func (a *acquireState) spin() uint64 {
+// callback (fired), and the thread stays parked. While a peer waits for
+// a context it arms nothing and returns acqArm to the thread instead:
+// that epoch needs a slice timer, so the thread spins it itself.
+func (a *acquireState) spin() {
 	if a.t.m.Sched.Oversubscribed() {
 		a.t.m.handBacks[handBackArm]++
-		return acqArm
+		a.t.Return(acqArm)
+		return
 	}
 	a.st.fused = true
 	a.st.arm(a.line, isFree, a.pol, 0)
-	return 0
 }
 
 // fired ends a callback epoch once the watcher saw the word free. It
-// settles the epoch as SpinUntil would and starts the next attempt.
+// settles the epoch as SpinUntil would, starts the next attempt and
+// carries its cost as RMW would run it.
 func (a *acquireState) fired() {
 	a.st.fused = false
 	a.st.settle()
 	a.old, _, a.cost = a.t.startRMW(a.line, a.attempt)
-	a.left = a.cost
-	a.run()
+	a.t.Carry(a.cost, a)
 }
 
-// run carries the attempt's cost forward as Thread.Run would, one Step at
-// a time, with each chunk's wait a callback (ranCall) where Run sleeps.
-func (a *acquireState) run() {
-	t := a.t
-	for a.left > 0 {
-		chunk, wait, ok := t.Step(a.left)
-		if !ok {
-			t.m.handBacks[handBackRun]++
-			t.Proc().Wake(acqRun)
-			return
-		}
-		if wait > 0 {
-			t.m.K.ScheduleCall(wait, ranCall, a, uint64(chunk), 0)
-			return
-		}
-		// Sleep(0) returns at once.
-		t.Ran(chunk)
-		a.left -= chunk
-	}
-	a.done()
-}
-
-// ranCall ends the wait of one chunk of an attempt's cost.
-func ranCall(obj any, chunk, _ uint64) {
-	a := obj.(*acquireState)
-	a.t.Ran(sim.Cycles(chunk))
-	a.left -= sim.Cycles(chunk)
-	a.run()
-}
-
-// done ends an attempt whose cost has run: a win wakes the thread, and a
+// Next ends an attempt whose cost has run: a win ends the call, and a
 // loss arms the next epoch.
-func (a *acquireState) done() {
+func (a *acquireState) Next() {
 	t := a.t
 	t.m.note(power.Compute, a.cost)
 	if a.old == 0 {
-		t.Proc().Wake(acqWon)
+		t.Return(acqWon)
 		return
 	}
-	if tok := a.spin(); tok != 0 {
-		t.Proc().Wake(tok)
-	}
+	a.spin()
 }

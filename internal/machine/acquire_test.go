@@ -14,11 +14,12 @@ func swapOne(uint64) (uint64, bool) { return 1, true }
 // spawnTASHerd spawns n threads that take a test-and-set lock on l with
 // SpinAcquire, as core.TAS does, hold it for cs cycles and work outside
 // it for out cycles, until the clock passes until (0 = forever). It
-// returns the count of acquisitions the threads make.
-func spawnTASHerd(m *Machine, l *coherence.Line, n int, cs, out, until sim.Cycles) *uint64 {
+// returns the count of acquisitions the threads make, and appends the
+// threads to herd when herd is not nil.
+func spawnTASHerd(m *Machine, l *coherence.Line, n int, cs, out, until sim.Cycles, herd *[]*Thread) *uint64 {
 	var acquired uint64
 	for i := 0; i < n; i++ {
-		m.Spawn("tas", func(t *Thread) {
+		th := m.Spawn("tas", func(t *Thread) {
 			for until == 0 || t.Proc().Now() < until {
 				t.SpinAcquire(l, swapOne, WaitGlobal)
 				acquired++
@@ -27,6 +28,9 @@ func spawnTASHerd(m *Machine, l *coherence.Line, n int, cs, out, until sim.Cycle
 				t.Compute(out)
 			}
 		})
+		if herd != nil {
+			*herd = append(*herd, th)
+		}
 	}
 	return &acquired
 }
@@ -37,14 +41,16 @@ func spawnTASHerd(m *Machine, l *coherence.Line, n int, cs, out, until sim.Cycle
 // (internal/core), which compares it bit for bit with the old thread
 // loop: 40 TAS threads on a 300-cycle slice, joined every 25,013 cycles
 // by a short-lived thread that oversubscribes the scheduler while they
-// spin. So that comparison covers the arm and run hand-backs. The
-// policy hand-back is the first branch of every TTAS row under mwait,
-// mwait-user and DVFS there.
+// spin. So that comparison covers the arm and run hand-backs; the run
+// hand-back is sched's Carry, counted per thread. The policy hand-back
+// is the first branch of every TTAS row under mwait, mwait-user and
+// DVFS there.
 func TestSpinAcquireHandsBackEveryStep(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.Sched.Timeslice = 300
 	m := New(cfg)
-	spawnTASHerd(m, m.NewLine("tas"), 40, 800, 150, 300_000)
+	var herd []*Thread
+	spawnTASHerd(m, m.NewLine("tas"), 40, 800, 150, 300_000, &herd)
 	for at := sim.Cycles(25_013); at < 300_000; at += 25_013 {
 		m.K.Schedule(at, func() {
 			m.Spawn("late", func(t *Thread) { t.Compute(600) })
@@ -57,8 +63,11 @@ func TestSpinAcquireHandsBackEveryStep(t *testing.T) {
 	mw.Spawn("mwait", func(t *Thread) { t.SpinAcquire(l, swapOne, WaitMwait) })
 	mw.K.Drain()
 
-	got := m.handBacks
-	got[handBackPolicy] = mw.handBacks[handBackPolicy]
+	var run uint64
+	for _, th := range herd {
+		run += th.HandBacks
+	}
+	got := [...]uint64{mw.handBacks[handBackPolicy], m.handBacks[handBackArm], run}
 	t.Logf("hand-backs (policy, arm, run): %v", got)
 	for h, n := range got {
 		if n == 0 {

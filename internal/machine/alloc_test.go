@@ -13,7 +13,7 @@ import (
 func TestSpinAcquireRetrySteadyStateZeroAlloc(t *testing.T) {
 	m := NewDefault(1)
 	l := m.NewLine("tas")
-	acquired := spawnTASHerd(m, l, 8, 1000, 100, 0)
+	acquired := spawnTASHerd(m, l, 8, 1000, 100, 0, nil)
 	until := sim.Cycles(0)
 	step := func() {
 		until += 20_000

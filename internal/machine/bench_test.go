@@ -11,7 +11,7 @@ func BenchmarkTASHerd(b *testing.B) {
 	var acquired uint64
 	for i := 0; i < b.N; i++ {
 		m := NewDefault(42)
-		n := spawnTASHerd(m, m.NewLine("tas"), 40, 1000, 100, 2_000_000)
+		n := spawnTASHerd(m, m.NewLine("tas"), 40, 1000, 100, 2_000_000, nil)
 		m.K.Drain()
 		acquired += *n
 	}

@@ -103,14 +103,29 @@ type Thread struct {
 
 	// wakePermit records an Unblock that arrived before the thread
 	// actually blocked (e.g. a futex wake racing with the descheduling
-	// tail of a futex wait); the next Block consumes it and returns
-	// immediately.
+	// tail of a futex wait); the next Deschedule consumes it and changes
+	// nothing else.
 	wakePermit bool
+
+	// The call in flight (see Call): the step that continues it after a
+	// carried cost, the part of that cost not run yet, whether the rest
+	// is handed back to the thread, and the value Await returns once
+	// returned is set. onDispatch is the step the next dispatch runs,
+	// left by Deschedule (nil: the dispatch wakes the thread).
+	call       Call
+	left       sim.Cycles
+	handedBack bool
+	returned   bool
+	ret        uint64
+	onDispatch Call
 
 	// Stats
 	Preemptions uint64
 	Dispatches  uint64
 	RunCycles   sim.Cycles
+	// HandBacks counts the carried costs whose rest the thread ran
+	// itself because its slice was spent while a peer waited (see Carry).
+	HandBacks uint64
 }
 
 // ID returns the thread id (also its pinning hint).
@@ -292,6 +307,11 @@ func (s *Scheduler) dispatch(t *Thread, ctx int) {
 	s.meter.SetActivity(ctx, t.activity)
 	if t.p.State() == sim.ProcNew {
 		t.p.Start()
+	} else if c := t.onDispatch; c != nil {
+		// The thread was descheduled in a call: the call goes on here,
+		// where the thread would have resumed.
+		t.onDispatch = nil
+		c.Next()
 	} else {
 		t.p.Wake(0)
 	}
@@ -369,11 +389,11 @@ func (t *Thread) Run(cost sim.Cycles) {
 // refreshes a spent slice and returns the part of cost that the slice
 // covers, and how long that chunk takes at the context's current
 // slowdown. The caller waits that long, then reports the chunk to Ran.
-// Step is Run's loop body, so code that waits out a chunk as an event
-// callback instead of sleeping the thread runs the same steps (see
-// machine.SpinAcquire). When the slice is spent while a peer waits for a
-// context, Step changes nothing and returns ok false: the thread must
-// Preempt itself first, which only its own code can do.
+// Step is Run's loop body, so Carry, which waits out each chunk as an
+// event callback instead of sleeping the thread, runs the same steps.
+// When the slice is spent while a peer waits for a context, Step changes
+// nothing and returns ok false: the thread must Preempt itself first,
+// which only its own code can do.
 func (t *Thread) Step(cost sim.Cycles) (chunk, wait sim.Cycles, ok bool) {
 	if t.sliceLeft == 0 {
 		if t.s.Oversubscribed() {
@@ -439,16 +459,118 @@ func (t *Thread) Yield() {
 // If an Unblock already arrived (wake racing with the descheduling
 // path), Block consumes the permit and returns immediately.
 func (t *Thread) Block() uint64 {
-	t.mustBeRunning("Block")
+	if !t.Deschedule(nil) {
+		return 0
+	}
+	return t.p.Park()
+}
+
+// Deschedule takes the thread off its context, as Block does, without
+// parking it: a call's step deschedules a thread already parked in
+// Await. The dispatch that follows the next Unblock runs then.Next()
+// where it would have woken the thread, or wakes it when then is nil. If
+// an Unblock already arrived, Deschedule consumes the permit, changes
+// nothing else and reports false: the thread goes on at once.
+func (t *Thread) Deschedule(then Call) bool {
+	t.mustBeRunning("Deschedule")
 	if t.wakePermit {
 		t.wakePermit = false
-		return 0
+		return false
 	}
 	ctx := t.ctx
 	t.ctx = -1
 	t.state = Blocked
+	t.onDispatch = then
 	t.s.release(ctx)
-	return t.p.Park()
+	return true
+}
+
+// Call is thread code that runs as kernel callbacks while its thread
+// stays parked in Await, so that its steps cost no coroutine switch
+// (DESIGN.md invariant 8 in internal/sim). Each step runs at the instant
+// and in the place where the thread would have run it, with nothing in
+// between, and ends the call's part of the callback: it passes a cost to
+// Carry, deschedules the thread with Deschedule, arms an event that
+// continues the call, or ends the call with Return.
+type Call interface {
+	// Next runs the step that follows a cost passed to Carry, or the
+	// dispatch that ends a Deschedule. It runs as a kernel callback, or
+	// on the thread after a hand-back (see Carry).
+	Next()
+}
+
+// Carry runs cost cycles of a call as Run would, then c.Next(). It takes
+// Run's Steps; each chunk's wait is a ScheduleCall where Run sleeps, at
+// the same instant and taking one seq as Run's wake-up does, so the
+// thread stays parked. Only the thread can Preempt, so when a Step finds the
+// slice spent while a peer waits, Carry hands the rest back: the thread
+// resumes in Await, runs the rest with Run, and continues the call
+// itself with c.Next().
+func (t *Thread) Carry(cost sim.Cycles, c Call) {
+	t.call, t.left = c, cost
+	t.carry()
+}
+
+func (t *Thread) carry() {
+	for t.left > 0 {
+		chunk, wait, ok := t.Step(t.left)
+		if !ok {
+			t.HandBacks++
+			t.handedBack = true
+			t.resume()
+			return
+		}
+		if wait > 0 {
+			t.s.k.ScheduleCall(wait, carryCall, t, uint64(chunk), 0)
+			return
+		}
+		// Sleep(0) returns at once.
+		t.Ran(chunk)
+		t.left -= chunk
+	}
+	t.call.Next()
+}
+
+// carryCall ends the wait of one chunk of a carried cost.
+func carryCall(obj any, chunk, _ uint64) {
+	t := obj.(*Thread)
+	t.Ran(sim.Cycles(chunk))
+	t.left -= sim.Cycles(chunk)
+	t.carry()
+}
+
+// Return ends the thread's call: Await returns val. Called from a
+// callback it wakes the thread, so it must be the callback's last
+// action.
+func (t *Thread) Return(val uint64) {
+	t.ret, t.returned = val, true
+	t.resume()
+}
+
+// resume wakes the thread parked in Await for a return or a hand-back.
+// A step that runs on the thread itself (before Await parks, or after a
+// hand-back) has nothing to wake: Await finds the flag.
+func (t *Thread) resume() {
+	if t.p.State() == sim.ProcParked {
+		t.p.Wake(0)
+	}
+}
+
+// Await parks the thread while its call runs and returns the value the
+// call passed to Return. The thread resumes once, when the call
+// returns, and once for each hand-back (see Carry).
+func (t *Thread) Await() uint64 {
+	for !t.returned {
+		if !t.handedBack {
+			t.p.Park()
+			continue
+		}
+		t.handedBack = false
+		t.Run(t.left)
+		t.call.Next()
+	}
+	t.returned = false
+	return t.ret
 }
 
 // Unblock makes a blocked thread runnable after extraDelay (the waker's
