@@ -229,7 +229,7 @@ func (l *Line) Write(ctx int, val uint64) sim.Cycles {
 	changed := l.val != val
 	l.val = val
 	if changed {
-		l.fireWatchers(cost)
+		l.fireWatchers()
 	}
 	return cost
 }
@@ -253,7 +253,7 @@ func (l *Line) RMW(ctx int, f func(old uint64) (uint64, bool)) (uint64, bool, si
 		changed := l.val != nv
 		l.val = nv
 		if changed {
-			l.fireWatchers(cost)
+			l.fireWatchers()
 		}
 	}
 	return old, apply, cost
@@ -330,8 +330,7 @@ func fireWatcher(obj any, val, gen uint64) {
 // fireWatchers scans watchers after a value change and wakes those whose
 // predicate now holds, staggered by their burst position. Iterates over a
 // snapshot because scheduleWake mutates the slice.
-func (l *Line) fireWatchers(baseCost sim.Cycles) {
-	_ = baseCost
+func (l *Line) fireWatchers() {
 	if len(l.watchers) == 0 {
 		return
 	}

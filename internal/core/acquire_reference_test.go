@@ -18,9 +18,9 @@ import (
 )
 
 // refTAS and refTTAS are TAS and TTAS as they were before
-// machine.SpinAcquire: every lost retry resumes the thread, which
-// settles its spin epoch and makes the next attempt itself. The loops
-// are kept verbatim as the reference the fused acquire must match.
+// machine.SpinAcquire: every lost retry resumes the thread, which makes
+// the next attempt itself, and waits in between with SpinUntil. The
+// loops are kept verbatim as the reference the fused acquire must match.
 type refTAS struct{ line *coherence.Line }
 
 func (l *refTAS) Name() string { return "TAS" }
@@ -193,19 +193,21 @@ func runSpawnMidEpoch(cfg machine.Config, lock func(*machine.Machine) core.Lock,
 	return s
 }
 
-// TestSpinAcquireMatchesReference runs TAS and TTAS, whose lost retries
-// run as kernel callbacks, next to the thread loops they replaced, on
-// the same configurations, and requires the two simulations to agree
-// bit for bit: ops, acquisitions, end time, energy, CPI, latency,
-// coherence traffic, each thread's scheduling counters and the number
-// of events the kernel recycled. The table covers every wait policy,
-// machines under, at and over their context count, a timeslice short
-// enough to split attempts into chunks and preempt inside them, and a
-// thread spawned while the others spin. Every point where SpinAcquire
-// hands a step back to its thread is taken in the table: the TTAS rows
-// under mwait, mwait-user and DVFS run on the thread from the start, and
-// spawn-mid-epoch/slice-300/TAS takes the arm and run hand-backs
-// (TestSpinAcquireHandsBackEveryStep in internal/machine counts them).
+// TestSpinAcquireMatchesReference runs TAS and TTAS, which take the
+// lock with SpinAcquire, next to the loops they replaced, on the same
+// configurations, and requires the two simulations to agree bit for
+// bit: ops, acquisitions, end time, energy, CPI, latency, coherence
+// traffic, each thread's scheduling counters and the number of events
+// the kernel recycled. The table covers every wait policy, machines
+// under, at and over their context count, a timeslice short enough to
+// split attempts into chunks and preempt inside them, and a thread
+// spawned while the others spin.
+//
+// Both sides wait through the one spin call that SpinUntil runs, so
+// this test checks, lock by lock through workload.RunMicro, that an
+// attempt carried inside that call matches one made on the thread
+// between calls. TestSpinCallMatchesReference in internal/machine
+// compares the call itself with the thread loop it replaced.
 //
 // Under the race detector, which keeps state for every goroutine ever
 // started (each simulated thread is one), the table shrinks to one

@@ -152,9 +152,7 @@ type Table struct {
 
 	// permits counts the calls whose Deschedule found a wake permit (an
 	// Unblock raced the descheduling tail) and dispatches those whose
-	// return crossing a dispatch started. Only tests read them; the
-	// third point they must see reached, a cost handed back to the
-	// thread, is sched's Thread.HandBacks.
+	// return crossing a dispatch started. Only tests read them.
 	permits, dispatches uint64
 }
 

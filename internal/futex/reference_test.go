@@ -107,6 +107,25 @@ var (
 	refCalls   = calls{(*Table).refWait, (*Table).refWake}
 )
 
+// counted wraps c so that each call adds the preemptions its thread
+// took during the call to *preempted.
+func counted(c calls, preempted *uint64) calls {
+	return calls{
+		wait: func(tb *Table, t *sched.Thread, w *Word, val uint64, timeout sim.Cycles) WaitResult {
+			before := t.Preemptions
+			r := c.wait(tb, t, w, val, timeout)
+			*preempted += t.Preemptions - before
+			return r
+		},
+		wake: func(tb *Table, t *sched.Thread, w *Word, n int) int {
+			before := t.Preemptions
+			r := c.wake(tb, t, w, n)
+			*preempted += t.Preemptions - before
+			return r
+		},
+	}
+}
+
 // Costs of the protocols' user-space steps, in cycles.
 const (
 	atomicCost = 100
@@ -250,7 +269,8 @@ type refRunStats struct {
 // runProtocol runs p with n threads through c on a Xeon at the given
 // timeslice (0 = the default) until the clock passes until, then drains.
 // It reports the run's stats, its table, whose permits and dispatches
-// the caller sums, and the hand-backs its threads took.
+// the caller sums, and how many preemptions its threads took inside a
+// futex call.
 func runProtocol(p refProtocol, c calls, n int, timeslice, until sim.Cycles) (refRunStats, *Table, uint64) {
 	scfg := sched.DefaultConfig()
 	if timeslice != 0 {
@@ -262,22 +282,21 @@ func runProtocol(p refProtocol, c calls, n int, timeslice, until sim.Cycles) (re
 	}
 	recycles, timeouts, races := sim.GlobalStats().EventRecycles, GlobalTimeouts(), GlobalTimeoutWakeRaces()
 	h := newHarnessWith(42, scfg, fcfg)
-	threads, ops := p.spawn(h, c, n, until)
+	var inCall uint64
+	threads, ops := p.spawn(h, counted(c, &inCall), n, until)
 	s := refRunStats{End: h.k.Drain()}
 	s.Ops = *ops
 	e := h.m.Energy()
 	s.Energy = [3]uint64{math.Float64bits(e.Package), math.Float64bits(e.Cores), math.Float64bits(e.DRAM)}
-	var handBacks uint64
 	for _, t := range threads {
 		s.Threads = append(s.Threads, refThreadStats{t.Preemptions, t.Dispatches, t.RunCycles})
-		handBacks += t.HandBacks
 	}
 	s.Futex = h.tb.Stats()
 	s.Recycles = sim.GlobalStats().EventRecycles - recycles
 	s.Timeouts = GlobalTimeouts() - timeouts
 	s.Races = GlobalTimeoutWakeRaces() - races
 	s.NextDraw = h.k.Rand().Int63()
-	return s, h.tb, handBacks
+	return s, h.tb, inCall
 }
 
 // TestCallsMatchReference runs futex protocols through Wait and Wake,
@@ -290,9 +309,11 @@ func runProtocol(p refProtocol, c calls, n int, timeslice, until sim.Cycles) (re
 // tail or race the wakes, a Cond-style broadcast and two locks on a
 // one-bucket table; the rows put 1 to 80 threads on the 40-context Xeon
 // at the default timeslice and at 300 cycles, which splits the calls'
-// costs into chunks and preempts inside them. The table must take both
-// hand-backs (a cost whose slice is spent while a peer waits; a wake that
-// raced the descheduling tail) and the dispatch continuation.
+// costs into chunks and preempts inside them. The table must reach a
+// Requeue inside a call (a cost whose slice is spent while a peer waits:
+// the fused call's thread is parked in Await from start to return, so
+// each preemption it takes during the call is one), a wake that raced
+// the descheduling tail, and the dispatch continuation.
 //
 // Under the race detector, which keeps state for every goroutine ever
 // started (each simulated thread is one), the rows shrink to 2 and 41
@@ -310,7 +331,7 @@ func TestCallsMatchReference(t *testing.T) {
 		{"default-slice", 0, 3_100_000}, // past one slice, so oversubscribed rows preempt
 		{"slice-300", 300, 150_000},     // shorter than most of a call's steps
 	}
-	var handBacks, permits, dispatches uint64
+	var requeues, permits, dispatches uint64
 	for _, sl := range timeslices {
 		for _, n := range threadCounts {
 			for _, p := range refProtocols() {
@@ -320,23 +341,23 @@ func TestCallsMatchReference(t *testing.T) {
 						until = sl.duration
 					}
 					want, _, _ := runProtocol(p, refCalls, n, sl.timeslice, until)
-					got, tb, hb := runProtocol(p, fusedCalls, n, sl.timeslice, until)
+					got, tb, inCall := runProtocol(p, fusedCalls, n, sl.timeslice, until)
 					if got.Ops == 0 && n > 1 {
 						t.Fatal("the protocol made no progress")
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("fused calls and the reference differ:\n got %+v\nwant %+v", got, want)
 					}
-					handBacks += hb
+					requeues += inCall
 					permits += tb.permits
 					dispatches += tb.dispatches
 				})
 			}
 		}
 	}
-	t.Logf("hand-backs: run %d, permit %d; dispatch continuations %d", handBacks, permits, dispatches)
-	if handBacks == 0 {
-		t.Error("no call handed a cost back to its thread")
+	t.Logf("requeues in a call %d, permits %d, dispatch continuations %d", requeues, permits, dispatches)
+	if requeues == 0 {
+		t.Error("no call was preempted")
 	}
 	if permits == 0 {
 		t.Error("no wake raced a descheduling tail")

@@ -11,6 +11,12 @@
 // cycle experiments tractable while preserving the paper's observable
 // costs (wake-up transfer latency, contended-atomic arbitration,
 // timeslice preemption of spinners under oversubscription).
+//
+// Every busy-wait (SpinUntil, SpinUntilLimit, SpinFor and SpinAcquire's
+// retries) is one spin call, a sched.Call: the thread parks once, and
+// the policy's enter and exit costs, each epoch, each preemption by the
+// slice timer and each retry run as kernel callbacks, where the thread
+// would have run them itself.
 package machine
 
 import (
@@ -62,9 +68,6 @@ type Machine struct {
 	Futex *futex.Table
 
 	instr instrStats
-	// handBacks counts the steps SpinAcquire handed back to a thread,
-	// per point (see handBack); only tests read it.
-	handBacks [numHandBacks]uint64
 }
 
 // instrStats tracks retired-instruction estimates per activity for CPI
@@ -113,9 +116,8 @@ type Thread struct {
 	*sched.Thread
 	m *Machine
 
-	// spin is the pooled busy-wait epoch state (see spin.go), created
-	// lazily on the first SpinUntil or lost SpinAcquire attempt and
-	// reused for every epoch after.
+	// spin is the pooled spin call (see spin.go), created lazily on the
+	// first busy-wait and reused for every one after.
 	spin *spinState
 }
 
@@ -240,7 +242,7 @@ func (t *Thread) RMW(l *coherence.Line, f func(uint64) (uint64, bool)) (uint64, 
 // startRMW is the first half of an atomic: the coherence operation, with
 // the context charged as computing from then on. The caller runs the
 // returned cost and then notes it as Compute: RMW on the thread, and
-// SpinAcquire's attempts as callbacks (acquire.go).
+// SpinAcquire's retries in the spin call (spin.go).
 func (t *Thread) startRMW(l *coherence.Line, f func(uint64) (uint64, bool)) (uint64, bool, sim.Cycles) {
 	old, ok, cost := l.RMW(t.Ctx(), f)
 	t.SetActivity(power.Compute)

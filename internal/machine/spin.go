@@ -88,100 +88,239 @@ const (
 	mwaitUserWake  = sim.Cycles(150)
 )
 
-// spinWake reasons delivered through Proc.Wake tokens.
+// spinArgs is what a spin call waits for: a predicate on a line, or
+// (pred nil) dur cycles, under a policy, with a spin budget (limit, 0 =
+// none) and SpinAcquire's attempt after each wait (nil: none).
+type spinArgs struct {
+	line    *coherence.Line
+	pred    func(uint64) bool
+	dur     sim.Cycles
+	pol     WaitPolicy
+	limit   sim.Cycles
+	attempt func(uint64) (uint64, bool)
+}
+
+// spinStep names the step of a spin call that follows the cost it
+// carries, or the dispatch that ends its preemption.
+type spinStep int
+
 const (
-	wakePred  = 1
-	wakeSlice = 2
-	wakeLimit = 3
+	afterEnter   spinStep = iota // the enter cost: begin
+	afterSpin                    // SpinFor's cycles: leave
+	afterRequeue                 // a slice-timer preemption: wait again
+	afterExit                    // the exit cost: end
+	afterAttempt                 // an attempt: return if it won, else enter
 )
 
-// spinState is a thread's pooled busy-wait epoch state: one coherence
-// watcher, the wake bookkeeping and a stable Fire closure, reused across
-// epochs so spinning allocates nothing in steady state. Deliveries that
-// outlive their epoch are cut off by the watcher's registration
-// generation (see coherence); within an epoch, settled arbitrates the
-// race between the predicate wake and the slice/budget timer.
+// spinState is a thread's one busy-wait call (a sched.Call), pooled and
+// reused for every call, so spinning allocates nothing in steady state.
+// SpinUntilLimit, SpinUntil, SpinFor and SpinAcquire start it and Await
+// it. While the thread stays parked, each of its steps runs as a kernel
+// callback where the thread's own loop ran it (DESIGN.md invariant 8;
+// reference_test.go keeps that loop): the policy's enter cost, each
+// epoch, each slice-timer preemption (Requeue), the spin budget, the
+// exit cost, and SpinAcquire's attempt after each wait.
+//
+// An epoch is one watcher registration: the context is charged at the
+// policy's activity until the watcher fires or the timer ends it.
+// Deliveries that outlive their epoch are cut off by the watcher's
+// registration generation (see coherence); within an epoch, settled
+// arbitrates the race between the watcher and the timer.
 type spinState struct {
-	t       *Thread
-	line    *coherence.Line
-	settled bool
-	val     uint64
-	w       coherence.Watcher
+	t *Thread
+	w coherence.Watcher
+	spinArgs
 
-	// The epoch between arm and settle.
-	act     power.Activity
-	start   sim.Cycles
-	pollers int // the line's pollers right after Watch
-	timer   sim.Event
+	// The call: the cycles spun so far, the step that follows the cost
+	// in flight and that cost, and the result: the value observed (after
+	// an attempt, the word it read) and whether pred held.
+	spent sim.Cycles
+	next  spinStep
+	cost  sim.Cycles
+	val   uint64
+	ok    bool
 
-	// fused is set while the epoch belongs to a SpinAcquire whose
-	// retries run as callbacks (acquire.go): its end runs acq.fired
-	// instead of waking the thread. acq lives here so that a thread's
-	// spin state is one allocation, made once.
-	fused bool
-	acq   acquireState
+	// The epoch between arm and settle; sliceTimer tells whether its
+	// timer is the slice expiry or the spin budget.
+	settled    bool
+	act        power.Activity
+	start      sim.Cycles
+	pollers    int // the line's pollers right after Watch
+	timer      sim.Event
+	sliceTimer bool
 }
 
-// spinEpoch returns the thread's reusable spin state, creating it (and
-// its one Fire closure) on first use.
-func (t *Thread) spinEpoch() *spinState {
-	if t.spin == nil {
-		st := &spinState{t: t}
-		st.acq.t, st.acq.st = t, st
-		st.w.Fire = func(v uint64) {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			st.val = v
-			if st.fused {
-				st.acq.fired()
-				return
-			}
-			st.t.Proc().Wake(wakePred)
-		}
+// spinCall runs a spin call on the thread's pooled state, creating it
+// (and its one Fire closure) on first use, and returns the state once
+// the call returns.
+func (t *Thread) spinCall(a spinArgs) *spinState {
+	st := t.spin
+	if st == nil {
+		st = &spinState{t: t}
+		st.w.Fire = st.fired
 		t.spin = st
 	}
-	return t.spin
+	st.spinArgs, st.spent = a, 0
+	st.enter()
+	t.Await()
+	return st
 }
 
-// arm starts a busy-wait epoch on l: it charges the context at pol's
+// transition returns what entering and leaving pol's waiting state
+// costs: arming the monitor (through the kernel device for WaitMwait)
+// and its exit latency, or a VF switch each way for WaitDVFS.
+func (m *Machine) transition(pol WaitPolicy) (enter, exit sim.Cycles) {
+	switch pol {
+	case WaitMwait:
+		return m.cfg.MwaitEnter, m.cfg.MwaitWake
+	case WaitMwaitUser:
+		return mwaitUserEnter, mwaitUserWake
+	case WaitDVFS:
+		return m.cfg.DVFSSwitch, m.cfg.DVFSSwitch
+	}
+	return 0, 0
+}
+
+// enter pays the cost of entering the policy's waiting state, as
+// Thread.Compute would, then begins the wait.
+func (st *spinState) enter() {
+	if c, _ := st.t.m.transition(st.pol); c > 0 {
+		st.compute(c, afterEnter)
+		return
+	}
+	st.begin()
+}
+
+// begin follows the enter cost: a DVFS context moves to VF-min, and the
+// wait starts.
+func (st *spinState) begin() {
+	if st.pol == WaitDVFS {
+		st.t.SetVF(power.VFMin)
+	}
+	st.wait()
+}
+
+// leave pays the cost of leaving the policy's waiting state, as
+// Thread.Compute would, after a DVFS context moves back to VF-max, then
+// ends the wait.
+func (st *spinState) leave() {
+	if st.pol == WaitDVFS {
+		st.t.SetVF(power.VFMax)
+	}
+	if _, c := st.t.m.transition(st.pol); c > 0 {
+		st.compute(c, afterExit)
+		return
+	}
+	st.end()
+}
+
+// end follows the exit cost: the call returns, or SpinAcquire makes its
+// attempt as RMW runs it.
+func (st *spinState) end() {
+	if st.attempt == nil {
+		st.t.Return(0)
+		return
+	}
+	var cost sim.Cycles
+	st.val, _, cost = st.t.startRMW(st.line, st.attempt)
+	st.carry(cost, afterAttempt)
+}
+
+// compute carries c cycles of Compute and continues at then; Next notes
+// them.
+func (st *spinState) compute(c sim.Cycles, then spinStep) {
+	st.t.SetActivity(power.Compute)
+	st.carry(c, then)
+}
+
+func (st *spinState) carry(c sim.Cycles, then spinStep) {
+	st.cost, st.next = c, then
+	st.t.Carry(c, st)
+}
+
+// wait spins: SpinFor's cycles, or an epoch with what is left of the
+// budget. A spent budget reads the line and leaves.
+func (st *spinState) wait() {
+	if st.pred == nil {
+		st.act = st.pol.Activity()
+		st.t.SetActivity(st.act)
+		st.carry(st.dur, afterSpin)
+		return
+	}
+	left := sim.Cycles(0)
+	if st.limit > 0 {
+		if st.spent >= st.limit {
+			st.val, st.ok = st.line.Val(), false
+			st.leave()
+			return
+		}
+		left = st.limit - st.spent
+	}
+	st.arm(left)
+}
+
+// Next runs the step that follows the cost the call carried, or the
+// dispatch after a slice-timer Requeue.
+func (st *spinState) Next() {
+	t := st.t
+	switch st.next {
+	case afterEnter:
+		t.m.note(power.Compute, st.cost)
+		st.begin()
+	case afterSpin:
+		t.m.note(st.act, st.cost)
+		st.leave()
+	case afterRequeue:
+		st.wait()
+	case afterExit:
+		t.m.note(power.Compute, st.cost)
+		st.end()
+	case afterAttempt:
+		t.m.note(power.Compute, st.cost)
+		if st.val == 0 {
+			t.Return(0)
+			return
+		}
+		st.enter()
+	}
+}
+
+// arm starts a busy-wait epoch: it charges the context at the policy's
 // activity, registers the watcher for pred, and arms a timer for the
 // shorter of the slice expiry (when a peer waits for a context) and left
 // cycles of spin budget (0 = no budget).
-func (st *spinState) arm(l *coherence.Line, pred func(uint64) bool, pol WaitPolicy, left sim.Cycles) {
+func (st *spinState) arm(left sim.Cycles) {
 	t := st.t
-	st.act = pol.Activity()
+	st.act = st.pol.Activity()
 	t.SetActivity(st.act)
-	st.line = l
 	st.settled = false
 	st.w.Ctx = t.Ctx()
-	st.w.Kind = pol.watchKind()
-	st.w.Pred = pred
+	st.w.Kind = st.pol.watchKind()
+	st.w.Pred = st.pred
 	st.start = t.Proc().Now()
 	// Arm the shorter of the slice-expiry and budget timers.
-	reason := uint64(0)
 	armed := sim.Cycles(0)
+	st.sliceTimer = false
 	if t.m.Sched.Oversubscribed() {
 		armed = t.SliceLeft()
-		reason = wakeSlice
+		st.sliceTimer = true
 	}
 	if left > 0 && (armed == 0 || left < armed) {
 		armed = left
-		reason = wakeLimit
+		st.sliceTimer = false
 	}
 	st.timer = sim.Event{}
 	if armed > 0 {
-		st.timer = t.m.K.ScheduleCall(armed, spinTimerCall, st, reason, 0)
+		st.timer = t.m.K.ScheduleCall(armed, spinTimerCall, st, 0, 0)
 	}
-	l.Watch(&st.w)
-	st.pollers = l.Pollers()
+	st.line.Watch(&st.w)
+	st.pollers = st.line.Pollers()
 }
 
 // settle ends the epoch that arm started: it charges the cycles spun to
-// the thread's slice and to the CPI counters, cancels the timer, and
-// returns those cycles.
-func (st *spinState) settle() sim.Cycles {
+// the thread's slice, to the CPI counters and to the spin budget, and
+// cancels the timer.
+func (st *spinState) settle() {
 	t := st.t
 	waited := t.Proc().Now() - st.start
 	t.ChargeSlice(waited)
@@ -193,19 +332,39 @@ func (st *spinState) settle() sim.Cycles {
 	}
 	t.m.noteSpin(st.act, waited, peak)
 	t.m.K.Cancel(st.timer)
-	return waited
+	st.spent += waited
 }
 
-// spinTimerCall ends a spin epoch for a non-predicate reason (timeslice
-// expiry or spin budget exhausted), carried in the reason argument.
-func spinTimerCall(obj any, reason, _ uint64) {
+// fired is the watcher's Fire: the predicate held, so the epoch ends
+// and the call leaves with the value seen.
+func (st *spinState) fired(v uint64) {
+	if st.settled {
+		return
+	}
+	st.settled = true
+	st.settle()
+	st.val, st.ok = v, true
+	st.leave()
+}
+
+// spinTimerCall ends an epoch at its timer. At the slice expiry the
+// thread is preempted if a peer still waits, and spins again once
+// dispatched; at the end of the budget (spent then reaches limit) wait
+// leaves.
+func spinTimerCall(obj any, _, _ uint64) {
 	st := obj.(*spinState)
 	if st.settled {
 		return
 	}
 	st.settled = true
 	st.line.Unwatch(&st.w)
-	st.t.Proc().Wake(reason)
+	st.settle()
+	if st.sliceTimer && st.t.m.Sched.Oversubscribed() {
+		st.next = afterRequeue
+		st.t.Requeue(st)
+		return
+	}
+	st.wait()
 }
 
 // SpinUntil busy-waits on l until pred holds, using the given policy.
@@ -222,46 +381,11 @@ func (t *Thread) SpinUntil(l *coherence.Line, pred func(uint64) bool, pol WaitPo
 // has spent limit cycles spinning (0 = unlimited) and reports whether the
 // predicate was observed. Preemptions pause the budget clock: limit is
 // CPU time spent spinning, matching how spin-then-sleep thresholds are
-// implemented in user space.
-//
-// The exit cost is paid after the returned value is read, as a deferred
-// call would, but explicitly: a proc that Drain releases unwinds through
-// its deferred calls, and those must run no simulation code.
+// implemented in user space. The exit cost is paid after the returned
+// value is read.
 func (t *Thread) SpinUntilLimit(l *coherence.Line, pred func(uint64) bool, pol WaitPolicy, limit sim.Cycles) (uint64, bool) {
-	spent := sim.Cycles(0)
-	t.spinEnter(pol)
-	st := t.spinEpoch()
-	for {
-		left := sim.Cycles(0)
-		if limit > 0 {
-			if spent >= limit {
-				v := l.Val()
-				t.spinExit(pol)
-				return v, false
-			}
-			left = limit - spent
-		}
-		st.arm(l, pred, pol, left)
-		got := t.Proc().Park()
-		spent += st.settle()
-		switch got {
-		case wakePred:
-			v := st.val
-			t.spinExit(pol)
-			return v, true
-		case wakeLimit:
-			v := l.Val()
-			t.spinExit(pol)
-			return v, false
-		case wakeSlice:
-			if t.m.Sched.Oversubscribed() {
-				t.Preempt()
-			}
-			// Re-watch with a fresh slice.
-		default:
-			panic(fmt.Sprintf("machine: unexpected spin wake token %d", got))
-		}
-	}
+	st := t.spinCall(spinArgs{line: l, pred: pred, pol: pol, limit: limit})
+	return st.val, st.ok
 }
 
 // noteSpin records wait cycles for CPI reporting, refining global-spin
@@ -281,60 +405,5 @@ func (t *Thread) SpinFor(d sim.Cycles, pol WaitPolicy) {
 	if d == 0 {
 		return
 	}
-	act := pol.Activity()
-	t.spinEnter(pol)
-	t.SetActivity(act)
-	t.Run(d)
-	t.m.note(act, d)
-	t.spinExit(pol)
-}
-
-// transitionFree reports whether waiting under p costs nothing to enter
-// or leave: spinEnter and spinExit skip these policies, and SpinAcquire
-// runs only these as callbacks. A new policy stays off the list, and so
-// runs on its thread, until it is known to cost nothing.
-func (p WaitPolicy) transitionFree() bool {
-	switch p {
-	case WaitLocal, WaitPause, WaitMbar, WaitGlobal:
-		return true
-	}
-	return false
-}
-
-// spinEnter pays the cost of entering pol's waiting state: arming the
-// monitor, or switching the context to VF-min.
-func (t *Thread) spinEnter(pol WaitPolicy) {
-	if pol.transitionFree() {
-		return
-	}
-	if pol == WaitMwait {
-		// Arm the monitor through the kernel device.
-		t.Compute(t.m.cfg.MwaitEnter)
-	}
-	if pol == WaitMwaitUser {
-		t.Compute(mwaitUserEnter)
-	}
-	if pol == WaitDVFS {
-		t.Compute(t.m.cfg.DVFSSwitch)
-		t.SetVF(power.VFMin)
-	}
-}
-
-// spinExit pays the cost of leaving pol's waiting state, undoing
-// spinEnter.
-func (t *Thread) spinExit(pol WaitPolicy) {
-	if pol.transitionFree() {
-		return
-	}
-	if pol == WaitDVFS {
-		t.SetVF(power.VFMax)
-		t.Compute(t.m.cfg.DVFSSwitch)
-	}
-	if pol == WaitMwait {
-		// Exit latency out of the optimized state.
-		t.Compute(t.m.cfg.MwaitWake)
-	}
-	if pol == WaitMwaitUser {
-		t.Compute(mwaitUserWake)
-	}
+	t.spinCall(spinArgs{dur: d, pol: pol})
 }

