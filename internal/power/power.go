@@ -7,7 +7,9 @@
 // at one voltage-frequency point. The meter integrates Watts over virtual
 // cycles on every state change and attributes energy to the package,
 // cores and DRAM domains, mirroring the Intel RAPL counters the paper
-// measures with.
+// measures with. The simulation only logs each state change with its
+// virtual time; a helper goroutine folds the log in order beside it, and
+// the energy readings wait for the fold (see Meter).
 //
 // All wattage constants are calibrated against the paper's own Xeon
 // measurements (§3, §4): 55.5 W idle, ≈206 W peak, 13.6 W first-core
@@ -19,6 +21,7 @@ package power
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"lockin/internal/sim"
 	"lockin/internal/topo"
@@ -222,22 +225,121 @@ type socketCounts struct {
 // sums is a point in the cores and DRAM folds.
 type sums struct{ cores, dram float64 }
 
+// record is one logged transition: at virtual time at, context ctx's
+// activity (vf false) or VF point (vf true) became val. It takes 16
+// bytes.
+type record struct {
+	at  sim.Cycles
+	ctx uint16
+	vf  bool
+	val uint8
+}
+
+// A batch holds batchLen records. At most maxQueued full batches of a
+// meter wait for its helper, the one it is replaying included; a
+// transition that fills one more waits until the helper has replayed
+// one. Up to maxSpare replayed batches are kept for reuse.
+const (
+	batchLen  = 1024
+	maxQueued = 4
+	maxSpare  = 16
+)
+
+type batch [batchLen]record
+
+// spare holds replayed batches for any meter to fill next, so the cells
+// of a sweep reuse one another's batches instead of each allocating its
+// own (a pool per meter read spin-storm's peak RSS +5%). It is not a
+// sync.Pool because under the race detector a Pool drops a quarter of
+// what it is given, and the zero-allocation tests run there too.
+var spare struct {
+	sync.Mutex
+	batches []*batch
+}
+
+// takeBatch returns a spare batch, or a new one if none is spare.
+func takeBatch() *batch {
+	spare.Lock()
+	defer spare.Unlock()
+	k := len(spare.batches)
+	if k == 0 {
+		return new(batch)
+	}
+	b := spare.batches[k-1]
+	spare.batches = spare.batches[:k-1]
+	return b
+}
+
+// giveBatch keeps a replayed batch for reuse, unless maxSpare are kept.
+func giveBatch(b *batch) {
+	spare.Lock()
+	defer spare.Unlock()
+	if len(spare.batches) < maxSpare {
+		spare.batches = append(spare.batches, b)
+	}
+}
+
 // Meter integrates power over virtual time for one machine.
+//
+// It has two sides. The simulation side holds what the simulation reads
+// at once: each context's activity and VF point, and each core's count
+// of hyper-threads at VF-max, which EffectiveSlowdown reads on every
+// chunk a thread runs. A transition that changes them also appends a
+// record, with the instant it happened, to a fixed-size batch. The
+// integrator owns everything else, and replays the records in order:
+// for each one, integrate up to its time, then apply the change. A full
+// batch goes to a helper goroutine, which Go runs on an idle CPU when
+// there is one and interleaves with the simulation when there is none;
+// the helper exits when no batch is queued. Energy and InstantPower are
+// the only readings of the integrator, and the only points where the
+// simulation waits for the helper: they wait until every full batch is
+// replayed, replay the partial one on the caller, and read.
 //
 // Its readings are bit-identical to a full walk over every context
 // (determinism invariant 6 in internal/sim/DESIGN.md): the cores and DRAM
 // sums are left folds in core-index order, with the DRAM terms one per
-// context, core-major, and every mutation integrates first. The meter
-// caches each core's terms and the folds before each core, so a state
-// change refreshes only the cores it touched and resumes the folds from
-// the first of them (see recompute). reference_test.go keeps the full
-// walk and checks every reading against it bit for bit.
+// context, core-major, and every mutation integrates first. The
+// integrator caches each core's terms and the folds before each core, so
+// a state change refreshes only the cores it touched and resumes the
+// folds from the first of them (see recompute). Replay keeps both the
+// order of the mutations and the instant each one integrates to, and
+// only one goroutine at a time replays, so the bits do not depend on
+// which goroutine folds a record or when. reference_test.go keeps the
+// full walk and checks every reading against it bit for bit.
 type Meter struct {
+	// The simulation side.
 	k      *sim.Kernel
+	ctxs   []ctxState
+	coreOf []int  // ctx → physical core
+	vfMax  []int  // per core: hyper-threads requesting VF-max
+	log    *batch // the batch being filled
+	n      int    // records in log
+
+	// The handoff. mu guards the queue; the helper signals replayed
+	// after each batch. A helper runs while queued > 0: the handoff that
+	// queues the first batch starts it, and it exits when it has
+	// replayed the last.
+	mu       sync.Mutex
+	replayed sync.Cond
+	queue    [maxQueued]*batch // a ring of full batches, the oldest at head
+	head     int
+	queued   int // batches handed off and not yet replayed
+	// drainFn is m.drain, bound once: a go statement of a func value
+	// allocates nothing when the runtime reuses an exited goroutine.
+	drainFn func()
+
+	// in belongs to the helper while a batch is queued, and to the
+	// simulation otherwise.
+	in  *integrator
+	cfg Config
+}
+
+// integrator folds the logged transitions into the energy counters.
+type integrator struct {
 	cfg    Config
 	topo   topo.Topology
-	ctxs   []ctxState
-	coreOf []int // ctx → physical core
+	ctxs   []ctxState // as of the last record replayed
+	coreOf []int
 
 	lastAt sim.Cycles
 	// Accumulated energy in Watt-cycles (divide by Hz for Joules).
@@ -276,10 +378,14 @@ func NewMeter(k *sim.Kernel, cfg Config, t topo.Topology) *Meter {
 		panic(err)
 	}
 	nc := t.NumCores()
-	m := &Meter{
-		k: k, cfg: cfg, topo: t,
+	coreOf := make([]int, t.NumContexts())
+	for ctx := range coreOf {
+		coreOf[ctx] = t.CoreOf(ctx)
+	}
+	in := &integrator{
+		cfg: cfg, topo: t,
 		ctxs:     make([]ctxState, t.NumContexts()),
-		coreOf:   make([]int, t.NumContexts()),
+		coreOf:   coreOf,
 		stale:    1<<nc - 1, // every core; with 64 cores, 1<<64 is 0 and this is all ones
 		skipDeep: cfg.ActivityW[IdleDeep] == 0 && cfg.DRAMActivityW[IdleDeep] == 0,
 		cores:    make([]coreTerms, nc),
@@ -287,17 +393,28 @@ func NewMeter(k *sim.Kernel, cfg Config, t topo.Topology) *Meter {
 		before:   make([]sums, nc+1),
 		sockets:  make([]socketCounts, t.Sockets),
 	}
-	for ctx := range m.coreOf {
-		m.coreOf[ctx] = t.CoreOf(ctx)
+	for c := range in.cores {
+		in.cores[c].vfMax = t.ThreadsPerCore
 	}
-	for c := range m.cores {
-		m.cores[c].vfMax = t.ThreadsPerCore
+	for s := range in.sockets {
+		in.sockets[s].vfMax = t.CoresPerSocket
 	}
-	for s := range m.sockets {
-		m.sockets[s].vfMax = t.CoresPerSocket
+	in.before[0].dram = cfg.DRAMBackgroundW
+	in.recompute()
+	m := &Meter{
+		k:      k,
+		ctxs:   make([]ctxState, t.NumContexts()),
+		coreOf: coreOf,
+		vfMax:  make([]int, nc),
+		log:    takeBatch(),
+		in:     in,
+		cfg:    cfg,
 	}
-	m.before[0].dram = cfg.DRAMBackgroundW
-	m.recompute()
+	for c := range m.vfMax {
+		m.vfMax[c] = t.ThreadsPerCore
+	}
+	m.replayed.L = &m.mu
+	m.drainFn = m.drain
 	return m
 }
 
@@ -311,15 +428,19 @@ func (m *Meter) Activity(ctx int) Activity { return m.ctxs[ctx].act }
 // point is the max across hyper-thread siblings, as on real hardware.
 func (m *Meter) VFOf(ctx int) VF { return m.ctxs[ctx].vf }
 
-// SetActivity transitions a context to a new activity, integrating energy
-// up to the current instant first.
+// SetActivity transitions a context to a new activity; energy is
+// integrated up to the current instant before the change applies.
 func (m *Meter) SetActivity(ctx int, a Activity) {
 	if m.ctxs[ctx].act == a {
 		return
 	}
-	m.integrate()
+	// Checked here, so a bad value panics in the caller, not in the
+	// helper that replays it.
+	if uint(a) >= uint(numActivities) {
+		panic(fmt.Sprintf("power: SetActivity(%d, %v)", ctx, a))
+	}
 	m.ctxs[ctx].act = a
-	m.stale |= 1 << m.coreOf[ctx]
+	m.note(ctx, false, uint8(a))
 }
 
 // SetVF sets a context's requested DVFS point.
@@ -328,10 +449,111 @@ func (m *Meter) SetVF(ctx int, v VF) {
 	if old == v {
 		return
 	}
-	m.integrate()
 	m.ctxs[ctx].vf = v
 	c := m.coreOf[ctx]
-	ct := &m.cores[c]
+	if old == VFMax {
+		m.vfMax[c]--
+	}
+	// The integrator, like the counts, tells VF-max from every other
+	// point.
+	logged := VFMin
+	if v == VFMax {
+		m.vfMax[c]++
+		logged = VFMax
+	}
+	m.note(ctx, true, uint8(logged))
+}
+
+// EffectiveSlowdown returns the instruction-latency multiplier currently
+// applying to ctx (1.0 at VF-max). It accounts for sibling sharing: a
+// context that requested VF-min still runs at VF-max speed if its sibling
+// holds the core at VF-max.
+func (m *Meter) EffectiveSlowdown(ctx int) float64 {
+	vf := VFMin
+	if m.vfMax[m.coreOf[ctx]] > 0 {
+		vf = VFMax
+	}
+	return m.cfg.Slowdown(vf)
+}
+
+// note logs a transition at the current instant, and hands the batch to
+// the helper when it is full.
+func (m *Meter) note(ctx int, vf bool, val uint8) {
+	m.log[m.n] = record{at: m.k.Now(), ctx: uint16(ctx), vf: vf, val: val}
+	if m.n++; m.n == batchLen {
+		m.handOff()
+	}
+}
+
+// handOff queues the full batch, starts a helper if none runs, and takes
+// a spare batch to fill next. While maxQueued batches are queued it waits
+// for the helper, so the log stays bounded when no CPU is free.
+func (m *Meter) handOff() {
+	m.mu.Lock()
+	for m.queued == maxQueued {
+		m.replayed.Wait()
+	}
+	if m.queued == 0 {
+		go m.drainFn()
+	}
+	m.queue[(m.head+m.queued)%maxQueued] = m.log
+	m.queued++
+	m.mu.Unlock()
+	m.log, m.n = takeBatch(), 0
+}
+
+// drain is the helper goroutine: it replays the queued batches in order
+// and exits when none is left.
+func (m *Meter) drain() {
+	m.mu.Lock()
+	for m.queued > 0 {
+		b := m.queue[m.head]
+		m.mu.Unlock()
+		m.in.replay(b[:])
+		giveBatch(b)
+		m.mu.Lock()
+		m.queue[m.head] = nil
+		m.head = (m.head + 1) % maxQueued
+		m.queued--
+		m.replayed.Signal()
+	}
+	m.mu.Unlock()
+}
+
+// sync waits until the helper has replayed every batch handed to it,
+// replays the partial batch on the caller, and returns the integrator,
+// which then reflects every transition so far.
+func (m *Meter) sync() *integrator {
+	m.mu.Lock()
+	for m.queued > 0 {
+		m.replayed.Wait()
+	}
+	m.mu.Unlock()
+	m.in.replay(m.log[:m.n])
+	m.n = 0
+	return m.in
+}
+
+// replay applies logged transitions in order, each as the meter did at
+// the instant it was logged: integrate up to its time, then mutate.
+func (in *integrator) replay(recs []record) {
+	for _, r := range recs {
+		in.integrate(r.at)
+		if r.vf {
+			in.setVF(int(r.ctx), VF(r.val))
+		} else {
+			in.ctxs[r.ctx].act = Activity(r.val)
+			in.stale |= 1 << in.coreOf[r.ctx]
+		}
+	}
+}
+
+// setVF applies a context's change of VF point.
+func (in *integrator) setVF(ctx int, v VF) {
+	old := in.ctxs[ctx].vf
+	in.ctxs[ctx].vf = v
+	c := in.coreOf[ctx]
+	ct := &in.cores[c]
 	wasMax := ct.vfMax > 0
 	if old == VFMax {
 		ct.vfMax--
@@ -342,46 +564,33 @@ func (m *Meter) SetVF(ctx int, v VF) {
 	// Hyper-thread siblings share a VF domain: the core's terms change
 	// only when its highest requested point does.
 	if isMax := ct.vfMax > 0; isMax != wasMax {
-		sk := &m.sockets[c/m.topo.CoresPerSocket]
+		sk := &in.sockets[c/in.topo.CoresPerSocket]
 		if isMax {
 			sk.vfMax++
 		} else {
 			sk.vfMax--
 		}
-		m.stale |= 1 << c
+		in.stale |= 1 << c
 	}
 }
 
-// EffectiveSlowdown returns the instruction-latency multiplier currently
-// applying to ctx (1.0 at VF-max). It accounts for sibling sharing: a
-// context that requested VF-min still runs at VF-max speed if its sibling
-// holds the core at VF-max.
-func (m *Meter) EffectiveSlowdown(ctx int) float64 {
-	vf := VFMin
-	if m.cores[m.coreOf[ctx]].vfMax > 0 {
-		vf = VFMax
-	}
-	return m.cfg.Slowdown(vf)
-}
-
-func (m *Meter) integrate() {
-	now := m.k.Now()
-	if now <= m.lastAt {
-		m.lastAt = now
+func (in *integrator) integrate(now sim.Cycles) {
+	if now <= in.lastAt {
+		in.lastAt = now
 		return
 	}
 	// Every state change integrates before mutating, so between lastAt and
 	// now the per-context state is exactly what it was at lastAt: a deferred
 	// rebuild here yields the same rates (and the same summation order) as
 	// an eager one at the instant of the change.
-	if m.stale != 0 {
-		m.recompute()
+	if in.stale != 0 {
+		in.recompute()
 	}
-	dt := float64(now - m.lastAt)
-	m.accPkg += m.curPkg * dt
-	m.accCores += m.curCores * dt
-	m.accDRAM += m.curDRAM * dt
-	m.lastAt = now
+	dt := float64(now - in.lastAt)
+	in.accPkg += in.curPkg * dt
+	in.accCores += in.curCores * dt
+	in.accDRAM += in.curDRAM * dt
+	in.lastAt = now
 }
 
 // recompute refreshes the stale cores and rebuilds the instantaneous
@@ -395,81 +604,81 @@ func (m *Meter) integrate() {
 // which holds exactly what a full walk holds on reaching core c. Delta
 // updates, per-core partial sums, trees and compensated sums would all
 // change output bits; reference_test.go catches them.
-func (m *Meter) recompute() {
-	first := bits.TrailingZeros64(m.stale)
-	for st := m.stale; st != 0; st &= st - 1 {
-		m.refresh(bits.TrailingZeros64(st))
+func (in *integrator) recompute() {
+	first := bits.TrailingZeros64(in.stale)
+	for st := in.stale; st != 0; st &= st - 1 {
+		in.refresh(bits.TrailingZeros64(st))
 	}
-	m.stale = 0
+	in.stale = 0
 
-	end := len(m.cores)
-	if m.skipDeep {
-		end = bits.Len64(m.busy)
+	end := len(in.cores)
+	if in.skipDeep {
+		end = bits.Len64(in.busy)
 	}
-	tpc := m.topo.ThreadsPerCore
+	tpc := in.topo.ThreadsPerCore
 	// No core from top on is folded, so the folds before any of them are
 	// before[top]. When end < c, the cores from end to c are idle-deep and
 	// unchanged, so before[c] is already the total.
-	c := min(first, m.top)
-	s := m.before[c]
+	c := min(first, in.top)
+	s := in.before[c]
 	for ; c < end; c++ {
-		m.before[c] = s
-		if m.skipDeep && m.busy&(1<<c) == 0 {
+		in.before[c] = s
+		if in.skipDeep && in.busy&(1<<c) == 0 {
 			continue
 		}
-		s.cores += m.cores[c].watts
-		for _, w := range m.dramW[c*tpc : c*tpc+tpc] {
+		s.cores += in.cores[c].watts
+		for _, w := range in.dramW[c*tpc : c*tpc+tpc] {
 			s.dram += w
 		}
 	}
-	m.before[end] = s
-	m.top = end
+	in.before[end] = s
+	in.top = end
 
 	pkg := s.cores
-	for _, sk := range m.sockets {
-		pkg += m.cfg.PkgStaticW
+	for _, sk := range in.sockets {
+		pkg += in.cfg.PkgStaticW
 		if sk.active > 0 {
 			// Uncore scales with the highest VF among the socket's cores.
 			scale := 1.0
 			if sk.vfMax == 0 {
-				scale = m.cfg.VFMinScale
+				scale = in.cfg.VFMinScale
 			}
-			pkg += m.cfg.UncoreActiveW * scale
+			pkg += in.cfg.UncoreActiveW * scale
 		}
 	}
-	m.curPkg, m.curCores, m.curDRAM = pkg, s.cores, s.dram
+	in.curPkg, in.curCores, in.curDRAM = pkg, s.cores, s.dram
 }
 
 // refresh rebuilds core c's cached terms from its contexts' state.
-func (m *Meter) refresh(c int) {
-	ct := &m.cores[c]
+func (in *integrator) refresh(c int) {
+	ct := &in.cores[c]
 	scale := 1.0
 	if ct.vfMax == 0 {
-		scale = m.cfg.VFMinScale
+		scale = in.cfg.VFMinScale
 	}
 	// The busiest hyper-thread pays full activity power, siblings a
 	// fraction: the core's execution resources are shared.
 	bestW, extraW := 0.0, 0.0
 	active, busy := false, false
-	tpc := m.topo.ThreadsPerCore
-	dram := m.dramW[c*tpc : c*tpc+tpc]
+	tpc := in.topo.ThreadsPerCore
+	dram := in.dramW[c*tpc : c*tpc+tpc]
 	for ht := range dram {
-		act := m.ctxs[c+ht*len(m.cores)].act
-		w := m.cfg.ActivityW[act]
+		act := in.ctxs[c+ht*len(in.cores)].act
+		w := in.cfg.ActivityW[act]
 		if w > bestW {
 			extraW += bestW
 			bestW = w
 		} else {
 			extraW += w
 		}
-		dram[ht] = m.cfg.DRAMActivityW[act] * scale
+		dram[ht] = in.cfg.DRAMActivityW[act] * scale
 		active = active || !act.IsIdle()
 		busy = busy || act != IdleDeep
 	}
-	ct.watts = (bestW + extraW*m.cfg.HTFraction) * scale
+	ct.watts = (bestW + extraW*in.cfg.HTFraction) * scale
 	if active != ct.active {
 		ct.active = active
-		sk := &m.sockets[c/m.topo.CoresPerSocket]
+		sk := &in.sockets[c/in.topo.CoresPerSocket]
 		if active {
 			sk.active++
 		} else {
@@ -477,32 +686,34 @@ func (m *Meter) refresh(c int) {
 		}
 	}
 	if busy {
-		m.busy |= 1 << c
+		in.busy |= 1 << c
 	} else {
-		m.busy &^= 1 << c
+		in.busy &^= 1 << c
 	}
 }
 
 // Energy integrates up to now and returns the counters in Joules.
 func (m *Meter) Energy() Energy {
-	m.integrate()
+	in := m.sync()
+	in.integrate(m.k.Now())
 	hz := m.cfg.BaseFreqGHz * 1e9
 	return Energy{
-		Package: m.accPkg / hz,
-		Cores:   m.accCores / hz,
-		DRAM:    m.accDRAM / hz,
+		Package: in.accPkg / hz,
+		Cores:   in.accCores / hz,
+		DRAM:    in.accDRAM / hz,
 	}
 }
 
 // InstantPower returns the current power breakdown in Watts.
 func (m *Meter) InstantPower() Breakdown {
-	if m.stale != 0 {
-		m.recompute()
+	in := m.sync()
+	if in.stale != 0 {
+		in.recompute()
 	}
 	return Breakdown{
-		Total:   m.curPkg + m.curDRAM,
-		Package: m.curPkg,
-		Cores:   m.curCores,
-		DRAM:    m.curDRAM,
+		Total:   in.curPkg + in.curDRAM,
+		Package: in.curPkg,
+		Cores:   in.curCores,
+		DRAM:    in.curDRAM,
 	}
 }

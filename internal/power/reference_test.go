@@ -34,33 +34,45 @@ func readings(r meterReadings, contexts int) ([]string, []float64) {
 // the full walk it replaced, through the same seeded transitions and
 // time steps, and requires every reading to agree bit for bit: a Meter
 // that reorders or regroups its floating-point sums fails here even when
-// the difference is in the last bit.
+// the difference is in the last bit. EffectiveSlowdown, which the
+// simulation side answers, is compared after every step, Energy and
+// InstantPower every `every` steps. With every > 1 the transitions
+// between two readings fill at least 8 batches, so the helper replays
+// them and the simulation waits for it whenever maxQueued are queued.
 func TestMeterMatchesReference(t *testing.T) {
 	deep := DefaultConfig() // IdleDeep draws power, so no core is ever skipped
 	deep.ActivityW[IdleDeep] = 0.12
 	deep.DRAMActivityW[IdleDeep] = 0.01
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		topo topo.Topology
+		name         string
+		cfg          Config
+		topo         topo.Topology
+		steps, every int
 	}{
-		{"xeon", DefaultConfig(), topo.Xeon()},
-		{"corei7", DefaultConfig(), topo.CoreI7()},
-		{"4x4x4", DefaultConfig(), topo.Topology{Sockets: 4, CoresPerSocket: 4, ThreadsPerCore: 4}},
-		{"1x64x1", DefaultConfig(), topo.Topology{Sockets: 1, CoresPerSocket: 64, ThreadsPerCore: 1}},
-		{"xeon-idle-deep-draws", deep, topo.Xeon()},
+		{"xeon", DefaultConfig(), topo.Xeon(), 4000, 1},
+		{"corei7", DefaultConfig(), topo.CoreI7(), 4000, 1},
+		{"4x4x4", DefaultConfig(), topo.Topology{Sockets: 4, CoresPerSocket: 4, ThreadsPerCore: 4}, 4000, 1},
+		{"1x64x1", DefaultConfig(), topo.Topology{Sockets: 1, CoresPerSocket: 64, ThreadsPerCore: 1}, 4000, 1},
+		{"xeon-idle-deep-draws", deep, topo.Xeon(), 4000, 1},
+		{"xeon-replayed", DefaultConfig(), topo.Xeon(), 24000, 3000},
+		{"1x64x1-replayed", DefaultConfig(), topo.Topology{Sockets: 1, CoresPerSocket: 64, ThreadsPerCore: 1}, 24000, 3000},
+		{"xeon-idle-deep-draws-replayed", deep, topo.Xeon(), 24000, 3000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
 			m, ref := NewMeter(k, tc.cfg, tc.topo), newRefMeter(k, tc.cfg, tc.topo)
 			n := tc.topo.NumContexts()
 			rng := rand.New(rand.NewSource(42))
+			logged := 0 // transitions since the last reading
 			// burst makes one to four changes at the current instant.
 			burst := func() {
 				for i := rng.Intn(4); i >= 0; i-- {
 					ctx := rng.Intn(n)
 					if rng.Intn(4) == 0 {
 						v := VF(rng.Intn(2))
+						if m.VFOf(ctx) != v {
+							logged++
+						}
 						m.SetVF(ctx, v)
 						ref.SetVF(ctx, v)
 						continue
@@ -71,15 +83,30 @@ func TestMeterMatchesReference(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						a = Activity(rng.Intn(int(numActivities)))
 					}
+					if m.Activity(ctx) != a {
+						logged++
+					}
 					m.SetActivity(ctx, a)
 					ref.SetActivity(ctx, a)
 				}
 			}
-			for step := 0; step < 4000; step++ {
+			for step := 1; step <= tc.steps; step++ {
 				burst()
 				// With an empty queue, Run moves the clock to its limit.
 				k.Run(k.Now() + sim.Cycles(rng.Intn(1000)))
 				burst()
+				if step%tc.every != 0 {
+					for ctx := 0; ctx < n; ctx++ {
+						if got, want := m.EffectiveSlowdown(ctx), ref.EffectiveSlowdown(ctx); got != want {
+							t.Fatalf("step %d: EffectiveSlowdown(%d) = %v, reference %v", step, ctx, got, want)
+						}
+					}
+					continue
+				}
+				if tc.every > 1 && logged < 8*batchLen {
+					t.Fatalf("step %d: %d transitions since the last reading, want at least 8 batches (%d)", step, logged, 8*batchLen)
+				}
+				logged = 0
 				names, got := readings(m, n)
 				_, want := readings(ref, n)
 				for i := range got {

@@ -253,11 +253,17 @@ func Decode(b []byte) (*Run, error) {
 			return nil, fmt.Errorf("table %d is null", i)
 		}
 	}
-	if m := &r.Meta; m.ShardCount > 1 && m.Range == nil {
+	r.Meta.foldShard()
+	return &r, nil
+}
+
+// foldShard turns the shard i/n an older store recorded into the cell
+// range [i, i+1) of total n, and zeroes the shard fields.
+func (m *Meta) foldShard() {
+	if m.ShardCount > 1 && m.Range == nil {
 		m.Range = &CellRange{Lo: m.ShardIndex, Hi: m.ShardIndex + 1, Total: m.ShardCount}
 	}
-	r.Meta.ShardIndex, r.Meta.ShardCount = 0, 0
-	return &r, nil
+	m.ShardIndex, m.ShardCount = 0, 0
 }
 
 // LoadExperiment reads the stored run of one experiment from a store
@@ -320,12 +326,14 @@ type Stored struct {
 	Meta Meta   `json:"meta"`
 }
 
-// ListStored loads the metadata of every run file in a store
+// ListStored reads the metadata of every run file in a store
 // directory, sorted by key. Unlike List it reads the files, so
 // consumers (the service's run listing) get seeds, scales, axes and
-// spec hashes, not just names. A file that vanishes between the
-// listing and its load (the service evicts runs while it serves) is
-// skipped; any other failure to load one fails the listing.
+// spec hashes, not just names. It decodes only the metadata, as Decode
+// reads it; the rest of a file is checked to be JSON but not decoded.
+// A file that vanishes between the listing and its read (the service
+// evicts runs while it serves) is skipped; any other failure to read
+// one, or malformed JSON, fails the listing.
 func ListStored(dir string) ([]Stored, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -338,14 +346,21 @@ func ListStored(dir string) ([]Stored, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		r, err := Load(path)
+		b, err := os.ReadFile(path)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("results: read %s: %w", path, err)
 		}
-		out = append(out, Stored{Key: strings.TrimSuffix(name, ".json"), File: path, Meta: r.Meta})
+		var head struct {
+			Meta Meta `json:"meta"`
+		}
+		if err := json.Unmarshal(b, &head); err != nil {
+			return nil, fmt.Errorf("results: decode %s: %w", path, err)
+		}
+		head.Meta.foldShard()
+		out = append(out, Stored{Key: strings.TrimSuffix(name, ".json"), File: path, Meta: head.Meta})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil

@@ -503,6 +503,27 @@ func TestListStored(t *testing.T) {
 	if got[0].Meta.Seed != 7 || !metaEqual(got[1].Meta, r1.Meta) {
 		t.Fatalf("ListStored metadata wrong: %+v", got)
 	}
+	// A shard 2/3 an older store saved lists with the range Load gives it.
+	old := demoRun(1, 2)
+	old.Meta.ShardIndex, old.Meta.ShardCount = 2, 3
+	b, err := Encode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "demo.shard2-of-3.json")
+	if err := os.WriteFile(legacy, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ListStored(dir); err != nil || len(got) != 3 || got[2].Key != "demo.shard2-of-3" {
+		t.Fatalf("ListStored with a legacy shard = %+v (%v), want it third", got, err)
+	}
+	if !metaEqual(got[2].Meta, loaded.Meta) || *got[2].Meta.Range != (CellRange{Lo: 2, Hi: 3, Total: 3}) || got[2].Meta.ShardCount != 0 {
+		t.Fatalf("legacy shard listed as %+v, Load reads %+v", got[2].Meta, loaded.Meta)
+	}
 	// A run file that exists but does not decode still fails the listing.
 	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)

@@ -188,3 +188,24 @@ func TestJournalUnresolvableAndCorruptEntries(t *testing.T) {
 		t.Errorf("Simulated = %d, want 0", got)
 	}
 }
+
+// TestEnqueueFindsALandedRun: a run that lands between a submission's
+// cache check and its enqueue must not be simulated again. runJob
+// stores a run before it drops the job from the table, under the lock
+// enqueue holds, so enqueue finds the stored run and returns no job;
+// handleSubmit then answers a cache hit.
+func TestEnqueueFindsALandedRun(t *testing.T) {
+	s, err := New(Config{CacheDir: t.TempDir(), Pool: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	e, o := specExperiment(t), opts.Defaults()
+	key := o.RunMeta(e).CacheKey()
+	if err := results.WriteAtomic(s.cachePath(key), []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if j, attached, err := s.enqueue(key, e, o); j != nil || attached || err != nil {
+		t.Fatalf("enqueue of a stored run = %v, %t, %v; want no job", j, attached, err)
+	}
+}

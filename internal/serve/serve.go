@@ -177,10 +177,15 @@ func (s *Server) replay(pending []journalEntry) {
 			s.journal.complete(je.Key)
 			continue
 		}
-		if _, _, err := s.enqueue(je.Key, e, o); err != nil {
+		j, _, err := s.enqueue(je.Key, e, o)
+		if err != nil {
 			// Queue full: leave the entry pending; the next restart
 			// tries again.
 			s.log.Warn("journal replay could not enqueue", "key", je.Key, "err", err)
+			continue
+		}
+		if j == nil { // landed since the touch above
+			s.journal.complete(je.Key)
 			continue
 		}
 		s.metrics.journalReplayed.Inc()
@@ -351,10 +356,13 @@ func (s *Server) jobFor(key string) *job {
 
 var errBusy = errors.New("serve: submission queue is full, retry later")
 
-// enqueue dedupes a submission against the in-flight table and the
-// queue's capacity. It returns the job accepting the submission —
-// either a previously submitted identical one (attached true, the
-// in-flight flavor of a cache hit) or a fresh one.
+// enqueue dedupes a submission against the in-flight table, the cache
+// and the queue's capacity. It returns the job accepting the submission
+// — either a previously submitted identical one (attached true, the
+// in-flight flavor of a cache hit) or a fresh one — or no job when the
+// run is stored. runJob stores a run before it drops the job from the
+// table, so a run that landed after the caller checked the cache is
+// found here rather than simulated again.
 func (s *Server) enqueue(key string, e experiments.Experiment, o opts.Options) (j *job, attached bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,6 +371,9 @@ func (s *Server) enqueue(key string, e experiments.Experiment, o opts.Options) (
 	}
 	if j, ok := s.jobs[key]; ok && j.active() {
 		return j, true, nil
+	}
+	if s.touch(key) {
+		return nil, false, nil
 	}
 	j = newJob(key, e, o)
 	select {
@@ -524,10 +535,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := o.RunMeta(e).CacheKey()
 	resp := submitResponse{Key: key, Experiment: e.ID, URL: "/v1/runs/" + key}
-	if s.touch(key) {
+	cached := func() {
 		s.metrics.cacheHits.Inc()
 		resp.Status = statusCached
 		writeJSON(w, http.StatusOK, resp)
+	}
+	if s.touch(key) {
+		cached()
 		return
 	}
 	// Journal before queue: once the entry is durable, a crash between
@@ -549,6 +563,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 		}
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if j == nil {
+		// The run landed after the touch above, so this submission is
+		// a cache hit and its journal entry is done.
+		s.journal.complete(key)
+		cached()
 		return
 	}
 	if attached {

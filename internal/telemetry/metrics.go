@@ -106,10 +106,14 @@ const (
 // series is one sample line (or one histogram) of a family.
 type series struct {
 	labels string // pre-rendered `key="value",…` (no braces), "" for none
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-	f      func() float64 // scrape-time reader for func metrics
+	braced string // labels in braces, "" for none
+	// buckets holds a histogram's bucket label sets, `{labels,le="…"}`,
+	// rendered once at registration; +Inf is last.
+	buckets []string
+	c       *Counter
+	g       *Gauge
+	h       *Histogram
+	f       func() float64 // scrape-time reader for func metrics
 }
 
 // family is one metric name with its help, type and series.
@@ -153,7 +157,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels string, s
 			panic(fmt.Sprintf("telemetry: duplicate series %s{%s}", name, labels))
 		}
 	}
-	s.labels = labels
+	s.labels, s.braced = labels, braceOpt(labels)
 	f.ser = append(f.ser, s)
 }
 
@@ -207,13 +211,20 @@ func (r *Registry) Histogram(name, help, labels string, bounds []time.Duration) 
 		bounds: append([]time.Duration(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	r.register(name, help, kindHistogram, labels, &series{h: h})
+	s := &series{h: h, buckets: make([]string, len(bounds)+1)}
+	for i := range s.buckets {
+		le := "+Inf"
+		if i < len(bounds) {
+			le = fnum(bounds[i].Seconds())
+		}
+		s.buckets[i] = "{" + joinLabels(labels, Label("le", le)) + "}"
+	}
+	r.register(name, help, kindHistogram, labels, s)
 	return h
 }
 
 // labelEscaper escapes a label value per the exposition format. It is
-// built once because Label runs for every histogram bucket of every
-// scrape; a Replacer is safe for concurrent use.
+// built once and shared; a Replacer is safe for concurrent use.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Label renders one label pair for the labels argument of Histogram,
@@ -250,19 +261,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func writeSeries(w io.Writer, f *family, s *series) error {
-	braced := ""
-	if s.labels != "" {
-		braced = "{" + s.labels + "}"
-	}
 	switch {
 	case s.c != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, braced, s.c.Value())
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.braced, s.c.Value())
 		return err
 	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, braced, s.g.Value())
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.braced, s.g.Value())
 		return err
 	case s.f != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, braced, fnum(s.f()))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.braced, fnum(s.f()))
 		return err
 	case s.h != nil:
 		return writeHistogram(w, f.name, s)
@@ -275,21 +282,16 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 func writeHistogram(w io.Writer, name string, s *series) error {
 	h := s.h
 	var cum uint64
-	for i, b := range h.bounds {
+	for i, le := range s.buckets {
 		cum += h.counts[i].Load()
-		le := Label("le", fnum(b.Seconds()))
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, joinLabels(s.labels, le), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, le, cum); err != nil {
 			return err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, joinLabels(s.labels, Label("le", "+Inf")), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, s.braced, fnum(h.Sum().Seconds())); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braceOpt(s.labels), fnum(h.Sum().Seconds())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braceOpt(s.labels), h.Count())
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, s.braced, h.Count())
 	return err
 }
 
