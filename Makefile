@@ -18,9 +18,11 @@ test:
 benchmark-test:
 	cd lockinbench && $(GO) vet ./... && $(GO) test ./...
 
+# The repeated run covers only the power-meter cases that start the
+# replay helper; the every-step reference cases run once in the first.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'Meter|Replay' ./internal/power ./internal/workload
+	$(GO) test -race -count=10 -run 'TestMeterMatchesReference/replayed$$|TestMeterReplay' ./internal/power ./internal/workload
 
 # Hot-path microbenchmarks only (kernel, coherence, futex, power,
 # machine's TAS herd and core's MUTEX herd) — the tight loop while

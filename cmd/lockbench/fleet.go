@@ -11,8 +11,10 @@ import (
 	"syscall"
 	"time"
 
+	"lockin/internal/bench/opts"
 	"lockin/internal/fleet"
 	"lockin/internal/results"
+	"lockin/internal/sweep"
 	"lockin/internal/telemetry"
 )
 
@@ -36,10 +38,6 @@ func runCoordinate(args []string) {
 		addr     = fs.String("addr", ":8351", "listen address workers join on")
 		id       = fs.String("experiment", "", "registered experiment id to distribute")
 		scenFile = fs.String("scenario", "", "scenario spec file to distribute instead of a registered experiment")
-		seed     = fs.Int64("seed", 42, "simulation RNG seed (fleet-wide)")
-		scale    = fs.Float64("scale", 1.0, "measurement-window multiplier (fleet-wide)")
-		quick    = fs.Bool("quick", false, "trim sweep grids (fleet-wide)")
-		workers  = fs.Int("workers", 0, "per-process sweep workers each fleet worker runs with (0 = all CPUs); recorded in the run metadata, so match it when diffing against serial runs")
 		expect   = fs.Int("expect", 4, "worker count the chunk schedule is sized for (more may join; they steal)")
 		minChunk = fs.Int("min-chunk", 1, "minimum chunk width in cell coordinates")
 		ttl      = fs.Duration("lease-ttl", 2*time.Minute, "lease deadline; an unreported chunk requeues after this and the next idle worker steals it")
@@ -47,6 +45,10 @@ func runCoordinate(args []string) {
 		logLevel = fs.String("log-level", "info", "structured-log level: debug, info, warn or error")
 		logJSON  = fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	)
+	// The run flags are fleet-wide; every worker runs its chunks with
+	// -workers sweep workers, which the run metadata records.
+	ro := sweep.DefaultOptions()
+	opts.BindRunFlags(fs, &ro)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
@@ -54,7 +56,7 @@ func runCoordinate(args []string) {
 		fmt.Fprintf(os.Stderr, "lockbench coordinate: %v\n", err)
 		os.Exit(2)
 	}
-	job := fleet.JobSpec{Experiment: *id, Seed: *seed, Scale: *scale, Quick: *quick, Workers: *workers}
+	job := fleet.JobSpec{Experiment: *id, Seed: ro.Seed, Scale: ro.Scale, Quick: ro.Quick, Workers: ro.Workers}
 	if *scenFile != "" {
 		spec, err := os.ReadFile(*scenFile)
 		if err != nil {

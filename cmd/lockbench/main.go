@@ -307,14 +307,13 @@ func selectExperiments(id, scenFile string, o opts.Options) []experiments.Experi
 // simulate runs one experiment under the shared options and returns
 // the (possibly sliced/projected) run, printing its tables.
 func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress bool) *results.Run {
-	eo := o.ExperimentOptions()
+	eo := o.Options
 	var stats sweep.Stats
 	eo.Stats = &stats
-	var report func(done, total int)
 	if progress {
 		eID := e.ID
-		workers := eo.SweepOptions().WorkerCount()
-		report = func(done, total int) {
+		workers := eo.WorkerCount()
+		eo.Progress = func(done, total int) {
 			if done == total {
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells\n", eID, done, total)
 				return
@@ -331,7 +330,6 @@ func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress b
 			fmt.Fprint(os.Stderr, line)
 		}
 	}
-	eo.Progress = report
 	start := time.Now()
 	fmt.Printf("### %s — %s\n", e.ID, e.Title)
 	fmt.Printf("### paper: %s\n\n", e.Paper)
@@ -396,7 +394,7 @@ const (
 // OnlyCell), so the traced execution is the same one the full run
 // simulates.
 func runTraced(e experiments.Experiment, o opts.Options, cell int) {
-	eo := o.ExperimentOptions()
+	eo := o.Options
 	eo.OnlyCell = cell
 	eo.Workers = 1 // one cell; a worker pool would only interleave arming
 	var stats sweep.Stats
@@ -479,32 +477,18 @@ func loadBaseline(arg, experiment string) (*results.Run, error) {
 }
 
 // diffBaseline compares a (possibly sliced/projected) run against its
-// baseline and reports whether differences survived the tolerance. A
-// baseline that is missing or cannot be compared prints its error and
-// counts as a difference, so that a run of several experiments still
-// compares every other one and -diff fails at the end.
-// Under an active query — or when either run was STORED queried
-// (Meta.Query records a slice/projection applied before saving) — the
-// comparison is plane-wise (results.ComparePlanes): axis metadata
-// must match, tables pair positionally, and cosmetic fields (title,
-// notes, spec hash) are ignored, because the query's whole point is
-// comparing runs of different experiments over the same plane.
-// Otherwise the strict results.Compare applies.
+// baseline (opts.Query.Compare) and reports whether differences
+// survived the tolerance. A baseline that is missing or cannot be
+// compared prints its error and counts as a difference, so that a run
+// of several experiments still compares every other one and -diff
+// fails at the end.
 func diffBaseline(run *results.Run, id, baselineArg string, q opts.Query, o opts.Options) bool {
 	base, err := loadBaseline(baselineArg, id)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return true
 	}
-	var rep *results.Report
-	if q.Active() || run.Meta.Query != "" || base.Meta.Query != "" {
-		base, err = q.ApplyToBaseline(base)
-		if err == nil {
-			rep, err = results.ComparePlanes(base, run, o.Tolerance())
-		}
-	} else {
-		rep, err = results.Compare(base, run, o.Tolerance())
-	}
+	rep, err := q.Compare(base, run, o.Tolerance())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return true

@@ -12,16 +12,14 @@ import (
 	"fmt"
 	"os"
 
+	"lockin/internal/bench/opts"
 	"lockin/internal/experiments"
+	"lockin/internal/sweep"
 )
 
 func main() {
-	var (
-		seed    = flag.Int64("seed", 42, "simulation RNG seed")
-		scale   = flag.Float64("scale", 1.0, "measurement-window multiplier")
-		quick   = flag.Bool("quick", false, "trim the timeout grid (CI mode)")
-		workers = flag.Int("workers", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	)
+	o := sweep.DefaultOptions()
+	opts.BindRunFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	e, err := experiments.Find("fig10_tail")
@@ -30,7 +28,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s\n(paper: %s)\n\n", e.Title, e.Paper)
-	o := experiments.Options{Seed: *seed, Scale: *scale, Quick: *quick, Workers: *workers}
 	for _, t := range e.Run(o) {
 		fmt.Println(t)
 	}

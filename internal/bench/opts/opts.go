@@ -1,22 +1,25 @@
 // Package opts is the single option surface shared by every benchmark
 // consumer: one Options struct with one set of defaults, bindable onto
 // a CLI flag set (FromFlags) and onto an HTTP URL query (ApplyQuery),
-// with one validation pass (NormalizeAndValidate) behind both. The CLI
-// (lockbench) and the benchmark service (internal/serve) both assemble
-// their runs through this package, so "-scale 4" on a command line and
-// "?scale=4" in a request
-// are the same option by construction, and a knob added here shows up
-// everywhere with identical parsing, defaults and error messages.
+// with one validation pass (NormalizeAndValidate) behind both. Options
+// embeds the run's own options (experiments.Options, which is
+// sweep.Options), so a bound flag or query parameter is the field the
+// engine reads, with no copy in between. The CLI (lockbench) and the
+// benchmark service (internal/serve) both assemble their runs through
+// this package, so "-scale 4" on a command line and "?scale=4" in a
+// request are the same option by construction, and a knob added here
+// shows up everywhere with identical parsing, defaults and error
+// messages.
 //
 // Flag names and URL query parameters correspond one-to-one: -seed ↔
 // seed, -scale ↔ scale, -quick ↔ quick, -workers ↔ workers, -slice ↔
-// slice, -project ↔ project, -tol ↔ tol, -tol-cols ↔ tol_cols,
-// -cpuprofile ↔ cpuprofile, -memprofile ↔ memprofile. The -shard and
-// -cells flags are deliberately CLI-only: a cell range is a
+// slice, -project ↔ project, -tol ↔ tol, -tol-cols ↔ tol_cols. The
+// -shard and -cells flags are deliberately CLI-only: a cell range is a
 // process-level concern of distributed regeneration, and the service
-// always runs full grids. The service handlers likewise keep
-// cpuprofile/memprofile out of their allowed query subsets: profiles
-// are files of the serving process, not run options.
+// always runs full grids. So are -cpuprofile and -memprofile: a
+// profile is a file of the process that runs, not a run option. The
+// service's own knobs (listen address, cache, pool) are
+// serve.Config's fields, which `lockbench serve` binds its flags onto.
 //
 // Job is the run request every front end shares: an experiment id or
 // scenario spec bytes plus the run options. lockbench, the service,
@@ -30,37 +33,27 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"lockin/internal/experiments"
 	"lockin/internal/results"
+	"lockin/internal/sweep"
 )
 
-// Options is every knob shared between the CLI binaries and the HTTP
-// service. The zero value is not the canonical default — start from
-// Defaults().
+// Options is every knob shared between the CLI and the HTTP service.
+// The zero value is not the canonical default — start from Defaults().
 type Options struct {
-	// Seed is the base RNG seed; every grid cell derives its own
-	// machine seed from it (sweep.CellSeed).
-	Seed int64
-	// Scale multiplies every measurement window (1.0 = quick defaults).
-	Scale float64
-	// Quick trims sweep grids for CI-style runs.
-	Quick bool
-	// Workers caps the number of grid cells simulated concurrently
-	// (0 = all CPUs, 1 = serial). Results are identical for any value.
-	Workers int
-	// RangeLo/RangeHi/RangeTotal run one contiguous cell range of each
-	// grid (active when RangeTotal > 0; see sweep.Options) — the only
-	// partition of a run. The fleet worker executes leased chunks
-	// through these; on the CLI, -cells lo-hi/total sets them directly
-	// and -shard i/n sets the range [i, i+1) of total n. Never set from
-	// a URL query.
-	RangeLo    int
-	RangeHi    int
-	RangeTotal int
+	// Options is the run itself: seed, scale, quick, workers and the
+	// cell range (RangeLo/RangeHi/RangeTotal, the only partition of a
+	// run, never set from a URL query). The fleet worker executes
+	// leased chunks through the range; on the CLI, -cells lo-hi/total
+	// sets it directly and -shard i/n sets the range [i, i+1) of total
+	// n. Progress, Stats and the other engine hooks are the caller's
+	// to attach.
+	experiments.Options
 	// Slice fixes axes of a multi-axis run to values, keeping one plane.
 	Slice []results.Fix
 	// Project collapses a multi-axis run onto these axes (mean
@@ -72,17 +65,15 @@ type Options struct {
 	TolCols map[string]float64
 	// CPUProfile/MemProfile name files to write pprof profiles to: CPU
 	// profiling covers the whole run, the heap profile is captured at
-	// exit (see StartProfiles). Empty disables. Part of the shared
-	// schema; the service's handlers deliberately exclude them from
-	// their allowed query subsets — a profile is a local file of the
-	// serving process, not a property of the run.
+	// exit (see StartProfiles). Empty disables. CLI flags only.
 	CPUProfile string
 	MemProfile string
 }
 
 // Defaults returns the option values every consumer starts from: the
-// fixed default seed, unit scale, full grids, one worker per CPU.
-func Defaults() Options { return Options{Seed: 42, Scale: 1.0} }
+// sweep engine's defaults (sweep.DefaultOptions), full grids, one
+// worker per CPU.
+func Defaults() Options { return Options{Options: sweep.DefaultOptions()} }
 
 // Flags holds options bound onto a flag set but not yet finalized:
 // scalar fields bind directly, composite flags (-shard, -slice,
@@ -96,16 +87,13 @@ type Flags struct {
 	tolCols *string
 }
 
-// FromFlags binds the shared option surface — seed, scale, quick,
-// workers and profiles, plus cell ranges (-shard, -cells),
-// axis queries and diff tolerances — onto fs with the canonical names,
-// defaults and help strings.
+// FromFlags binds the shared option surface — the run flags
+// (BindRunFlags), profiles, cell ranges (-shard, -cells), axis queries
+// and diff tolerances — onto fs with the canonical names, defaults and
+// help strings.
 func FromFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{opts: Defaults()}
-	fs.Int64Var(&f.opts.Seed, "seed", f.opts.Seed, "simulation RNG seed")
-	fs.Float64Var(&f.opts.Scale, "scale", f.opts.Scale, "measurement-window multiplier")
-	fs.BoolVar(&f.opts.Quick, "quick", false, "trim sweep grids (CI mode)")
-	fs.IntVar(&f.opts.Workers, "workers", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
+	BindRunFlags(fs, &f.opts.Options)
 	fs.StringVar(&f.opts.CPUProfile, "cpuprofile", "", "write a CPU pprof profile of the run to this file")
 	fs.StringVar(&f.opts.MemProfile, "memprofile", "", "write a heap pprof profile at exit to this file")
 	f.shard = fs.String("shard", "", "run one shard of each grid, format i/n (e.g. 0/2)")
@@ -115,6 +103,16 @@ func FromFlags(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.opts.Tol, "tol", 0, "relative per-cell tolerance for -baseline comparisons (0 = exact)")
 	f.tolCols = fs.String("tol-cols", "", "per-column tolerance overrides for -baseline, comma-separated name=rel (e.g. 'p95(Kcyc)=0.05,thr(Kacq/s)=0.02'); other columns use -tol")
 	return f
+}
+
+// BindRunFlags binds the flags of every command that starts a run —
+// -seed, -scale, -quick and -workers — onto o, with o's values as the
+// defaults and the canonical help strings.
+func BindRunFlags(fs *flag.FlagSet, o *experiments.Options) {
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "simulation RNG seed")
+	fs.Float64Var(&o.Scale, "scale", o.Scale, "measurement-window multiplier")
+	fs.BoolVar(&o.Quick, "quick", o.Quick, "trim sweep grids (CI mode)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel sweep workers (0 = all CPUs, 1 = serial)")
 }
 
 // Options finalizes the bound flags after the flag set was parsed: the
@@ -220,33 +218,16 @@ var queryParsers = map[string]func(*Options, string) error{
 		o.TolCols = cols
 		return nil
 	},
-	"cpuprofile": func(o *Options, v string) error {
-		o.CPUProfile = v
-		return nil
-	},
-	"memprofile": func(o *Options, v string) error {
-		o.MemProfile = v
-		return nil
-	},
 }
 
 // ApplyQuery maps a URL query onto the options, strictly: a parameter
-// outside the shared schema — or outside the allowed subset, when one
-// is given — is an error naming what IS accepted, never silently
-// ignored (a typo'd ?scal=4 must not run at the default scale). When a
-// parameter repeats, the last value wins. The result passes
-// NormalizeAndValidate, so a handler can 400 with the returned error
-// text directly.
+// outside the allowed subset of the shared schema is an error naming
+// what IS accepted, never silently ignored (a typo'd ?scal=4 must not
+// run at the default scale). When a parameter repeats, the last value
+// wins. The result passes NormalizeAndValidate, so a handler can 400
+// with the returned error text directly.
 func ApplyQuery(def Options, q url.Values, allowed ...string) (Options, error) {
 	o := def
-	ok := func(string) bool { return true }
-	if len(allowed) > 0 {
-		set := make(map[string]bool, len(allowed))
-		for _, k := range allowed {
-			set[k] = true
-		}
-		ok = func(k string) bool { return set[k] }
-	}
 	keys := make([]string, 0, len(q))
 	for k := range q {
 		keys = append(keys, k)
@@ -254,12 +235,8 @@ func ApplyQuery(def Options, q url.Values, allowed ...string) (Options, error) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		parse, known := queryParsers[k]
-		if !known || !ok(k) {
-			accepted := allowed
-			if len(accepted) == 0 {
-				accepted = QueryKeys()
-			}
-			return o, fmt.Errorf("unknown parameter %q (accepted: %s)", k, strings.Join(accepted, ", "))
+		if !known || !slices.Contains(allowed, k) {
+			return o, fmt.Errorf("unknown parameter %q (accepted: %s)", k, strings.Join(allowed, ", "))
 		}
 		vs := q[k]
 		if err := parse(&o, vs[len(vs)-1]); err != nil {
@@ -270,17 +247,6 @@ func ApplyQuery(def Options, q url.Values, allowed ...string) (Options, error) {
 		return o, err
 	}
 	return o, nil
-}
-
-// QueryKeys returns the sorted URL parameter names of the shared
-// schema.
-func QueryKeys() []string {
-	keys := make([]string, 0, len(queryParsers))
-	for k := range queryParsers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // maxScale bounds Scale. README puts the paper's 10-second runs at
@@ -424,26 +390,46 @@ func ParseCells(s string) (lo, hi, total int, err error) {
 	return lo, hi, total, nil
 }
 
+// byteUnits maps the accepted -cache-max-bytes suffixes, case-
+// insensitive: decimal (kB/MB/GB) and binary (KiB/MiB/GiB) families,
+// plus a bare number or trailing "B" for bytes.
+var byteUnits = map[string]int64{
+	"": 1, "b": 1,
+	"kb": 1e3, "mb": 1e6, "gb": 1e9,
+	"kib": 1 << 10, "mib": 1 << 20, "gib": 1 << 30,
+}
+
+// ParseBytes parses a human byte size — "1048576", "512MiB", "2GB" —
+// into bytes. An empty string is 0 (unbounded).
+func ParseBytes(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil
+	}
+	i := 0
+	for i < len(s) && (s[i] == '.' || (s[i] >= '0' && s[i] <= '9')) {
+		i++
+	}
+	num, unit := s[:i], strings.ToLower(strings.TrimSpace(s[i:]))
+	mult, ok := byteUnits[unit]
+	if num == "" || !ok {
+		return 0, fmt.Errorf("bad byte size %q: want <number>[B|kB|MB|GB|KiB|MiB|GiB]", s)
+	}
+	f, err := strconv.ParseFloat(num, 64)
+	if err != nil || f < 0 || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("bad byte size %q: want a non-negative number", s)
+	}
+	n := f * float64(mult)
+	if n > math.MaxInt64 {
+		return 0, fmt.Errorf("bad byte size %q: overflows", s)
+	}
+	return int64(n), nil
+}
+
 // Tolerance assembles the diff tolerance of baseline comparisons.
 func (o Options) Tolerance() results.Tolerance {
 	return results.Tolerance{Default: o.Tol, Columns: o.TolCols}
 }
-
-// ExperimentOptions lowers the shared options onto the experiment
-// runner (the caller attaches its own Progress hook if it wants one).
-func (o Options) ExperimentOptions() experiments.Options {
-	return experiments.Options{
-		Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Workers: o.Workers,
-		RangeLo: o.RangeLo, RangeHi: o.RangeHi, RangeTotal: o.RangeTotal,
-	}
-}
-
-// Partial reports whether these options run a strict subset of each
-// grid — a cell range that does not cover [0,total) — so the output is
-// a partial run that must be merged (results.Merge) before it can be
-// compared or queried as a full run. It is the predicate by which
-// experiments.Experiment.Run decides whether to reduce.
-func (o Options) Partial() bool { return o.ExperimentOptions().Partial() }
 
 // RunMeta assembles the results metadata of running experiment e under
 // these options — one construction shared by the CLI and the HTTP
@@ -458,7 +444,7 @@ func (o Options) RunMeta(e experiments.Experiment) results.Meta {
 		m.Range = &results.CellRange{Lo: o.RangeLo, Hi: o.RangeHi, Total: o.RangeTotal}
 	}
 	if e.Axes != nil {
-		m.Axes = e.Axes(o.ExperimentOptions())
+		m.Axes = e.Axes(o.Options)
 	}
 	return m
 }

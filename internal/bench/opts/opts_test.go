@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lockin/internal/bench/opts"
+	"lockin/internal/experiments"
 	"lockin/internal/results"
 )
 
@@ -103,6 +104,45 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
+func TestParseBytes(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		err  string
+	}{
+		{"", 0, ""},
+		{"0", 0, ""},
+		{"1048576", 1 << 20, ""},
+		{"1KiB", 1 << 10, ""},
+		{"512MiB", 512 << 20, ""},
+		{"2GiB", 2 << 30, ""},
+		{"2GB", 2e9, ""},
+		{"1.5kb", 1500, ""},
+		{" 64 MB ", 64e6, ""},
+		{"10b", 10, ""},
+		{"mb", 0, "bad byte size"},
+		{"12qb", 0, "bad byte size"},
+		{"-1", 0, "bad byte size"},
+		{"1e3", 0, "bad byte size"},
+	}
+	for _, c := range cases {
+		got, err := opts.ParseBytes(c.in)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("ParseBytes(%q) err = %v, want containing %q", c.in, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseBytes(%q): %v", c.in, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
 // checkParse is the shared assertion of the table-driven parser tests.
 func checkParse[T any](t *testing.T, fn, in string, got, want T, err error, wantErr string) {
 	t.Helper()
@@ -155,8 +195,8 @@ func TestFromFlagsFullSurface(t *testing.T) {
 	}
 	// -shard i/n is the cell range [i, i+1) of total n.
 	want := opts.Options{
-		Seed: 7, Scale: 2.5, Quick: true, Workers: 3,
-		RangeLo: 1, RangeHi: 2, RangeTotal: 4,
+		Options: experiments.Options{Seed: 7, Scale: 2.5, Quick: true, Workers: 3,
+			RangeLo: 1, RangeHi: 2, RangeTotal: 4},
 		Slice:   []results.Fix{{Axis: "read", Value: "90"}},
 		Project: []string{"lock"},
 		Tol:     0.01, TolCols: map[string]float64{"p95(Kcyc)": 0.05},
@@ -191,18 +231,21 @@ func TestFromFlagsBadComposite(t *testing.T) {
 	}
 }
 
+// queryParams are the eight URL parameters of the shared schema.
+var queryParams = []string{"project", "quick", "scale", "seed", "slice", "tol", "tol_cols", "workers"}
+
 func TestApplyQuery(t *testing.T) {
 	q := url.Values{
 		"seed": {"7"}, "scale": {"0.5"}, "quick": {"1"}, "workers": {"2"},
 		"slice": {"read=90,lock=MUTEX"}, "project": {"lock"},
 		"tol": {"0.02"}, "tol_cols": {"p95(Kcyc)=0.05"},
 	}
-	o, err := opts.ApplyQuery(opts.Defaults(), q)
+	o, err := opts.ApplyQuery(opts.Defaults(), q, queryParams...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := opts.Options{
-		Seed: 7, Scale: 0.5, Quick: true, Workers: 2,
+		Options: experiments.Options{Seed: 7, Scale: 0.5, Quick: true, Workers: 2},
 		Slice:   []results.Fix{{Axis: "read", Value: "90"}, {Axis: "lock", Value: "MUTEX"}},
 		Project: []string{"lock"},
 		Tol:     0.02, TolCols: map[string]float64{"p95(Kcyc)": 0.05},
@@ -213,7 +256,7 @@ func TestApplyQuery(t *testing.T) {
 }
 
 func TestApplyQueryLastValueWins(t *testing.T) {
-	o, err := opts.ApplyQuery(opts.Defaults(), url.Values{"seed": {"1", "2", "3"}})
+	o, err := opts.ApplyQuery(opts.Defaults(), url.Values{"seed": {"1", "2", "3"}}, "seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +284,13 @@ func TestApplyQueryStrict(t *testing.T) {
 		// A key in the schema but outside the endpoint's allowed subset
 		// is rejected, and the message names what is accepted.
 		{q: url.Values{"slice": {"read=90"}}, allowed: []string{"seed", "scale"}, err: `unknown parameter "slice" (accepted: seed, scale)`},
+		// No allowed names accept nothing, not everything.
+		{q: url.Values{"seed": {"7"}}, allowed: []string{}, err: `unknown parameter "seed"`},
 	}
 	for _, c := range cases {
+		if c.allowed == nil {
+			c.allowed = queryParams
+		}
 		_, err := opts.ApplyQuery(opts.Defaults(), c.q, c.allowed...)
 		if err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("ApplyQuery(%v, allowed=%v) err = %v, want containing %q", c.q, c.allowed, err, c.err)
@@ -279,12 +327,18 @@ func TestNormalizeAndValidate(t *testing.T) {
 	}
 }
 
-// TestRunMetaMatchesQueryKeys pins the flag ↔ query-parameter schema
-// the README documents: every shared execution/query knob is reachable
-// from a URL.
+// TestQueryKeysSchema pins the flag ↔ query-parameter schema the
+// README documents: every shared execution/query knob is reachable from
+// a URL, and nothing else is, the profile flags included.
 func TestQueryKeysSchema(t *testing.T) {
-	want := []string{"cpuprofile", "memprofile", "project", "quick", "scale", "seed", "slice", "tol", "tol_cols", "workers"}
-	if got := opts.QueryKeys(); !reflect.DeepEqual(got, want) {
-		t.Errorf("QueryKeys() = %v, want %v", got, want)
+	for _, k := range queryParams {
+		if _, err := opts.ApplyQuery(opts.Defaults(), url.Values{k: {"1"}}, k); err != nil && strings.Contains(err.Error(), "unknown parameter") {
+			t.Errorf("parameter %q is not in the schema: %v", k, err)
+		}
+	}
+	for _, k := range []string{"cpuprofile", "memprofile", "shard", "cells"} {
+		if _, err := opts.ApplyQuery(opts.Defaults(), url.Values{k: {"x"}}, k); err == nil || !strings.Contains(err.Error(), "unknown parameter") {
+			t.Errorf("parameter %q: err = %v, want unknown parameter", k, err)
+		}
 	}
 }

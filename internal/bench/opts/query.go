@@ -75,6 +75,27 @@ func (q Query) ApplyToBaseline(base *results.Run) (*results.Run, error) {
 	return base, nil
 }
 
+// Compare diffs run against its baseline under tol. Under an active
+// query, or when either run was stored queried (Meta.Query records a
+// slice/projection applied before saving), the comparison is
+// plane-wise (results.ComparePlanes) against the baseline mirrored
+// through ApplyToBaseline: axis metadata must match, tables pair
+// positionally, and cosmetic fields (title, notes, spec hash) are
+// ignored, because the query's whole point is comparing runs of
+// different experiments over the same plane. Otherwise the strict
+// results.Compare applies. The CLI's -baseline and the service's
+// /v1/diff both compare through it.
+func (q Query) Compare(base, run *results.Run, tol results.Tolerance) (*results.Report, error) {
+	if !q.Active() && run.Meta.Query == "" && base.Meta.Query == "" {
+		return results.Compare(base, run, tol)
+	}
+	base, err := q.ApplyToBaseline(base)
+	if err != nil {
+		return nil, err
+	}
+	return results.ComparePlanes(base, run, tol)
+}
+
 // axesAreExactly reports whether the axis names equal the given set
 // (order-insensitively: Project canonicalizes to nesting order).
 func axesAreExactly(axes []sweep.Axis, names []string) bool {

@@ -19,98 +19,15 @@ import (
 	"fmt"
 	"sort"
 
-	"lockin/internal/machine"
 	"lockin/internal/metrics"
-	"lockin/internal/sim"
 	"lockin/internal/sweep"
 )
 
-// Options tunes an experiment run.
-type Options struct {
-	// Seed is the base RNG seed; every grid cell runs on its own
-	// simulated machine seeded with sweep.CellSeed(Seed, cell index).
-	Seed int64
-	// Scale multiplies every measurement window (1.0 = quick defaults).
-	Scale float64
-	// Quick further trims sweep grids for CI-style runs.
-	Quick bool
-	// Workers caps the number of grid cells simulated concurrently
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical either way.
-	Workers int
-	// RangeLo/RangeHi/RangeTotal split an experiment's grid across
-	// processes (active when RangeTotal > 0; see sweep.Options): only
-	// this contiguous range of cells simulates, and the surviving cells
-	// keep their index-derived seeds, so concatenating the table rows of
-	// ranges that tile [0, RangeTotal) (results.Merge) is byte-identical
-	// to a full run's grid rows (Experiment.Grid). The fleet worker
-	// executes leased chunks through these, and the CLI's -shard i/n is
-	// the range [i, i+1) of total n.
-	RangeLo    int
-	RangeHi    int
-	RangeTotal int
-	// Survey, when non-nil, enumerates instead of simulating: each grid
-	// reports its cell count and cost hints to Survey and returns
-	// without executing (see sweep.Options.Survey).
-	Survey func(cells int, cost func(index int) float64)
-	// Progress, when non-nil, receives per-experiment sweep progress.
-	Progress func(done, total int)
-	// OnlyCell, when > 0, simulates just that 1-based grid cell (the
-	// index run queries report), keeping its full-grid seed — the
-	// trace-mode hook. See sweep.Options.OnlyCell.
-	OnlyCell int
-	// Stats, when non-nil, accumulates engine counters (cells
-	// completed, worker busy time) across the run's sweeps.
-	Stats *sweep.Stats
-}
-
-// DefaultOptions returns quick settings with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
-
-func (o Options) dur(base sim.Cycles) sim.Cycles { return o.Window(base) }
-
-// Window scales a quick-default measurement window by Options.Scale.
-func (o Options) Window(base sim.Cycles) sim.Cycles {
-	if o.Scale <= 0 {
-		return base
-	}
-	return sim.Cycles(float64(base) * o.Scale)
-}
-
-// SweepOptions lowers the experiment options onto the grid engine.
-// Dynamically registered experiments (compiled scenarios) use it to run
-// their grids under the same determinism and sharding contract as the
-// built-in figures.
-func (o Options) SweepOptions() sweep.Options {
-	return sweep.Options{
-		Workers:    o.Workers,
-		Seed:       o.Seed,
-		Scale:      o.Scale,
-		Quick:      o.Quick,
-		RangeLo:    o.RangeLo,
-		RangeHi:    o.RangeHi,
-		RangeTotal: o.RangeTotal,
-		Survey:     o.Survey,
-		OnlyCell:   o.OnlyCell,
-		Progress:   o.Progress,
-		Stats:      o.Stats,
-	}
-}
-
-// Partial reports whether o runs less than the whole of each grid: a
-// cell range short of [0, RangeTotal), one traced cell (OnlyCell), or
-// a survey that simulates nothing. Its tables hold rows to merge, not
-// results to reduce or compare.
-func (o Options) Partial() bool {
-	return o.Survey != nil || o.OnlyCell > 0 ||
-		o.RangeTotal > 0 && (o.RangeLo > 0 || o.RangeHi < o.RangeTotal)
-}
-
-// grid starts an empty cell grid executing under these options.
-func (o Options) grid() *sweep.Grid { return sweep.NewGrid(o.SweepOptions()) }
-
-// machineSeeded returns the default machine configuration under the
-// given per-cell seed.
-func (o Options) machineSeeded(seed int64) machine.Config { return machine.DefaultConfig(seed) }
+// Options tunes an experiment run. It is the sweep engine's own
+// options: the grid builders read Scale (through Window) and Quick, the
+// engine reads the rest, and the options reach every grid without a
+// copy (see sweep.Options).
+type Options = sweep.Options
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {

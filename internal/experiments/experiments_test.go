@@ -5,10 +5,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"lockin/internal/sweep"
 )
 
 func quickOpts() Options {
-	o := DefaultOptions()
+	o := sweep.DefaultOptions()
 	o.Quick = true
 	o.Scale = 0.5
 	return o

@@ -42,12 +42,12 @@ func runFutureExtensions(o Options) []*metrics.Table {
 		{"MWAIT (kernel)", func(m *machine.Machine) core.Lock { return core.NewKernelMwaitLock(m) }},
 		{"MWAIT (user, §8)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m) }},
 	}
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, v := range variants {
 		v := v
 		g.Add(func(c sweep.Cell) []sweep.Row {
 			cfg := microCfg(o, c.Seed, v.f, 20, 2000, 1)
-			cfg.Duration = o.dur(12_000_000)
+			cfg.Duration = o.Window(12_000_000)
 			r := workload.RunMicro(cfg)
 			return []sweep.Row{{v.name, r.Throughput() / 1e3, r.TPP() / 1e3, r.Power().Total}}
 		})
@@ -63,7 +63,7 @@ func runFutureExtensions(o Options) []*metrics.Table {
 func runFairnessExtension(o Options) []*metrics.Table {
 	t := metrics.NewTable("Extension — Jain fairness index (16 threads, 1500-cycle CS, tight loop)",
 		"lock", "jain", "throughput(Kacq/s)")
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, k := range evalKinds {
 		k := k
 		g.Add(func(c sweep.Cell) []sweep.Row {
@@ -74,7 +74,7 @@ func runFairnessExtension(o Options) []*metrics.Table {
 			}
 			cfg := microCfg(o, c.Seed, f, 16, 1500, 1)
 			cfg.Outside = 300
-			cfg.Duration = o.dur(8_000_000)
+			cfg.Duration = o.Window(8_000_000)
 			r := workload.RunMicro(cfg)
 			return []sweep.Row{{k.String(), tracked.Tracker.Jain(), r.Throughput() / 1e3}}
 		})

@@ -25,7 +25,7 @@ func runFig6(o Options) []*metrics.Table {
 	rounds := 15
 	t := metrics.NewTable("Figure 6 — futex operation latencies",
 		"delay(cycles)", "wake-call p50", "wake-call p95", "turnaround p50", "turnaround p95")
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, d := range delays {
 		d := d
 		g.Add(func(c sweep.Cell) []sweep.Row {
@@ -53,7 +53,7 @@ func pct(xs []sim.Cycles, q float64) uint64 {
 // between the sleep call and the wake call, collecting per-round wake
 // call latency and turnaround latency.
 func futexRoundTrips(o Options, seed int64, delay sim.Cycles, rounds int) (wakeLat, turnLat []sim.Cycles) {
-	m := machine.New(o.machineSeeded(seed))
+	m := machine.New(machine.DefaultConfig(seed))
 	line := m.NewLine("word")
 	w := m.NewFutexWord(line)
 	var resumedAt sim.Cycles
@@ -95,14 +95,14 @@ func futexRoundTrips(o Options, seed int64, delay sim.Cycles, rounds int) (wakeL
 func runSleepPeriodTable(o Options) []*metrics.Table {
 	t := metrics.NewTable("§4.4 — power vs period between wake-up calls",
 		"period(cycles)", "power(W)")
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, period := range []sim.Cycles{1024, 2048, 4096, 8192} {
 		period := period
 		g.Add(func(c sweep.Cell) []sweep.Row {
-			m := machine.New(o.machineSeeded(c.Seed))
+			m := machine.New(machine.DefaultConfig(c.Seed))
 			line := m.NewLine("word")
 			w := m.NewFutexWord(line)
-			stop := o.dur(4_000_000)
+			stop := o.Window(4_000_000)
 			m.Spawn("sleeper", func(t *machine.Thread) {
 				for t.Proc().Now() < stop {
 					t.Store(line, 1)
@@ -118,10 +118,10 @@ func runSleepPeriodTable(o Options) []*metrics.Table {
 			})
 			e0snap := power.Energy{}
 			var e1snap power.Energy
-			m.K.Schedule(o.dur(300_000), func() { e0snap = m.Meter.Energy() })
+			m.K.Schedule(o.Window(300_000), func() { e0snap = m.Meter.Energy() })
 			m.K.Schedule(stop, func() { e1snap = m.Meter.Energy() })
 			m.K.Drain()
-			p := e1snap.Sub(e0snap).Power(stop-o.dur(300_000), m.Config().Power.BaseFreqGHz)
+			p := e1snap.Sub(e0snap).Power(stop-o.Window(300_000), m.Config().Power.BaseFreqGHz)
 			return []sweep.Row{{uint64(period), p.Total}}
 		})
 	}
@@ -146,7 +146,7 @@ func runFig7(o Options) []*metrics.Table {
 		name string
 		T    int
 	}{{"sleep", 0}, {"spin", -1}, {"ss-1", 1}, {"ss-10", 10}, {"ss-100", 100}, {"ss-1000", 1000}}
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, n := range threads {
 		for _, sc := range schemes {
 			n, sc := n, sc
@@ -171,10 +171,10 @@ func runFig7(o Options) []*metrics.Table {
 //
 // Each thread sleeps on its own futex word, so wakes are targeted.
 func runHandoff(o Options, seed int64, n, T int) (watts, handoversPerSec float64) {
-	m := machine.New(o.machineSeeded(seed))
+	m := machine.New(machine.DefaultConfig(seed))
 	token := m.NewLine("token") // id+1 of the thread allowed to act
-	stop := o.dur(4_000_000)
-	measFrom := o.dur(300_000)
+	stop := o.Window(4_000_000)
+	measFrom := o.Window(300_000)
 	handovers := 0
 	token.Init(1) // thread 0 acts first
 

@@ -14,7 +14,7 @@ import (
 // runDef executes a systems.Definition on a machine with the given
 // per-cell seed and returns the measurement.
 func runDef(o Options, seed int64, d systems.Definition, f workload.LockFactory, dur sim.Cycles) systems.Result {
-	return d.Run(o.machineSeeded(seed), f, o.dur(300_000), o.dur(dur))
+	return d.Run(machine.DefaultConfig(seed), f, o.Window(300_000), o.Window(dur))
 }
 
 func threadSweep(quick bool) []int {
@@ -32,7 +32,7 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 1 — CopyOnWriteArrayList stress",
 				"threads", "lock", "power(W)", "thr(Kops/s)", "TPP(Kops/J)", "power vs mutex", "TPP vs mutex")
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range []int{10, 20} {
 				n := n
 				// One cell per thread count: the spinlock row is
@@ -63,23 +63,23 @@ func init() {
 				vf := vf
 				t := metrics.NewTable("Figure 2 — memory-stress power breakdown ("+vf.String()+")",
 					"hyper-threads", "total(W)", "package(W)", "cores(W)", "DRAM(W)")
-				g := o.grid()
+				g := sweep.NewGrid(o)
 				for _, n := range append([]int{0}, threadSweep(o.Quick)...) {
 					n := n
 					g.Add(func(c sweep.Cell) []sweep.Row {
 						// In the VF-min sweep, the whole machine sits at the
 						// low point: idle contexts vote VF-min as well, as
 						// when the governor pins the platform frequency.
-						mc := o.machineSeeded(c.Seed)
+						mc := machine.DefaultConfig(c.Seed)
 						if vf == power.VFMin {
 							mc.Sched.IdleVF = power.VFMin
 						}
 						var p power.Breakdown
 						if n == 0 {
-							p = systems.IdlePower(mc, o.dur(2_000_000))
+							p = systems.IdlePower(mc, o.Window(2_000_000))
 						} else {
 							r := systems.MemoryStress(n, vf).Run(mc, workload.FactoryFor(core.KindMutex),
-								o.dur(300_000), o.dur(2_000_000))
+								o.Window(300_000), o.Window(2_000_000))
 							p = r.Power()
 						}
 						return []sweep.Row{{n, p.Total, p.Package, p.Cores, p.DRAM}}
@@ -99,7 +99,7 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 3 — the price of waiting",
 				"threads", "technique", "power(W)", "CPI")
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				n := n
 				g.Add(func(c sweep.Cell) []sweep.Row {
@@ -109,8 +109,8 @@ func init() {
 				for _, pol := range []machine.WaitPolicy{machine.WaitGlobal, machine.WaitLocal} {
 					pol := pol
 					g.Add(func(c sweep.Cell) []sweep.Row {
-						d := systems.WaitingStress(n, pol, o.dur(3_300_000))
-						rn := systems.NewRunner(o.machineSeeded(c.Seed), o.dur(300_000), o.dur(3_000_000))
+						d := systems.WaitingStress(n, pol, o.Window(3_300_000))
+						rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
 						d(rn, workload.FactoryFor(core.KindMutex))
 						r := rn.Finish()
 						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
@@ -130,13 +130,13 @@ func init() {
 			t := metrics.NewTable("Figure 4 — pausing techniques",
 				"threads", "technique", "power(W)", "CPI")
 			pols := []machine.WaitPolicy{machine.WaitGlobal, machine.WaitLocal, machine.WaitPause, machine.WaitMbar}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				for _, pol := range pols {
 					n, pol := n, pol
 					g.Add(func(c sweep.Cell) []sweep.Row {
-						d := systems.WaitingStress(n, pol, o.dur(3_300_000))
-						rn := systems.NewRunner(o.machineSeeded(c.Seed), o.dur(300_000), o.dur(3_000_000))
+						d := systems.WaitingStress(n, pol, o.Window(3_300_000))
+						rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
 						d(rn, workload.FactoryFor(core.KindMutex))
 						r := rn.Finish()
 						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
@@ -155,20 +155,20 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 5 — DVFS and monitor/mwait",
 				"threads", "series", "power(W)")
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				n := n
 				// VF-max: plain mbar spinning.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					d := systems.WaitingStress(n, machine.WaitMbar, o.dur(3_300_000))
+					d := systems.WaitingStress(n, machine.WaitMbar, o.Window(3_300_000))
 					r := runDef(o, c.Seed, d, workload.FactoryFor(core.KindMutex), 3_000_000)
 					return []sweep.Row{{n, "VF-max", r.Power().Total}}
 				})
 				// VF-min: the whole machine held at the low VF point.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					mc := o.machineSeeded(c.Seed)
+					mc := machine.DefaultConfig(c.Seed)
 					mc.Sched.IdleVF = power.VFMin
-					rn := systems.NewRunner(mc, o.dur(300_000), o.dur(3_000_000))
+					rn := systems.NewRunner(mc, o.Window(300_000), o.Window(3_000_000))
 					spawnVFSpinners(rn, n, power.VFMin)
 					r := rn.Finish()
 					return []sweep.Row{{n, "VF-min", r.Power().Total}}
@@ -176,14 +176,14 @@ func init() {
 				// DVFS-normal: threads request VF-min, idle siblings keep
 				// voting VF-max (the hardware behaviour of §4.2).
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					rn := systems.NewRunner(o.machineSeeded(c.Seed), o.dur(300_000), o.dur(3_000_000))
+					rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
 					spawnVFSpinners(rn, n, power.VFMin)
 					r := rn.Finish()
 					return []sweep.Row{{n, "DVFS-normal", r.Power().Total}}
 				})
 				// monitor/mwait.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					d := systems.WaitingStress(n, machine.WaitMwait, o.dur(3_300_000))
+					d := systems.WaitingStress(n, machine.WaitMwait, o.Window(3_300_000))
 					r := runDef(o, c.Seed, d, workload.FactoryFor(core.KindMutex), 3_000_000)
 					return []sweep.Row{{n, "monitor/mwait", r.Power().Total}}
 				})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lockin/internal/experiments"
+	"lockin/internal/sweep"
 )
 
 // TestNoGoroutineOutlivesARun is the leak gate over the whole registry,
@@ -16,7 +17,7 @@ import (
 // 7's handover rings stop with threads waiting for the token: each such
 // thread used to keep its whole machine alive for the life of the process.
 func TestNoGoroutineOutlivesARun(t *testing.T) {
-	o := experiments.DefaultOptions()
+	o := sweep.DefaultOptions()
 	o.Quick, o.Scale, o.Workers = true, 0.1, 1
 	for _, e := range experiments.All() {
 		before := runtime.NumGoroutine()

@@ -22,8 +22,8 @@ func microCfg(o Options, seed int64, f workload.LockFactory, threads int, cs sim
 	// (otherwise the unlocker trivially re-acquires and the benchmark
 	// measures lock-stealing monopoly instead of handover cost).
 	cfg.Outside = 6*cs + 1000
-	cfg.Warmup = o.dur(300_000)
-	cfg.Duration = o.dur(10_000_000)
+	cfg.Warmup = o.Window(300_000)
+	cfg.Duration = o.Window(10_000_000)
 	return cfg
 }
 
@@ -56,7 +56,7 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Table 2 — uncontested locking",
 				"lock", "throughput(Macq/s)", "TPP(Kacq/J)")
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, k := range evalKinds {
 				k := k
 				g.Add(func(c sweep.Cell) []sweep.Row {
@@ -82,7 +82,7 @@ func init() {
 			if o.Quick {
 				threads = []int{1, 20, 40, 50}
 			}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threads {
 				for _, k := range evalKinds {
 					n, k := n, k
@@ -110,7 +110,7 @@ func init() {
 				threads = []int{20, 60}
 				css = []sim.Cycles{1000, 8000}
 			}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threads {
 				for _, cs := range css {
 					n, cs := n, cs
@@ -137,7 +137,7 @@ func init() {
 			if o.Quick {
 				css = []sim.Cycles{2000, 8000}
 			}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, cs := range css {
 				for _, k := range []core.Kind{core.KindMutex, core.KindMutexee} {
 					cs, k := cs, k
@@ -145,7 +145,7 @@ func init() {
 						cfg := microCfg(o, c.Seed, workload.FactoryFor(k), 20, cs, 1)
 						cfg.Outside = cs / 4 // tight loop: unfairness shows in the tail
 						cfg.RecordLatency = true
-						cfg.Duration = o.dur(20_000_000)
+						cfg.Duration = o.Window(20_000_000)
 						r := workload.RunMicro(cfg)
 						return []sweep.Row{{uint64(cs), k.String(),
 							float64(r.Latency.Percentile(0.95)) / 1e3,
@@ -177,7 +177,7 @@ func init() {
 			// pattern), so every table row depends on exactly one cell and
 			// the grid shards cleanly: the union of shard runs is
 			// byte-identical to an unsharded run.
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threads {
 				for _, to := range timeouts {
 					n, to := n, to
@@ -215,14 +215,14 @@ func init() {
 				// ≈1 ms timeout (scaled to the shortened window).
 				{"MUTEXEE timeout", mutexeeTimeoutFactory(2_800_000)},
 			}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, v := range variants {
 				v := v
 				g.Add(func(c sweep.Cell) []sweep.Row {
 					cfg := microCfg(o, c.Seed, v.f, 20, 2000, 1)
 					cfg.Outside = 500 // tight loop, as in the paper's single-lock stress
 					cfg.RecordLatency = true
-					cfg.Duration = o.dur(30_000_000)
+					cfg.Duration = o.Window(30_000_000)
 					r := workload.RunMicro(cfg)
 					return []sweep.Row{{v.name, r.Throughput() / 1e3, r.TPP() / 1e3, float64(r.Latency.Max()) / 1e6}}
 				})
@@ -263,7 +263,7 @@ func runFig12(o Options) []*metrics.Table {
 	}
 	t := metrics.NewTable("Figure 12 — POLY configurations, one row per lock",
 		"threads", "cs(cycles)", "locks", "lock", "throughput(acq/s)", "TPP(acq/J)")
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, n := range threads {
 		for _, cs := range css {
 			for _, lc := range lockCounts {
@@ -271,7 +271,7 @@ func runFig12(o Options) []*metrics.Table {
 					rows := make([]sweep.Row, len(evalKinds))
 					for i, k := range evalKinds {
 						mc := microCfg(o, c.Seed, workload.FactoryFor(k), n, cs, lc)
-						mc.Duration = o.dur(5_000_000)
+						mc.Duration = o.Window(5_000_000)
 						r := workload.RunMicro(mc)
 						rows[i] = sweep.Row{n, uint64(cs), lc, k.String(), r.Throughput(), r.TPP()}
 					}

@@ -44,7 +44,7 @@ func runAblation(o Options) []*metrics.Table {
 		{"TICKET mbar", workload.FactoryFor(core.KindTicket)},
 		{"TICKET pause", func(m *machine.Machine) core.Lock { return core.NewTicket(m, machine.WaitPause) }},
 	}
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	for _, v := range variants {
 		v := v
 		g.Add(func(c sweep.Cell) []sweep.Row {
@@ -53,8 +53,8 @@ func runAblation(o Options) []*metrics.Table {
 			cfg.Threads = 20
 			cfg.CS = 2000
 			cfg.Outside = 500
-			cfg.Warmup = o.dur(300_000)
-			cfg.Duration = o.dur(15_000_000)
+			cfg.Warmup = o.Window(300_000)
+			cfg.Duration = o.Window(15_000_000)
 			r := workload.RunMicro(cfg)
 			return []sweep.Row{{v.name, r.Throughput() / 1e3, r.TPP() / 1e3, r.Power().Total}}
 		})
@@ -79,10 +79,10 @@ func mutexeeVariant(mod func(*core.MutexeeOptions)) workload.LockFactory {
 func runTune(o Options) []*metrics.Table {
 	t := metrics.NewTable("MUTEXEE platform tuning (simulated Xeon)",
 		"parameter", "cycles")
-	g := o.grid()
+	g := sweep.NewGrid(o)
 	g.Add(func(c sweep.Cell) []sweep.Row {
 		sleepLat := measureSleepLatency(c.Seed)
-		turnaround := measureTurnaround(c.Seed, o.dur(50_000))
+		turnaround := measureTurnaround(c.Seed, o.Window(50_000))
 		coherence := measureCoherence(c.Seed)
 		// The paper's rules of thumb: the lock-side spin must comfortably
 		// exceed the sleep latency (spinning less than ≈4000 cycles makes

@@ -12,6 +12,7 @@ import (
 
 	"lockin/internal/experiments"
 	_ "lockin/internal/scenario"
+	"lockin/internal/sweep"
 )
 
 func TestFig13MutexeeImproves(t *testing.T) {
@@ -19,7 +20,7 @@ func TestFig13MutexeeImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := experiments.DefaultOptions()
+	o := sweep.DefaultOptions()
 	o.Quick, o.Scale = true, 0.5
 	tab := e.Run(o)[0]
 	// Average note for MUTEXEE must be > 1.

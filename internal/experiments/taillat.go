@@ -31,7 +31,7 @@ func init() {
 				threads = []int{20}
 				timeouts = []sim.Cycles{0, 22_400, 22_400_000}
 			}
-			g := o.grid()
+			g := sweep.NewGrid(o)
 			for _, n := range threads {
 				for _, to := range timeouts {
 					n, to := n, to
@@ -39,7 +39,7 @@ func init() {
 						cfg := microCfg(o, c.Seed, mutexeeTimeoutFactory(to), n, 2000, 1)
 						cfg.Outside = 500 // tight loop: the tail comes from starved sleepers
 						cfg.RecordLatency = true
-						cfg.Duration = o.dur(20_000_000)
+						cfg.Duration = o.Window(20_000_000)
 						r := workload.RunMicro(cfg)
 						return []sweep.Row{{n, uint64(to),
 							r.Throughput() / 1e3, r.TPP() / 1e3,

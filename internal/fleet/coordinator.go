@@ -171,7 +171,7 @@ func New(cfg Config) (*Coordinator, error) {
 // without simulating: each grid reports its size and cost hints
 // through sweep.Options.Survey and returns before executing any cell.
 func (c *Coordinator) survey(o opts.Options) {
-	eo := o.ExperimentOptions()
+	eo := o.Options
 	eo.Survey = func(cells int, cost func(index int) float64) {
 		g := gridInfo{cells: cells, hints: make([]float64, cells)}
 		for i := range g.hints {

@@ -40,7 +40,7 @@ func serialRun(t *testing.T, job JobSpec) *results.Run {
 	if err := o.NormalizeAndValidate(); err != nil {
 		t.Fatal(err)
 	}
-	tables := e.Run(o.ExperimentOptions())
+	tables := e.Run(o.Options)
 	return &results.Run{Meta: o.RunMeta(e), Tables: tables}
 }
 
@@ -52,7 +52,7 @@ func chunkRun(t *testing.T, job JobSpec, l Lease) *results.Run {
 		t.Fatal(err)
 	}
 	o.RangeLo, o.RangeHi, o.RangeTotal = l.Lo, l.Hi, l.Total
-	return &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.ExperimentOptions())}
+	return &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.Options)}
 }
 
 func encode(t *testing.T, r *results.Run) []byte {

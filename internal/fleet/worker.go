@@ -160,7 +160,7 @@ func (w *worker) execute(ctx context.Context, l Lease, job JobSpec) (done bool, 
 		return false, err
 	}
 	o.RangeLo, o.RangeHi, o.RangeTotal = l.Lo, l.Hi, l.Total
-	eo := o.ExperimentOptions()
+	eo := o.Options
 	var stats sweep.Stats
 	eo.Stats = &stats
 	start := time.Now()

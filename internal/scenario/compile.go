@@ -399,7 +399,7 @@ func (c *Compiled) Run(o experiments.Options) []*metrics.Table {
 	if duration == 0 {
 		duration = defaultDuration
 	}
-	g := sweep.NewGrid(o.SweepOptions())
+	g := sweep.NewGrid(o)
 	for i := 0; i < space.Len(); i++ {
 		p := ax.at(space, i)
 		// The thread count dominates a cell's simulation cost, so it is

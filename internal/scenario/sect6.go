@@ -176,7 +176,7 @@ func only(names ...string) []SystemConfig {
 func runSystems(o experiments.Options, cfgs []SystemConfig) []*metrics.Table {
 	t := metrics.NewTable("Table 3 systems, one row per lock",
 		"system", "config", "lock", "throughput(ops/s)", "TPP(ops/J)", "p99(cycles)")
-	g := sweep.NewGrid(o.SweepOptions())
+	g := sweep.NewGrid(o)
 	for _, s := range cfgs {
 		// Oversubscribed systems need several timeslice rotations for the
 		// spinlock livelock to express itself.

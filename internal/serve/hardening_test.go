@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -51,6 +52,48 @@ func postAuth(t *testing.T, hs *httptest.Server, path, body, token string) *http
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// TestNewRejectsBadConfig: New refuses a config that would silently
+// misconfigure the service — a negative cache bound, or a rate that is
+// negative, NaN or infinite (each would silently disable the limit) — with an
+// error naming the lockbench serve flag, and accepts the zero bounds.
+func TestNewRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*serve.Config)
+		err    string
+	}{
+		{"zero bounds ok", func(*serve.Config) {}, ""},
+		{"empty cache", func(c *serve.Config) { c.CacheDir = "" }, "cache directory"},
+		{"negative max bytes", func(c *serve.Config) { c.CacheMaxBytes = -1 }, "bad cache-max-bytes"},
+		{"negative max runs", func(c *serve.Config) { c.CacheMaxRuns = -1 }, "bad cache-max-runs"},
+		{"negative rate", func(c *serve.Config) { c.RateLimit = -1 }, "bad rate"},
+		{"NaN rate", func(c *serve.Config) { c.RateLimit = math.NaN() }, "bad rate"},
+		{"infinite rate", func(c *serve.Config) { c.RateLimit = math.Inf(1) }, "bad rate"},
+		{"negative infinite rate", func(c *serve.Config) { c.RateLimit = math.Inf(-1) }, "bad rate"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := serve.Config{CacheDir: t.TempDir()}
+			c.mutate(&cfg)
+			srv, err := serve.New(cfg)
+			if c.err == "" {
+				if err != nil {
+					t.Fatalf("New() = %v, want nil", err)
+				}
+				srv.Close()
+				return
+			}
+			if err == nil {
+				srv.Close()
+				t.Fatalf("New() accepted the config, want an error containing %q", c.err)
+			}
+			if !strings.Contains(err.Error(), c.err) {
+				t.Errorf("New() = %v, want an error containing %q", err, c.err)
+			}
+		})
+	}
 }
 
 // TestOversizedSpec413 is the regression test for the silent

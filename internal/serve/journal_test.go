@@ -135,7 +135,7 @@ func TestJournalReplay(t *testing.T) {
 		t.Fatalf("replayed run did not land: %v", err)
 	}
 	stored.Meta.Perf = nil
-	direct := &results.Run{Meta: oA.RunMeta(e), Tables: e.Run(oA.ExperimentOptions())}
+	direct := &results.Run{Meta: oA.RunMeta(e), Tables: e.Run(oA.Options)}
 	want, err := results.Encode(direct)
 	if err != nil {
 		t.Fatal(err)

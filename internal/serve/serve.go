@@ -28,6 +28,7 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -52,11 +53,11 @@ type Config struct {
 	CacheDir string
 	// Pool is the number of sweeps simulated concurrently (each sweep
 	// additionally fans its grid cells across the request's workers
-	// option). Default 2.
+	// option). Values ≤ 0 mean DefaultPool.
 	Pool int
 	// QueueDepth bounds the submission queue: a full queue rejects new
 	// work with 503 (and a Retry-After hint) instead of buffering
-	// unboundedly. Default 64.
+	// unboundedly. Values ≤ 0 mean DefaultQueueDepth.
 	QueueDepth int
 	// Logger receives structured request and job-lifecycle records —
 	// one line per request (with a monotonic request id) and per run
@@ -67,15 +68,17 @@ type Config struct {
 	// (by mtime, refreshed on every request that uses a run, whether it
 	// reads the file or is answered from a held decoded copy). The
 	// decoded runs the query endpoints hold in memory have a budget of
-	// their own (heldBudget). 0 means unbounded.
+	// their own (heldBudget). 0 means unbounded; New rejects a negative
+	// bound.
 	CacheMaxBytes int64
 	// CacheMaxRuns bounds how many runs the cache holds, with the same
-	// LRU eviction. 0 means unbounded.
+	// LRU eviction. 0 means unbounded; New rejects a negative bound.
 	CacheMaxRuns int
 	// RateLimit is the per-client POST budget in requests per second
 	// (token bucket, burst RateBurst). Clients are keyed by bearer
 	// token when AuthToken is set (the token is then verified), else by
-	// remote IP. 0 disables limiting.
+	// remote IP. 0 disables limiting; New rejects a negative, NaN or
+	// infinite rate.
 	RateLimit float64
 	// RateBurst is the token-bucket depth per client. Values < 1 are
 	// treated as 1 when RateLimit is active.
@@ -85,6 +88,13 @@ type Config struct {
 	// routes stay open.
 	AuthToken string
 }
+
+// The Pool and QueueDepth New uses in place of a value ≤ 0, and the
+// defaults of `lockbench serve -pool` and `-queue`.
+const (
+	DefaultPool       = 2
+	DefaultQueueDepth = 64
+)
 
 // Server is the benchmark service. Create with New, mount Handler, and
 // Close when done (drains in-flight sweeps).
@@ -114,16 +124,27 @@ type Server struct {
 	held *heldRuns
 }
 
-// New creates the cache directory and starts the worker pool.
+// New checks cfg, creates the cache directory and starts the worker
+// pool. A config error names the `lockbench serve` flag that sets the
+// field.
 func New(cfg Config) (*Server, error) {
-	if cfg.CacheDir == "" {
-		return nil, errors.New("serve: Config.CacheDir is required")
+	switch {
+	case cfg.CacheDir == "":
+		return nil, errors.New("cache directory must not be empty")
+	case cfg.CacheMaxBytes < 0:
+		return nil, fmt.Errorf("bad cache-max-bytes %d: want >= 0 (0 = unbounded)", cfg.CacheMaxBytes)
+	case cfg.CacheMaxRuns < 0:
+		return nil, fmt.Errorf("bad cache-max-runs %d: want >= 0 (0 = unbounded)", cfg.CacheMaxRuns)
+	case !(cfg.RateLimit >= 0) || math.IsInf(cfg.RateLimit, 0):
+		// !(x >= 0) also rejects NaN, which would silently disable the
+		// limit.
+		return nil, fmt.Errorf("bad rate %v: want a non-negative, finite requests/second", cfg.RateLimit)
 	}
 	if cfg.Pool <= 0 {
-		cfg.Pool = 2
+		cfg.Pool = DefaultPool
 	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
+		cfg.QueueDepth = DefaultQueueDepth
 	}
 	if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: create run cache %s: %w", cfg.CacheDir, err)
@@ -245,7 +266,7 @@ func (s *Server) runJob(j *job) {
 		"seed", j.opts.Seed, "scale", j.opts.Scale, "quick", j.opts.Quick)
 	start := time.Now()
 	var stats sweep.Stats
-	eo := j.opts.ExperimentOptions()
+	eo := j.opts.Options
 	eo.Progress = j.progress
 	eo.Stats = &stats
 	tables := j.exp.Run(eo)
@@ -775,15 +796,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var rep *results.Report
-	if query.Active() || cur.Meta.Query != "" || base.Meta.Query != "" {
-		base, err = query.ApplyToBaseline(base)
-		if err == nil {
-			rep, err = results.ComparePlanes(base, cur, o.Tolerance())
-		}
-	} else {
-		rep, err = results.Compare(base, cur, o.Tolerance())
-	}
+	rep, err := query.Compare(base, cur, o.Tolerance())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -43,9 +43,12 @@ func (g *Grid) Len() int { return len(g.cells) }
 
 // Into runs every registered cell and appends the produced rows to t
 // in registration order, streaming each row as soon as its prefix of
-// cells has completed.
+// cells has completed. The engine's Cost comes from the grid's own
+// hints alone (nil without any), never from the options it was built
+// with.
 func (g *Grid) Into(t *metrics.Table) {
 	o := g.opts
+	o.Cost = nil
 	if g.hinted {
 		hints := g.hints
 		o.Cost = func(i int) float64 { return hints[i] }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"lockin/internal/metrics"
 )
 
 // TestRangeUnionEqualsSerial is the generalized-shard contract: cell
@@ -121,6 +123,31 @@ func TestSurveyEnumeratesWithoutExecuting(t *testing.T) {
 	}
 }
 
+// TestGridCostFromItsOwnHints: a grid prices its cells from its own
+// hints alone, so a Cost set on the options it was built with never
+// reaches the engine, and a grid without hints has none.
+func TestGridCostFromItsOwnHints(t *testing.T) {
+	var gotCost func(int) float64
+	o := Options{
+		Cost:   func(i int) float64 { return float64(i) },
+		Survey: func(_ int, cost func(int) float64) { gotCost = cost },
+	}
+	g := NewGrid(o)
+	g.Add(func(Cell) []Row { return nil })
+	g.Add(func(Cell) []Row { return nil })
+	g.Into(metrics.NewTable("t", "x"))
+	if gotCost != nil {
+		t.Fatal("an unhinted grid passed the options' Cost to the engine")
+	}
+	g = NewGrid(o)
+	g.AddHinted(7, func(Cell) []Row { return nil })
+	g.AddHinted(2, func(Cell) []Row { return nil })
+	g.Into(metrics.NewTable("t", "x"))
+	if gotCost == nil || gotCost(0) != 7 || gotCost(1) != 2 {
+		t.Fatal("a hinted grid did not pass its own hints to the engine")
+	}
+}
+
 // TestWindowBoundsInflight pins the backpressure satellite: with one
 // slow early cell, dispatch never runs further than
 // inflightPerWorker·workers indices past the emit cursor — peak
@@ -168,10 +195,11 @@ func TestWindowBoundsInflight(t *testing.T) {
 }
 
 // TestCostQueueOrders pins the dispatch order primitive: highest cost
-// first, lowest index on ties, FIFO without hints.
+// first, lowest index on ties, and so lowest index first without hints,
+// whatever the push order.
 func TestCostQueueOrders(t *testing.T) {
 	cost := map[int]float64{0: 1, 1: 5, 2: 3, 3: 5, 4: 0}
-	q := newCostQueue(func(i int) float64 { return cost[i] })
+	q := &costQueue{cost: func(i int) float64 { return cost[i] }}
 	for i := 0; i < 5; i++ {
 		q.push(i)
 	}
@@ -191,7 +219,7 @@ func TestCostQueueOrders(t *testing.T) {
 		}
 	}
 
-	q = newCostQueue(nil)
+	q = &costQueue{}
 	for i := 4; i >= 0; i-- {
 		q.push(i)
 	}
@@ -199,7 +227,7 @@ func TestCostQueueOrders(t *testing.T) {
 	for q.len() > 0 {
 		got = append(got, q.pop())
 	}
-	want = []int{4, 3, 2, 1, 0} // FIFO: push order, no reordering
+	want = []int{0, 1, 2, 3, 4} // every cell ties: index order
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("unhinted pop order %v, want %v", got, want)

@@ -18,13 +18,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lockin/internal/sim"
 )
 
-// Options tunes a sweep run. The engine itself consumes Workers, Seed
-// and Progress; Scale and Quick ride along for the grid builders that
-// enumerate cells (internal/experiments applies them to window lengths
-// and grid sizes, workload.RunSweep applies Scale to each
-// configuration's windows). The zero value of every field is usable.
+// Options tunes a sweep run: it is the one declaration of a run's
+// options, which experiments.Options aliases and opts.Options embeds,
+// so a run's options reach every grid without a copy. The engine
+// itself consumes Workers, Seed, the cell range, Cost, Survey,
+// OnlyCell, Progress and Stats; Scale and Quick ride along for the
+// grid builders that enumerate cells (they apply Window to their
+// measurement windows and trim their grids under Quick). The zero
+// value of every field is usable.
 type Options struct {
 	// Workers is the number of concurrent grid cells (0 = GOMAXPROCS,
 	// 1 = serial fallback in the caller's goroutine).
@@ -33,7 +38,8 @@ type Options struct {
 	// via CellSeed(Seed, index).
 	Seed int64
 	// Scale multiplies every measurement window (values ≤ 0 mean the
-	// quick default, 1.0). Interpreted by grid builders, not the engine.
+	// quick default, 1.0). Interpreted by grid builders through Window,
+	// not by the engine.
 	Scale float64
 	// Quick trims sweep grids for CI-style runs. Interpreted by grid
 	// builders, not the engine.
@@ -58,7 +64,7 @@ type Options struct {
 	// A parallel sweep dispatches the most expensive undone cell inside
 	// its reorder window first, cutting the straggler tail on skewed
 	// grids. Output bytes never depend on it: emission stays in strict
-	// index order.
+	// index order. Grid.Into sets it from the grid's own hints.
 	Cost func(index int) float64
 	// Survey, when non-nil, disables execution: every grid swept under
 	// these options reports its full cell count and cost-hint function
@@ -128,8 +134,26 @@ func TotalBusySeconds() float64 {
 }
 
 // DefaultOptions returns quick settings with a fixed seed and one
-// worker per available CPU.
+// worker per available CPU: the defaults of every front end.
 func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
+
+// Window scales a quick-default measurement window by Scale (values
+// ≤ 0 leave it as it is).
+func (o Options) Window(base sim.Cycles) sim.Cycles {
+	if o.Scale <= 0 {
+		return base
+	}
+	return sim.Cycles(float64(base) * o.Scale)
+}
+
+// Partial reports whether o runs less than the whole of each grid: a
+// cell range short of [0, RangeTotal), one traced cell (OnlyCell), or
+// a survey that simulates nothing. Its tables hold rows to merge, not
+// results to reduce or compare.
+func (o Options) Partial() bool {
+	return o.Survey != nil || o.OnlyCell > 0 ||
+		o.RangeTotal > 0 && (o.RangeLo > 0 || o.RangeHi < o.RangeTotal)
+}
 
 // WorkerCount resolves Workers: values ≤ 0 map to GOMAXPROCS.
 func (o Options) WorkerCount() int {
@@ -300,7 +324,7 @@ func Each[T any](o Options, n int, fn func(Cell) T, emit func(i int, v T)) {
 	// first when a Cost hint exists. Emission stays strict index order,
 	// so neither the window nor the dispatch order can change output
 	// bytes.
-	ready := newCostQueue(o.Cost)
+	ready := &costQueue{cost: o.Cost}
 	pending := make(map[int]T, window)
 	next, feed := lo, lo
 	dispatched, done := 0, 0
@@ -362,68 +386,49 @@ func Each[T any](o Options, n int, fn func(Cell) T, emit func(i int, v T)) {
 	}
 }
 
-// costQueue orders dispatchable cell indexes: a plain FIFO (ascending
-// index) without a cost hint, a max-heap on cost with ascending-index
-// tie-break with one — the same cell always dispatches first for a
-// fixed window content, keeping dispatch order deterministic.
+// costQueue holds the cells waiting for dispatch. refill never queues
+// past the reorder window, so it holds at most inflightPerWorker·workers
+// indexes, and one scan picks the next: the highest cost first, the
+// lowest index on a tie. Without a cost hint every cell ties, so cells
+// dispatch in index order.
 type costQueue struct {
 	cost func(int) float64
-	q    []int // FIFO when cost == nil, else heap-ordered
+	q    []int
 }
-
-func newCostQueue(cost func(int) float64) *costQueue { return &costQueue{cost: cost} }
 
 func (c *costQueue) len() int { return len(c.q) }
 
-// before reports whether index a dispatches ahead of index b.
+func (c *costQueue) push(i int) { c.q = append(c.q, i) }
+
+// before reports whether cell a dispatches ahead of cell b.
 func (c *costQueue) before(a, b int) bool {
-	ca, cb := c.cost(a), c.cost(b)
-	if ca != cb {
-		return ca > cb
+	if c.cost != nil {
+		if ca, cb := c.cost(a), c.cost(b); ca != cb {
+			return ca > cb
+		}
 	}
 	return a < b
 }
 
-func (c *costQueue) push(i int) {
-	c.q = append(c.q, i)
-	if c.cost == nil {
-		return
-	}
-	for k := len(c.q) - 1; k > 0; {
-		parent := (k - 1) / 2
-		if !c.before(c.q[k], c.q[parent]) {
-			break
+// next returns the position in q of the cell that dispatches next.
+func (c *costQueue) next() int {
+	best := 0
+	for k := range c.q {
+		if c.before(c.q[k], c.q[best]) {
+			best = k
 		}
-		c.q[k], c.q[parent] = c.q[parent], c.q[k]
-		k = parent
 	}
+	return best
 }
 
-func (c *costQueue) peek() int { return c.q[0] }
+// peek returns the cell that dispatches next.
+func (c *costQueue) peek() int { return c.q[c.next()] }
 
+// pop removes and returns the cell that dispatches next.
 func (c *costQueue) pop() int {
-	top := c.q[0]
-	if c.cost == nil {
-		c.q = c.q[1:]
-		return top
-	}
-	last := len(c.q) - 1
-	c.q[0] = c.q[last]
+	k, last := c.next(), len(c.q)-1
+	i := c.q[k]
+	c.q[k] = c.q[last]
 	c.q = c.q[:last]
-	for k := 0; ; {
-		l, r := 2*k+1, 2*k+2
-		best := k
-		if l < len(c.q) && c.before(c.q[l], c.q[best]) {
-			best = l
-		}
-		if r < len(c.q) && c.before(c.q[r], c.q[best]) {
-			best = r
-		}
-		if best == k {
-			break
-		}
-		c.q[k], c.q[best] = c.q[best], c.q[k]
-		k = best
-	}
-	return top
+	return i
 }

@@ -76,16 +76,13 @@ type Result struct {
 // on its own simulated machine whose seed is replaced with
 // sweep.CellSeed(o.Seed, index), so the output is bit-identical for any
 // worker count (including the serial fallback o.Workers == 1).
-// o.Scale > 0 multiplies each configuration's warmup and measurement
-// windows.
+// Each configuration's warmup and measurement windows scale by
+// o.Window.
 func RunSweep(o sweep.Options, cfgs []MicroConfig) []Result {
 	return sweep.Run(o, len(cfgs), func(c sweep.Cell) Result {
 		cfg := cfgs[c.Index]
 		cfg.Machine.Seed = c.Seed
-		if o.Scale > 0 && o.Scale != 1 {
-			cfg.Warmup = sim.Cycles(float64(cfg.Warmup) * o.Scale)
-			cfg.Duration = sim.Cycles(float64(cfg.Duration) * o.Scale)
-		}
+		cfg.Warmup, cfg.Duration = o.Window(cfg.Warmup), o.Window(cfg.Duration)
 		return RunMicro(cfg)
 	})
 }

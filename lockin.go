@@ -104,11 +104,13 @@ func DefaultMicroConfig(seed int64) MicroConfig { return workload.DefaultMicroCo
 // RunMicro executes a microbenchmark.
 func RunMicro(cfg MicroConfig) MicroResult { return workload.RunMicro(cfg) }
 
-// SweepOptions configures the parallel sweep engine: worker count, base
-// seed, window scale and an optional progress callback. Results are
-// bit-identical for any Workers value. The Quick field only trims the
-// grids of pre-built experiments (RunExperimentWith); it has no effect
-// on an explicit configuration list.
+// SweepOptions configures a run through the parallel sweep engine, a
+// microbenchmark sweep (RunMicroSweep) or an experiment
+// (RunExperimentWith): worker count, base seed, window scale, quick
+// grids and an optional progress callback. Results are bit-identical
+// for any Workers value. The Quick field only trims the grids of
+// pre-built experiments; it has no effect on an explicit configuration
+// list.
 type SweepOptions = sweep.Options
 
 // DefaultSweepOptions returns quick settings with a fixed seed and one
@@ -129,23 +131,16 @@ func FactoryFor(k Kind) workload.LockFactory { return workload.FactoryFor(k) }
 // Experiments returns every paper table/figure runner.
 func Experiments() []experiments.Experiment { return experiments.All() }
 
-// ExperimentOptions tunes an experiment run: seed, window scale, quick
-// grids, and the sweep worker count.
-type ExperimentOptions = experiments.Options
-
-// DefaultExperimentOptions returns quick settings with a fixed seed.
-func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
-
 // RunExperiment executes one experiment by id (e.g. "fig11", "tbl2")
 // with default quick options and returns its rendered tables.
 func RunExperiment(id string) ([]*metrics.Table, error) {
-	return RunExperimentWith(id, experiments.DefaultOptions())
+	return RunExperimentWith(id, DefaultSweepOptions())
 }
 
 // RunExperimentWith executes one experiment under explicit options —
-// including ExperimentOptions.Workers, which fans the experiment's grid
+// including SweepOptions.Workers, which fans the experiment's grid
 // cells out across parallel workers without changing the output.
-func RunExperimentWith(id string, o ExperimentOptions) ([]*metrics.Table, error) {
+func RunExperimentWith(id string, o SweepOptions) ([]*metrics.Table, error) {
 	e, err := experiments.Find(id)
 	if err != nil {
 		return nil, err
