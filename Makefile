@@ -48,7 +48,7 @@ sweep:
 	$(GO) run ./cmd/lockbench -experiment all -quick -workers $(WORKERS)
 
 # The CI smoke steps: quick experiments, the parallel-vs-serial output
-# comparison, and a one-cell trace of Figure 13.
+# comparison, every example, and a one-cell trace of Figure 13.
 smoke:
 	$(GO) run ./cmd/lockbench -list
 	$(GO) run ./cmd/lockbench -experiment tbl2 -quick -workers 4
@@ -57,6 +57,10 @@ smoke:
 	$(GO) run ./cmd/lockbench -experiment fig8 -quick -scale 0.25 -workers 8 | sed '/done in/d' > /tmp/lockin-parallel.txt
 	diff -u /tmp/lockin-serial.txt /tmp/lockin-parallel.txt
 	$(GO) run ./examples/polysweep -workers 4
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/oversubscribe
+	$(GO) run ./examples/keyvaluestore
+	$(GO) run ./examples/tailtune
 	$(GO) run ./cmd/lockbench -experiment fig13 -quick -scale 0.25 -trace cell=5 > /dev/null
 
 # The CI determinism gate: save a quick baseline of every experiment,

@@ -42,8 +42,7 @@ func runCoordinate(args []string) {
 		minChunk = fs.Int("min-chunk", 1, "minimum chunk width in cell coordinates")
 		ttl      = fs.Duration("lease-ttl", 2*time.Minute, "lease deadline; an unreported chunk requeues after this and the next idle worker steals it")
 		jsonDir  = fs.String("json", "", "save the merged run to <dir>/<id>.json (results store)")
-		logLevel = fs.String("log-level", "info", "structured-log level: debug, info, warn or error")
-		logJSON  = fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
+		newLog   = telemetry.BindLogFlags(fs)
 	)
 	// The run flags are fleet-wide; every worker runs its chunks with
 	// -workers sweep workers, which the run metadata records.
@@ -51,7 +50,7 @@ func runCoordinate(args []string) {
 	opts.BindRunFlags(fs, &ro)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
+	logger, err := newLog(os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench coordinate: %v\n", err)
 		os.Exit(2)
@@ -135,14 +134,13 @@ func runWork(args []string) {
 		fs.PrintDefaults()
 	}
 	var (
-		join     = fs.String("join", "", "coordinator base URL (required)")
-		name     = fs.String("name", "", "worker name in status and metrics (default host:pid)")
-		logLevel = fs.String("log-level", "info", "structured-log level: debug, info, warn or error")
-		logJSON  = fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
+		join   = fs.String("join", "", "coordinator base URL (required)")
+		name   = fs.String("name", "", "worker name in status and metrics (default host:pid)")
+		newLog = telemetry.BindLogFlags(fs)
 	)
 	fs.Parse(args)
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
+	logger, err := newLog(os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench work: %v\n", err)
 		os.Exit(2)

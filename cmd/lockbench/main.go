@@ -135,18 +135,19 @@ func main() {
 	o, err := shared.Options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
-	stopProf, err := o.StartProfiles()
+	stop, err := o.StartProfiles()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
-	defer stopProf()
+	stopProfiles = stop
+	defer stop()
 	q := o.Query()
 	if *diffGate && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "lockbench: -diff needs -baseline <dir or run.json>")
-		os.Exit(2)
+		exit(2)
 	}
 
 	// Query a stored run: no simulation at all, just load → slice/
@@ -163,12 +164,12 @@ func main() {
 		cell, err := parseTraceArg(*traceArg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		if *id == "all" || (*id == "" && *scenFile == "") || *mergeArg != "" || o.Partial() ||
 			*jsonDir != "" || *baseline != "" || q.Active() {
 			fmt.Fprintln(os.Stderr, "lockbench: -trace inspects one cell of one experiment; it excludes 'all', -merge, -shard, -cells, -json, -baseline, -slice and -project")
-			os.Exit(2)
+			exit(2)
 		}
 		runTraced(selectExperiments(*id, *scenFile, o)[0], o, cell)
 		return
@@ -178,22 +179,22 @@ func main() {
 		listExperiments()
 		if *id == "" && *scenFile == "" && !*list {
 			fmt.Fprintln(os.Stderr, "\nuse -experiment <id> (or 'all'), or -scenario <spec.json>, to run one")
-			os.Exit(2)
+			exit(2)
 		}
 		return
 	}
 
 	if *baseline != "" && o.Partial() {
 		fmt.Fprintln(os.Stderr, "lockbench: -baseline compares full runs; merge the partial runs first (-merge)")
-		os.Exit(2)
+		exit(2)
 	}
 	if q.Active() && o.Partial() {
 		fmt.Fprintln(os.Stderr, "lockbench: -slice/-project query full runs; merge the partial runs first (-merge)")
-		os.Exit(2)
+		exit(2)
 	}
 	if *mergeArg != "" && o.Partial() {
 		fmt.Fprintln(os.Stderr, "lockbench: -merge and -shard/-cells are mutually exclusive")
-		os.Exit(2)
+		exit(2)
 	}
 
 	todo := selectExperiments(*id, *scenFile, o)
@@ -205,12 +206,12 @@ func main() {
 			run, err = mergeStored(e, strings.Split(*mergeArg, ","))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			run, err = q.Apply(run)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Printf("### %s — %s (merged from stored shards)\n\n", e.ID, e.Title)
 			printTables(run.Tables)
@@ -222,7 +223,7 @@ func main() {
 			path, err := results.Save(*jsonDir, run)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Printf("### saved %s\n\n", path)
 		}
@@ -232,9 +233,20 @@ func main() {
 	}
 	if differs && *diffGate {
 		fmt.Fprintln(os.Stderr, "lockbench: differences against baseline")
-		stopProf() // os.Exit skips the deferred stop
-		os.Exit(1)
+		exit(1)
 	}
+}
+
+// stopProfiles ends the -cpuprofile and -memprofile profiles once main
+// has started them.
+var stopProfiles = func() {}
+
+// exit stops the profiles and exits with code. Every exit of the run
+// path goes through it: os.Exit skips main's deferred stop, which would
+// leave an empty CPU profile and no heap profile behind.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // queryStored is the -load path: answer slice/project/save/diff from a
@@ -242,12 +254,12 @@ func main() {
 func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeArg, jsonDir, baseline string, diffGate bool) {
 	if id != "" || scenFile != "" || o.RangeTotal > 0 || mergeArg != "" {
 		fmt.Fprintln(os.Stderr, "lockbench: -load queries a stored run; it excludes -experiment/-scenario/-shard/-cells/-merge")
-		os.Exit(2)
+		exit(2)
 	}
 	run, err := results.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	// Queries refuse partial runs themselves; the plain diff path must
 	// too, or a partial run diffs against a full baseline and every
@@ -255,12 +267,12 @@ func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeA
 	if run.Meta.Range != nil && baseline != "" {
 		fmt.Fprintf(os.Stderr, "lockbench: %s covers only cells %s; merge the ranges first (-merge)\n",
 			path, run.Meta.Range)
-		os.Exit(2)
+		exit(2)
 	}
 	run, err = q.Apply(run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Printf("### %s (loaded from %s)\n\n", run.Meta.Experiment, path)
 	printTables(run.Tables)
@@ -268,14 +280,14 @@ func queryStored(path string, o opts.Options, q opts.Query, id, scenFile, mergeA
 		saved, err := results.Save(jsonDir, run)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("### saved %s\n\n", saved)
 	}
 	if baseline != "" {
 		if diffBaseline(run, run.Meta.Experiment, baseline, q, o) && diffGate {
 			fmt.Fprintln(os.Stderr, "lockbench: differences against baseline")
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -292,14 +304,14 @@ func selectExperiments(id, scenFile string, o opts.Options) []experiments.Experi
 		data, err := os.ReadFile(scenFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lockbench: read scenario spec: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		job.Scenario = data
 	}
 	e, _, err := job.Resolve()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 	return []experiments.Experiment{e}
 }
@@ -340,14 +352,14 @@ func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress b
 	if q.Active() {
 		if err := results.ValidateQuery(meta.Axes, q.Fixes, q.Keep); err != nil {
 			fmt.Fprintf(os.Stderr, "%v (experiment %s)\n", err, e.ID)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	run := &results.Run{Meta: meta, Tables: e.Run(eo)}
 	run, err := q.Apply(run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	printTables(run.Tables)
 	// The cells/sec rate tracks the simulator's raw speed. CI output
@@ -406,7 +418,7 @@ func runTraced(e experiments.Experiment, o opts.Options, cell int) {
 	recs := stop()
 	if stats.Cells() == 0 {
 		fmt.Fprintf(os.Stderr, "lockbench: %s has no cell %d — the grid is smaller\n", e.ID, cell)
-		os.Exit(1)
+		exit(1)
 	}
 	printTables(tabs)
 	if len(recs) == 0 {
@@ -445,7 +457,7 @@ func validateScenarios() {
 	cs, err := scenario.Bundled()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	for _, c := range cs {
 		fmt.Printf("ok %-24s spec %s  (%d locks, %d groups)\n", c.ID(), c.Hash, len(c.Spec.Locks), len(c.Spec.Groups))

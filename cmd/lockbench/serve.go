@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -75,8 +77,7 @@ type serveFlags struct {
 	cfg      serve.Config
 	addr     string
 	maxBytes string
-	logLevel string
-	logJSON  bool
+	newLog   func(io.Writer) (*slog.Logger, error)
 }
 
 // bindServeFlags binds the serve flags onto fs with their names,
@@ -92,8 +93,7 @@ func bindServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.Float64Var(&f.cfg.RateLimit, "rate", 0, "per-client POST budget in requests/second (token bucket; 429 with Retry-After when exhausted); 0 = unlimited")
 	fs.IntVar(&f.cfg.RateBurst, "rate-burst", 8, "token-bucket depth per client: POSTs a client may burst before -rate paces it")
 	fs.StringVar(&f.cfg.AuthToken, "auth-token", "", "when set, POST routes require Authorization: Bearer <token> (401 without); GET routes stay open")
-	fs.StringVar(&f.logLevel, "log-level", "info", "structured-log level: debug, info, warn or error (warn silences per-request lines)")
-	fs.BoolVar(&f.logJSON, "log-json", false, "emit structured logs as JSON instead of logfmt-style text")
+	f.newLog = telemetry.BindLogFlags(fs)
 	return f
 }
 
@@ -105,6 +105,6 @@ func (f *serveFlags) config() (serve.Config, error) {
 	if cfg.CacheMaxBytes, err = opts.ParseBytes(f.maxBytes); err != nil {
 		return cfg, err
 	}
-	cfg.Logger, err = telemetry.NewLogger(os.Stderr, f.logLevel, f.logJSON)
+	cfg.Logger, err = f.newLog(os.Stderr)
 	return cfg, err
 }

@@ -7,6 +7,9 @@ import (
 	"lockin/internal/serve"
 )
 
+// flagValue reads a parsed flag's value through the flag set.
+func flagValue(fs *flag.FlagSet, name string) string { return fs.Lookup(name).Value.String() }
+
 func TestServeFlags(t *testing.T) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	f := bindServeFlags(fs)
@@ -25,8 +28,9 @@ func TestServeFlags(t *testing.T) {
 	if f.addr != ":9000" || cfg.CacheDir != "c" || cfg.Pool != 3 || cfg.QueueDepth != 10 ||
 		cfg.CacheMaxBytes != 1<<20 || cfg.CacheMaxRuns != 5 ||
 		cfg.RateLimit != 2.5 || cfg.RateBurst != 4 || cfg.AuthToken != "tok" ||
-		f.logLevel != "warn" || !f.logJSON || cfg.Logger == nil {
-		t.Errorf("parsed serve flags: addr %q, config %+v", f.addr, cfg)
+		flagValue(fs, "log-level") != "warn" || flagValue(fs, "log-json") != "true" || cfg.Logger == nil {
+		t.Errorf("parsed serve flags: addr %q, log %q/%s, config %+v",
+			f.addr, flagValue(fs, "log-level"), flagValue(fs, "log-json"), cfg)
 	}
 }
 
@@ -45,8 +49,9 @@ func TestServeFlagsDefaults(t *testing.T) {
 	}
 	cfg.Logger = nil
 	want := serve.Config{CacheDir: "runs-cache", Pool: serve.DefaultPool, QueueDepth: serve.DefaultQueueDepth, RateBurst: 8}
-	if cfg != want || f.addr != ":8347" || f.logLevel != "info" || f.logJSON {
-		t.Errorf("flag defaults: addr %q, log %q/%v, config %+v, want %+v", f.addr, f.logLevel, f.logJSON, cfg, want)
+	level, jsonLog := flagValue(fs, "log-level"), flagValue(fs, "log-json")
+	if cfg != want || f.addr != ":8347" || level != "info" || jsonLog != "false" {
+		t.Errorf("flag defaults: addr %q, log %q/%s, config %+v, want %+v", f.addr, level, jsonLog, cfg, want)
 	}
 }
 

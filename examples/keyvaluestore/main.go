@@ -12,9 +12,8 @@ import (
 	"lockin"
 	"lockin/internal/core"
 	"lockin/internal/machine"
-	"lockin/internal/metrics"
-	"lockin/internal/power"
 	"lockin/internal/sim"
+	"lockin/internal/workload"
 )
 
 const (
@@ -28,19 +27,17 @@ const (
 )
 
 func run(k lockin.Kind, getPct int) (thr, watts, tpp float64, p99 uint64) {
-	m := lockin.NewMachine(7)
-	cache := core.New(m, core.Kind(k))
+	r := workload.NewRunner(machine.DefaultConfig(7), warmup, duration)
+	cache := core.New(r.M, core.Kind(k))
 	bucket := make([]core.Lock, buckets)
 	for i := range bucket {
-		bucket[i] = core.New(m, core.Kind(k))
+		bucket[i] = core.New(r.M, core.Kind(k))
 	}
 
-	ops := uint64(0)
-	lat := metrics.NewHistogram()
 	for i := 0; i < threads; i++ {
 		rng := rand.New(rand.NewSource(int64(i) + 100))
-		m.Spawn("worker", func(t *machine.Thread) {
-			for t.Proc().Now() < warmup+duration {
+		r.M.Spawn("worker", func(t *machine.Thread) {
+			for r.Running(t) {
 				start := t.Proc().Now()
 				b := bucket[rng.Intn(buckets)]
 				if rng.Intn(100) < getPct {
@@ -55,25 +52,13 @@ func run(k lockin.Kind, getPct int) (thr, watts, tpp float64, p99 uint64) {
 					t.Compute(setCost)
 					cache.Unlock(t)
 				}
-				end := t.Proc().Now()
-				if end >= warmup {
-					ops++
-					lat.Record(end - start)
-				}
+				r.Note(t, start)
 				t.Compute(parseCost)
 			}
 		})
 	}
-	var e0, e1 power.Energy
-	m.K.Schedule(warmup, func() { e0 = m.Meter.Energy() })
-	m.K.Schedule(warmup+duration, func() { e1 = m.Meter.Energy() })
-	m.K.Drain()
-
-	meas := metrics.Measurement{
-		Ops: ops, Window: duration, Energy: e1.Sub(e0),
-		BaseGHz: m.Config().Power.BaseFreqGHz,
-	}
-	return meas.Throughput(), meas.Power().Total, meas.TPP(), lat.Percentile(0.99)
+	res := r.Finish()
+	return res.Throughput(), res.Power().Total, res.TPP(), res.Latency.Percentile(0.99)
 }
 
 func main() {

@@ -7,9 +7,9 @@ import (
 	"lockin/internal/futex"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
-	"lockin/internal/power"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
+	"lockin/internal/workload"
 )
 
 // runFig6 reproduces the futex latency microbenchmark: two threads in
@@ -99,30 +99,24 @@ func runSleepPeriodTable(o Options) []*metrics.Table {
 	for _, period := range []sim.Cycles{1024, 2048, 4096, 8192} {
 		period := period
 		g.Add(func(c sweep.Cell) []sweep.Row {
-			m := machine.New(machine.DefaultConfig(c.Seed))
-			line := m.NewLine("word")
-			w := m.NewFutexWord(line)
-			stop := o.Window(4_000_000)
-			m.Spawn("sleeper", func(t *machine.Thread) {
-				for t.Proc().Now() < stop {
+			warmup := o.Window(300_000)
+			r := workload.NewRunner(machine.DefaultConfig(c.Seed), warmup, o.Window(4_000_000)-warmup)
+			line := r.M.NewLine("word")
+			w := r.M.NewFutexWord(line)
+			r.M.Spawn("sleeper", func(t *machine.Thread) {
+				for r.Running(t) {
 					t.Store(line, 1)
 					t.FutexWait(w, 1, 0)
 				}
 			})
-			m.Spawn("waker", func(t *machine.Thread) {
-				for t.Proc().Now() < stop {
+			r.M.Spawn("waker", func(t *machine.Thread) {
+				for r.Running(t) {
 					t.Compute(period)
 					t.Store(line, 0)
 					t.FutexWake(w, 1)
 				}
 			})
-			e0snap := power.Energy{}
-			var e1snap power.Energy
-			m.K.Schedule(o.Window(300_000), func() { e0snap = m.Meter.Energy() })
-			m.K.Schedule(stop, func() { e1snap = m.Meter.Energy() })
-			m.K.Drain()
-			p := e1snap.Sub(e0snap).Power(stop-o.Window(300_000), m.Config().Power.BaseFreqGHz)
-			return []sweep.Row{{uint64(period), p.Total}}
+			return []sweep.Row{{uint64(period), r.Finish().Power().Total}}
 		})
 	}
 	g.Into(t)
@@ -171,10 +165,13 @@ func runFig7(o Options) []*metrics.Table {
 //
 // Each thread sleeps on its own futex word, so wakes are targeted.
 func runHandoff(o Options, seed int64, n, T int) (watts, handoversPerSec float64) {
-	m := machine.New(machine.DefaultConfig(seed))
+	measFrom, stop := o.Window(300_000), o.Window(4_000_000)
+	r := workload.NewRunner(machine.DefaultConfig(seed), measFrom, stop-measFrom)
+	m := r.M
 	token := m.NewLine("token") // id+1 of the thread allowed to act
-	stop := o.Window(4_000_000)
-	measFrom := o.Window(300_000)
+	// handovers is the figure's own tally, not Runner.Count: the sleep
+	// scheme counts a handover that its thread began before the window
+	// closed even when it lands after, and Count would drop it.
 	handovers := 0
 	token.Init(1) // thread 0 acts first
 
@@ -215,11 +212,11 @@ func runHandoff(o Options, seed int64, n, T int) (watts, handoversPerSec float64
 			if T > 0 && partner[id] < 0 {
 				sleep() // starts out of the active pair
 			}
-			for t.Proc().Now() < stop {
+			for r.Running(t) {
 				switch {
 				case T == -1: // pure spinning ring
 					t.SpinUntil(token, myTurn(id), machine.WaitMbar)
-					if t.Proc().Now() >= stop {
+					if !r.Running(t) {
 						return
 					}
 					if t.Proc().Now() >= measFrom {
@@ -239,7 +236,7 @@ func runHandoff(o Options, seed int64, n, T int) (watts, handoversPerSec float64
 					wake(nxt)
 				default: // spin-then-sleep with quota T
 					t.SpinUntil(token, myTurn(id), machine.WaitMbar)
-					if t.Proc().Now() >= stop {
+					if !r.Running(t) {
 						return
 					}
 					if t.Proc().Now() >= measFrom {
@@ -268,19 +265,15 @@ func runHandoff(o Options, seed int64, n, T int) (watts, handoversPerSec float64
 			}
 		})
 	}
-	var e0, e1 power.Energy
-	m.K.Schedule(measFrom, func() { e0 = m.Meter.Energy() })
+	// Wake every sleeper as the window closes, so each thread sees the
+	// window end and exits.
 	m.K.Schedule(stop, func() {
-		e1 = m.Meter.Energy()
 		for _, fp := range words {
 			m.Futex.KernelWakeAll(fp.w)
 		}
 	})
-	m.K.Drain()
-	window := stop - measFrom
-	p := e1.Sub(e0).Power(window, m.Config().Power.BaseFreqGHz)
-	secs := float64(window) / (m.Config().Power.BaseFreqGHz * 1e9)
-	return p.Total, float64(handovers) / secs
+	res := r.Finish()
+	return res.Power().Total, float64(handovers) / res.Seconds()
 }
 
 type futexPair struct {

@@ -7,14 +7,16 @@ import (
 	"lockin/internal/power"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
-	"lockin/internal/systems"
 	"lockin/internal/workload"
 )
 
-// runDef executes a systems.Definition on a machine with the given
-// per-cell seed and returns the measurement.
-func runDef(o Options, seed int64, d systems.Definition, f workload.LockFactory, dur sim.Cycles) systems.Result {
-	return d.Run(machine.DefaultConfig(seed), f, o.Window(300_000), o.Window(dur))
+// stress runs body on a fresh Runner over mc and returns the
+// measurement: the warm-up and the window that follows it, both
+// scaled by o.Window, are those of the Figures 1-5 stress tests.
+func stress(o Options, mc machine.Config, warmup, dur sim.Cycles, body func(*workload.Runner)) workload.Result {
+	r := workload.NewRunner(mc, o.Window(warmup), o.Window(dur))
+	body(r)
+	return r.Finish()
 }
 
 func threadSweep(quick bool) []int {
@@ -38,9 +40,11 @@ func init() {
 				// One cell per thread count: the spinlock row is
 				// normalized to the mutex run of the same cell.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					d := systems.CopyOnWriteList(n)
-					mu := runDef(o, c.Seed, d, workload.FactoryFor(core.KindMutex), 20_000_000)
-					sp := runDef(o, c.Seed, d, workload.FactoryFor(core.KindTTAS), 20_000_000)
+					cow := func(k core.Kind) workload.Result {
+						return stress(o, machine.DefaultConfig(c.Seed), 300_000, 20_000_000,
+							copyOnWriteList(n, workload.FactoryFor(k)))
+					}
+					mu, sp := cow(core.KindMutex), cow(core.KindTTAS)
 					return []sweep.Row{
 						{n, "mutex", mu.Power().Total, mu.Throughput() / 1e3, mu.TPP() / 1e3, 1.0, 1.0},
 						{n, "spinlock", sp.Power().Total, sp.Throughput() / 1e3, sp.TPP() / 1e3,
@@ -74,14 +78,13 @@ func init() {
 						if vf == power.VFMin {
 							mc.Sched.IdleVF = power.VFMin
 						}
-						var p power.Breakdown
+						// The idle baseline runs no thread and needs no
+						// warm-up.
+						warmup := sim.Cycles(300_000)
 						if n == 0 {
-							p = systems.IdlePower(mc, o.Window(2_000_000))
-						} else {
-							r := systems.MemoryStress(n, vf).Run(mc, workload.FactoryFor(core.KindMutex),
-								o.Window(300_000), o.Window(2_000_000))
-							p = r.Power()
+							warmup = 0
 						}
+						p := stress(o, mc, warmup, 2_000_000, memoryStress(n, vf)).Power()
 						return []sweep.Row{{n, p.Total, p.Package, p.Cores, p.DRAM}}
 					})
 				}
@@ -99,21 +102,20 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 3 — the price of waiting",
 				"threads", "technique", "power(W)", "CPI")
+			limit := o.Window(3_300_000) // the waiters outlast the window
 			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				n := n
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					r := runDef(o, c.Seed, systems.SleepingStress(n), workload.FactoryFor(core.KindMutex), 3_000_000)
+					r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000, sleepingStress(n))
 					return []sweep.Row{{n, "sleeping", r.Power().Total, 0.0}}
 				})
 				for _, pol := range []machine.WaitPolicy{machine.WaitGlobal, machine.WaitLocal} {
 					pol := pol
 					g.Add(func(c sweep.Cell) []sweep.Row {
-						d := systems.WaitingStress(n, pol, o.Window(3_300_000))
-						rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
-						d(rn, workload.FactoryFor(core.KindMutex))
-						r := rn.Finish()
-						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
+						r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000,
+							waitingStress(n, pol, limit))
+						return []sweep.Row{{n, pol.String(), r.Power().Total, r.Machine.CPI(pol.Activity())}}
 					})
 				}
 			}
@@ -129,17 +131,16 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 4 — pausing techniques",
 				"threads", "technique", "power(W)", "CPI")
+			limit := o.Window(3_300_000) // the waiters outlast the window
 			pols := []machine.WaitPolicy{machine.WaitGlobal, machine.WaitLocal, machine.WaitPause, machine.WaitMbar}
 			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				for _, pol := range pols {
 					n, pol := n, pol
 					g.Add(func(c sweep.Cell) []sweep.Row {
-						d := systems.WaitingStress(n, pol, o.Window(3_300_000))
-						rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
-						d(rn, workload.FactoryFor(core.KindMutex))
-						r := rn.Finish()
-						return []sweep.Row{{n, pol.String(), r.Power().Total, rn.M.CPI(pol.Activity())}}
+						r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000,
+							waitingStress(n, pol, limit))
+						return []sweep.Row{{n, pol.String(), r.Power().Total, r.Machine.CPI(pol.Activity())}}
 					})
 				}
 			}
@@ -155,36 +156,34 @@ func init() {
 		Grid: func(o Options) []*metrics.Table {
 			t := metrics.NewTable("Figure 5 — DVFS and monitor/mwait",
 				"threads", "series", "power(W)")
+			limit := o.Window(3_300_000) // the waiters outlast the window
 			g := sweep.NewGrid(o)
 			for _, n := range threadSweep(o.Quick) {
 				n := n
 				// VF-max: plain mbar spinning.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					d := systems.WaitingStress(n, machine.WaitMbar, o.Window(3_300_000))
-					r := runDef(o, c.Seed, d, workload.FactoryFor(core.KindMutex), 3_000_000)
+					r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000,
+						waitingStress(n, machine.WaitMbar, limit))
 					return []sweep.Row{{n, "VF-max", r.Power().Total}}
 				})
 				// VF-min: the whole machine held at the low VF point.
 				g.Add(func(c sweep.Cell) []sweep.Row {
 					mc := machine.DefaultConfig(c.Seed)
 					mc.Sched.IdleVF = power.VFMin
-					rn := systems.NewRunner(mc, o.Window(300_000), o.Window(3_000_000))
-					spawnVFSpinners(rn, n, power.VFMin)
-					r := rn.Finish()
+					r := stress(o, mc, 300_000, 3_000_000, vfSpinners(n, power.VFMin, limit))
 					return []sweep.Row{{n, "VF-min", r.Power().Total}}
 				})
 				// DVFS-normal: threads request VF-min, idle siblings keep
 				// voting VF-max (the hardware behaviour of §4.2).
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					rn := systems.NewRunner(machine.DefaultConfig(c.Seed), o.Window(300_000), o.Window(3_000_000))
-					spawnVFSpinners(rn, n, power.VFMin)
-					r := rn.Finish()
+					r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000,
+						vfSpinners(n, power.VFMin, limit))
 					return []sweep.Row{{n, "DVFS-normal", r.Power().Total}}
 				})
 				// monitor/mwait.
 				g.Add(func(c sweep.Cell) []sweep.Row {
-					d := systems.WaitingStress(n, machine.WaitMwait, o.Window(3_300_000))
-					r := runDef(o, c.Seed, d, workload.FactoryFor(core.KindMutex), 3_000_000)
+					r := stress(o, machine.DefaultConfig(c.Seed), 300_000, 3_000_000,
+						waitingStress(n, machine.WaitMwait, limit))
 					return []sweep.Row{{n, "monitor/mwait", r.Power().Total}}
 				})
 			}
@@ -215,14 +214,91 @@ func init() {
 	})
 }
 
-// spawnVFSpinners starts n spinners that lower their own VF point and
-// spin with mbar until the window closes.
-func spawnVFSpinners(rn *systems.Runner, n int, vf power.VF) {
-	dur := sim.Cycles(3_300_000)
-	for i := 0; i < n; i++ {
-		rn.M.Spawn("spinner", func(t *machine.Thread) {
-			t.SetVF(vf)
-			t.SpinFor(dur, machine.WaitMbar)
-		})
+// copyOnWriteList models the java.util.concurrent.CopyOnWriteArrayList
+// stress test of Figure 1: mutators take the list's lock, built by f,
+// and copy the backing array (memory-heavy critical section); the
+// occasional readers are lock-free. The waiting strategy of the lock
+// (sleeping vs busy waiting) dominates both power and throughput.
+func copyOnWriteList(threads int, f workload.LockFactory) func(*workload.Runner) {
+	return func(r *workload.Runner) {
+		l := f(r.M)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("cow", func(t *machine.Thread) {
+				for r.Running(t) {
+					start := t.Proc().Now()
+					l.Lock(t)
+					// Copy the array: memory-bound critical section.
+					t.SetActivity(power.MemStress)
+					t.Run(2500)
+					l.Unlock(t)
+					r.Note(t, start)
+					t.Compute(5000) // produce the next element
+				}
+			})
+		}
+	}
+}
+
+// memoryStress is the §3.1 maximum-power benchmark: each thread streams
+// over large chunks of memory from its local node. Figure 2 charts its
+// power breakdown against active hyper-thread count and
+// voltage-frequency setting; with no threads it is the idle machine.
+func memoryStress(threads int, vf power.VF) func(*workload.Runner) {
+	return func(r *workload.Runner) {
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("mem", func(t *machine.Thread) {
+				t.SetVF(vf)
+				for r.Running(t) {
+					start := t.Proc().Now()
+					t.ComputeMem(10_000)
+					r.Note(t, start)
+				}
+			})
+		}
+	}
+}
+
+// waitingStress parks every thread on a lock word that is never
+// released, spinning for at most limit cycles with the given waiting
+// technique — the §4.1/§4.2 "price of waiting" experiments (Figures
+// 3-5). The threads spin on a real shared line so global spinning
+// exhibits its contention-scaled CPI.
+func waitingStress(threads int, pol machine.WaitPolicy, limit sim.Cycles) func(*workload.Runner) {
+	return func(r *workload.Runner) {
+		line := r.M.NewLine("held-forever")
+		line.Init(1)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("waiter", func(t *machine.Thread) {
+				t.SpinUntilLimit(line, func(v uint64) bool { return v == 0 }, pol, limit)
+			})
+		}
+	}
+}
+
+// sleepingStress parks every thread on a futex that is never woken —
+// the "sleeping" series of Figure 3.
+func sleepingStress(threads int) func(*workload.Runner) {
+	return func(r *workload.Runner) {
+		line := r.M.NewLine("never")
+		line.Init(1)
+		w := r.M.NewFutexWord(line)
+		for i := 0; i < threads; i++ {
+			r.M.Spawn("sleeper", func(t *machine.Thread) {
+				t.FutexWait(w, 1, 0)
+			})
+		}
+	}
+}
+
+// vfSpinners starts n spinners that lower their own VF point and spin
+// with mbar for limit cycles, past the window's end.
+func vfSpinners(n int, vf power.VF, limit sim.Cycles) func(*workload.Runner) {
+	return func(r *workload.Runner) {
+		for i := 0; i < n; i++ {
+			r.M.Spawn("spinner", func(t *machine.Thread) {
+				t.SetVF(vf)
+				t.SpinFor(limit, machine.WaitMbar)
+			})
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package systems
+package experiments
 
 import (
 	"testing"
@@ -6,25 +6,23 @@ import (
 	"lockin/internal/core"
 	"lockin/internal/machine"
 	"lockin/internal/power"
+	"lockin/internal/sim"
 	"lockin/internal/workload"
 )
 
-const (
-	testWarmup = 300_000
-	testDur    = 8_000_000
-)
+const stressWarmup = 300_000
 
-func runDef(t *testing.T, d Definition, k core.Kind, seed int64) Result {
-	t.Helper()
-	return d.Run(machine.DefaultConfig(seed), workload.FactoryFor(k), testWarmup, testDur)
+// runStress measures body at seed 1 over dur cycles after the
+// stress tests' warm-up, at scale 1.
+func runStress(body func(*workload.Runner), dur sim.Cycles) workload.Result {
+	return stress(Options{}, machine.DefaultConfig(1), stressWarmup, dur, body)
 }
 
 func TestCopyOnWriteListSpinVsSleep(t *testing.T) {
 	// Figure 1: the spinlock version consumes more power than mutex but
 	// achieves higher throughput.
-	d := CopyOnWriteList(20)
-	mutex := runDef(t, d, core.KindMutex, 1)
-	spin := runDef(t, d, core.KindTTAS, 1)
+	mutex := runStress(copyOnWriteList(20, workload.FactoryFor(core.KindMutex)), 8_000_000)
+	spin := runStress(copyOnWriteList(20, workload.FactoryFor(core.KindTTAS)), 8_000_000)
 	if spin.Throughput() <= mutex.Throughput() {
 		t.Fatalf("spinlock throughput (%.0f) should beat mutex (%.0f)",
 			spin.Throughput(), mutex.Throughput())
@@ -37,9 +35,7 @@ func TestCopyOnWriteListSpinVsSleep(t *testing.T) {
 
 func TestMemoryStressPowerScalesWithThreads(t *testing.T) {
 	run := func(n int) float64 {
-		d := MemoryStress(n, power.VFMax)
-		r := d.Run(machine.DefaultConfig(1), workload.FactoryFor(core.KindMutex), testWarmup, 2_000_000)
-		return r.Power().Total
+		return runStress(memoryStress(n, power.VFMax), 2_000_000).Power().Total
 	}
 	p0, p10, p40 := run(1), run(10), run(40)
 	if !(p0 < p10 && p10 < p40) {
@@ -52,9 +48,7 @@ func TestMemoryStressPowerScalesWithThreads(t *testing.T) {
 
 func TestMemoryStressVFMinDrawsLess(t *testing.T) {
 	run := func(vf power.VF) float64 {
-		d := MemoryStress(40, vf)
-		r := d.Run(machine.DefaultConfig(1), workload.FactoryFor(core.KindMutex), testWarmup, 2_000_000)
-		return r.Power().Total
+		return runStress(memoryStress(40, vf), 2_000_000).Power().Total
 	}
 	if min, max := run(power.VFMin), run(power.VFMax); min >= max {
 		t.Fatalf("VF-min power %.1f W not below VF-max %.1f W", min, max)
@@ -63,13 +57,12 @@ func TestMemoryStressVFMinDrawsLess(t *testing.T) {
 
 func TestWaitingStressPowerOrdering(t *testing.T) {
 	// Figure 3: sleeping ≪ busy-waiting power; mbar < pause.
-	runPol := func(d Definition) float64 {
-		r := d.Run(machine.DefaultConfig(1), workload.FactoryFor(core.KindMutex), testWarmup, 2_000_000)
-		return r.Power().Total
+	runPol := func(body func(*workload.Runner)) float64 {
+		return runStress(body, 2_000_000).Power().Total
 	}
-	sleep := runPol(SleepingStress(40))
-	mbar := runPol(WaitingStress(40, machine.WaitMbar, testWarmup+3_000_000))
-	pause := runPol(WaitingStress(40, machine.WaitPause, testWarmup+3_000_000))
+	sleep := runPol(sleepingStress(40))
+	mbar := runPol(waitingStress(40, machine.WaitMbar, stressWarmup+3_000_000))
+	pause := runPol(waitingStress(40, machine.WaitPause, stressWarmup+3_000_000))
 	if !(sleep < mbar && mbar < pause) {
 		t.Fatalf("power ordering sleep %.1f, mbar %.1f, pause %.1f", sleep, mbar, pause)
 	}

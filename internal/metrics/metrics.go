@@ -12,11 +12,10 @@ import (
 // Measurement is the outcome of one benchmark run: operations completed
 // over a virtual-time window with the energy spent in it.
 type Measurement struct {
-	Ops      uint64
-	Window   sim.Cycles
-	Energy   power.Energy
-	BaseGHz  float64
-	Acquires *Histogram // per-operation latency, optional
+	Ops     uint64
+	Window  sim.Cycles
+	Energy  power.Energy
+	BaseGHz float64
 }
 
 // Seconds converts the window to wall-clock seconds at the base clock.

@@ -12,13 +12,12 @@ import (
 	"lockin/internal/metrics"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
-	"lockin/internal/systems"
 	"lockin/internal/workload"
 )
 
 // Compiled is a scenario lowered onto the simulation primitives: a
 // cell-grid experiment whose cells are the cross product of the spec's
-// sweep axes (a sweep.Space), each simulated on a systems.Runner with
+// sweep axes (a sweep.Space), each simulated on a workload.Runner with
 // its own seeded machine.
 type Compiled struct {
 	Spec Spec
@@ -357,7 +356,7 @@ type groupStats struct {
 }
 
 // row renders one cell's table row.
-func (c *Compiled) row(p cellParams, res systems.Result, stats *groupStats) sweep.Row {
+func (c *Compiled) row(p cellParams, res workload.Result, stats *groupStats) sweep.Row {
 	row := sweep.Row{c.totalThreads(p), p.cs, p.kind.name}
 	for _, a := range c.extraAxes() {
 		row = append(row, a.value(p))
@@ -507,12 +506,12 @@ func (s condQueueInst) access(t *machine.Thread, _ *rand.Rand, _ bool, cs sim.Cy
 // simulate runs one cell: the grid point p on a fresh machine seeded
 // with seed, measured for duration cycles after warmup. The tallies
 // are nil unless the spec asks for per-group columns.
-func (c *Compiled) simulate(p cellParams, seed int64, warmup, duration sim.Cycles) (systems.Result, *groupStats) {
+func (c *Compiled) simulate(p cellParams, seed int64, warmup, duration sim.Cycles) (workload.Result, *groupStats) {
 	var stats *groupStats
 	if c.Spec.perGroup() {
 		stats = &groupStats{ops: make([]uint64, len(c.Spec.Groups))}
 	}
-	r := systems.NewRunner(c.machineConfig(seed), warmup, duration)
+	r := workload.NewRunner(c.machineConfig(seed), warmup, duration)
 	c.build(r, p, stats)
 	return r.Finish(), stats
 }
@@ -520,7 +519,7 @@ func (c *Compiled) simulate(p cellParams, seed int64, warmup, duration sim.Cycle
 // build instantiates the spec's locks (pinned kinds keep their own
 // factory, the rest use the cell's lock kind) and spawns every group's
 // threads running the compiled loop.
-func (c *Compiled) build(r *systems.Runner, p cellParams, stats *groupStats) {
+func (c *Compiled) build(r *workload.Runner, p cellParams, stats *groupStats) {
 	insts := make([]lockInst, len(c.Spec.Locks))
 	for i, ls := range c.Spec.Locks {
 		mk := p.kind.factory
@@ -574,7 +573,7 @@ func (c *Compiled) build(r *systems.Runner, p cellParams, stats *groupStats) {
 // groupLoop is one thread's compiled iteration loop: pick a body
 // (weighted choice or the unconditional ops), run its steps, note the
 // completed operation, then the outside work and any periodic blocking.
-func (c *Compiled) groupLoop(r *systems.Runner, t *machine.Thread, rng *rand.Rand,
+func (c *Compiled) groupLoop(r *workload.Runner, t *machine.Thread, rng *rand.Rand,
 	gi int, insts []lockInst, p cellParams, stats *groupStats) {
 	g := &c.Spec.Groups[gi]
 	total := choiceTotal(g.Choices, p.read)
@@ -605,7 +604,7 @@ func (c *Compiled) groupLoop(r *systems.Runner, t *machine.Thread, rng *rand.Ran
 		}
 		iter++
 		if g.BlockEvery > 0 && iter%g.BlockEvery == 0 {
-			systems.Block(t, sim.Cycles(g.BlockCycles))
+			block(t, sim.Cycles(g.BlockCycles))
 		}
 	}
 }
@@ -627,7 +626,7 @@ func (c *Compiled) runOp(t *machine.Thread, rng *rand.Rand, op *OpSpec, insts []
 		case op.ComputeCycles > 0:
 			t.Compute(sim.Cycles(op.ComputeCycles))
 		case op.BlockCycles > 0:
-			systems.Block(t, sim.Cycles(op.BlockCycles))
+			block(t, sim.Cycles(op.BlockCycles))
 		default:
 			name := op.Lock
 			if len(op.Locks) > 0 {
@@ -640,4 +639,16 @@ func (c *Compiled) runOp(t *machine.Thread, rng *rand.Rand, op *OpSpec, insts []
 			insts[c.lockIndex[name]].access(t, rng, op.Mode == "read", sim.Cycles(cs))
 		}
 	}
+}
+
+// block deschedules the thread for roughly d cycles, modelling
+// blocking I/O: the hardware context is released to the OS until the
+// wakeup fires. Compiled loops use it for SSD reads and bursty
+// producers.
+func block(t *machine.Thread, d sim.Cycles) {
+	th := t.Thread
+	s := th.Scheduler()
+	k := s.Kernel()
+	k.Schedule(d, func() { s.Unblock(th, 0) })
+	th.Block()
 }

@@ -8,7 +8,7 @@ import (
 	"lockin/internal/metrics"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
-	"lockin/internal/systems"
+	"lockin/internal/workload"
 )
 
 // SystemConfig is one (system, configuration) cell of the paper's
@@ -84,7 +84,7 @@ func (s SystemConfig) Threads() int {
 // axis (MUTEX, TICKET or MUTEXEE) on a machine seeded with seed,
 // measured for duration cycles after warmup. It panics on a lock the
 // axis does not hold.
-func (s SystemConfig) Run(lock string, seed int64, warmup, duration sim.Cycles) systems.Result {
+func (s SystemConfig) Run(lock string, seed int64, warmup, duration sim.Cycles) workload.Result {
 	p, err := s.params(lock)
 	if err != nil {
 		panic(err)

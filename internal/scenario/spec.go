@@ -4,8 +4,8 @@
 // loops with weighted alternatives, machine configuration and a set of
 // named sweep axes (threads, critical-section, lock-kind, read-ratio,
 // oversubscription-factor and zipf-skew, cross-producted into a
-// sweep.Space) — and the compiler lowers it onto the existing
-// machine/systems/workload primitives as a first-class
+// sweep.Space) — and the compiler lowers it onto the machine/workload
+// primitives (each cell a body on a workload.Runner) as a first-class
 // experiments.Experiment. Compiled scenarios run through
 // internal/sweep (parallel workers, multi-process sharding) and persist
 // through internal/results exactly like the hand-coded paper figures,

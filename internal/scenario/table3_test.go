@@ -1,16 +1,14 @@
-package systems_test
+package scenario_test
 
-// The §6 systems are the Table 3 configurations of package scenario,
-// points of its bundled specs run on this package's Runner. Package
-// scenario imports systems, so these behaviour tests live in the
-// external test package, which may import it.
+// Behaviour tests of the §6 systems: the Table 3 configurations,
+// points of the bundled specs, each run on a workload.Runner.
 
 import (
 	"testing"
 
 	"lockin/internal/core"
 	"lockin/internal/scenario"
-	"lockin/internal/systems"
+	"lockin/internal/workload"
 )
 
 const (
@@ -30,7 +28,7 @@ func config(t *testing.T, id string) scenario.SystemConfig {
 	return scenario.SystemConfig{}
 }
 
-func run(s scenario.SystemConfig, k core.Kind, seed int64) systems.Result {
+func run(s scenario.SystemConfig, k core.Kind, seed int64) workload.Result {
 	return s.Run(k.String(), seed, testWarmup, testDur)
 }
 
@@ -84,7 +82,7 @@ func TestMySQLTicketCollapsesUnderOversubscription(t *testing.T) {
 		t.Skip("short mode")
 	}
 	s := config(t, "MySQL/MEM") // 64 threads on 40 contexts
-	f := func(k core.Kind) systems.Result {
+	f := func(k core.Kind) workload.Result {
 		return s.Run(k.String(), 1, testWarmup, 60_000_000)
 	}
 	mutex := f(core.KindMutex)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -37,6 +38,16 @@ func NewLogger(w io.Writer, level string, jsonFormat bool) (*slog.Logger, error)
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
 	return slog.New(slog.NewTextHandler(w, opts)), nil
+}
+
+// BindLogFlags binds -log-level and -log-json, the logging flags of
+// every long-running command (serve, coordinate, work), onto fs with
+// their one default and help string. Once fs is parsed, the returned
+// function builds the logger they select (NewLogger) onto w.
+func BindLogFlags(fs *flag.FlagSet) func(w io.Writer) (*slog.Logger, error) {
+	level := fs.String("log-level", "info", "structured-log level: debug, info, warn or error")
+	jsonFormat := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
+	return func(w io.Writer) (*slog.Logger, error) { return NewLogger(w, *level, *jsonFormat) }
 }
 
 // Discard returns a logger that drops everything — the nil-safe

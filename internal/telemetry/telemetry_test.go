@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"flag"
 	"log/slog"
 	"net/http/httptest"
 	"regexp"
@@ -208,5 +209,34 @@ func TestNewLogger(t *testing.T) {
 	jlog.Info("event", "req", 7)
 	if !strings.Contains(b.String(), `"req":7`) {
 		t.Errorf("JSON handler output: %q", b.String())
+	}
+}
+
+// TestBindLogFlags: the flags default to info-level text, and the
+// returned constructor follows what was parsed, refusing a bad level.
+func TestBindLogFlags(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	newLog := BindLogFlags(fs)
+	if lv, js := fs.Lookup("log-level").DefValue, fs.Lookup("log-json").DefValue; lv != "info" || js != "false" {
+		t.Errorf("defaults -log-level %q -log-json %q, want info and false", lv, js)
+	}
+	if err := fs.Parse([]string{"-log-level", "warn", "-log-json"}); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	log, err := newLog(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Info("hidden")
+	log.Warn("shown", "req", 7)
+	if out := b.String(); strings.Contains(out, "hidden") || !strings.Contains(out, `"req":7`) {
+		t.Errorf("logger from -log-level warn -log-json wrote %q", out)
+	}
+	if err := fs.Parse([]string{"-log-level", "loud"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newLog(&b); err == nil {
+		t.Error("-log-level loud built a logger")
 	}
 }

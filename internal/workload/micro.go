@@ -1,8 +1,3 @@
-// Package workload provides the microbenchmark harness of the paper's §5
-// evaluation: N threads acquiring L locks at random, with configurable
-// critical-section and outside-work durations, measured over a warmup +
-// measurement window for throughput, power, energy efficiency (TPP) and
-// per-acquisition latency.
 package workload
 
 import (
@@ -11,7 +6,6 @@ import (
 	"lockin/internal/core"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
-	"lockin/internal/power"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
 )
@@ -54,23 +48,6 @@ func DefaultMicroConfig(seed int64) MicroConfig {
 	}
 }
 
-// Result carries the measurement plus harness-level counters.
-type Result struct {
-	metrics.Measurement
-	Latency *metrics.Histogram // nil unless RecordLatency
-	// TotalAcquires counts every acquisition, including warmup/cooldown.
-	TotalAcquires uint64
-	// EndTime is the virtual time of the run's last event, which Drain
-	// returns. It is normally the deep-idle timer that the scheduler arms
-	// IdleDeepAfter cycles after the last thread leaves its context, not
-	// the time that thread exited.
-	EndTime sim.Cycles
-	// Machine gives access to post-run statistics (futex, coherence).
-	Machine *machine.Machine
-	// Locks exposes the lock instances (e.g. for MUTEXEE statistics).
-	Locks []core.Lock
-}
-
 // RunSweep executes each configuration as one cell of a parallel sweep
 // grid and returns the results in configuration order. Every cell runs
 // on its own simulated machine whose seed is replaced with
@@ -87,7 +64,10 @@ func RunSweep(o sweep.Options, cfgs []MicroConfig) []Result {
 	})
 }
 
-// RunMicro executes the microbenchmark described by cfg.
+// RunMicro executes the microbenchmark described by cfg on a Runner:
+// each worker picks a lock (uniformly from the array when there is
+// more than one), runs its critical section and outside work, and
+// counts the acquisition when it ends inside the window.
 func RunMicro(cfg MicroConfig) Result {
 	if cfg.Threads <= 0 {
 		panic("workload: Threads must be positive")
@@ -95,31 +75,21 @@ func RunMicro(cfg MicroConfig) Result {
 	if cfg.Locks <= 0 {
 		cfg.Locks = 1
 	}
-	m := machine.New(cfg.Machine)
-	locks := make([]core.Lock, cfg.Locks)
-	for i := range locks {
-		locks[i] = cfg.Factory(m)
-	}
-
-	var (
-		ops      uint64
-		total    uint64
-		lat      *metrics.Histogram
-		measFrom = cfg.Warmup
-		measTo   = cfg.Warmup + cfg.Duration
-	)
+	var lat *metrics.Histogram
 	if cfg.RecordLatency {
 		lat = metrics.NewHistogram()
 	}
+	r := newRunner(cfg.Machine, cfg.Warmup, cfg.Duration, lat)
+	locks := make([]core.Lock, cfg.Locks)
+	for i := range locks {
+		locks[i] = cfg.Factory(r.M)
+	}
 
+	var total uint64
 	for i := 0; i < cfg.Threads; i++ {
 		rng := rand.New(rand.NewSource(cfg.Machine.Seed + int64(i)*7919))
-		m.Spawn("worker", func(t *machine.Thread) {
-			for {
-				now := t.Proc().Now()
-				if now >= measTo {
-					return
-				}
+		r.M.Spawn("worker", func(t *machine.Thread) {
+			for r.Running(t) {
 				l := locks[0]
 				if cfg.Locks > 1 {
 					l = locks[rng.Intn(cfg.Locks)]
@@ -130,14 +100,11 @@ func RunMicro(cfg MicroConfig) Result {
 				t.Compute(cfg.CS)
 				l.Unlock(t)
 				total++
-				end := t.Proc().Now()
-				if end >= measFrom && end < measTo {
-					ops++
-				}
+				r.Count(t)
 				// Latency is recorded for every acquisition overlapping the
 				// window, so starved waits that straddle either boundary —
 				// precisely the tail-latency cases — are not dropped.
-				if lat != nil && acquired >= measFrom && start < measTo {
+				if lat != nil && acquired >= r.measFrom && start < r.measTo {
 					lat.Record(acquired - start)
 				}
 				t.Compute(cfg.Outside)
@@ -145,23 +112,7 @@ func RunMicro(cfg MicroConfig) Result {
 		})
 	}
 
-	// Snapshot energy at the window boundaries.
-	var e0, e1 power.Energy
-	m.K.Schedule(measFrom, func() { e0 = m.Meter.Energy() })
-	m.K.Schedule(measTo, func() { e1 = m.Meter.Energy() })
-	end := m.K.Drain()
-
-	return Result{
-		Measurement: metrics.Measurement{
-			Ops:     ops,
-			Window:  cfg.Duration,
-			Energy:  e1.Sub(e0),
-			BaseGHz: cfg.Machine.Power.BaseFreqGHz,
-		},
-		Latency:       lat,
-		TotalAcquires: total,
-		EndTime:       end,
-		Machine:       m,
-		Locks:         locks,
-	}
+	res := r.Finish()
+	res.TotalAcquires, res.Locks = total, locks
+	return res
 }
