@@ -39,7 +39,6 @@ func runCoordinate(args []string) {
 		id       = fs.String("experiment", "", "registered experiment id to distribute")
 		scenFile = fs.String("scenario", "", "scenario spec file to distribute instead of a registered experiment")
 		expect   = fs.Int("expect", 4, "worker count the chunk schedule is sized for (more may join; they steal)")
-		minChunk = fs.Int("min-chunk", 1, "minimum chunk width in cell coordinates")
 		ttl      = fs.Duration("lease-ttl", 2*time.Minute, "lease deadline; an unreported chunk requeues after this and the next idle worker steals it")
 		jsonDir  = fs.String("json", "", "save the merged run to <dir>/<id>.json (results store)")
 		newLog   = telemetry.BindLogFlags(fs)
@@ -65,7 +64,7 @@ func runCoordinate(args []string) {
 		job.Scenario = json.RawMessage(spec)
 	}
 	co, err := fleet.New(fleet.Config{
-		Job: job, Expect: *expect, MinChunk: *minChunk, LeaseTTL: *ttl, Logger: logger,
+		Job: job, Expect: *expect, LeaseTTL: *ttl, Logger: logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench coordinate: %v\n", err)

@@ -62,8 +62,8 @@
 //
 //	lockbench serve -addr :8080 -cache runs-cache/
 //
-// Every option is one shared surface (internal/bench/opts): -seed on
-// the command line and ?seed= in a service URL are the same knob with
+// Every option is one shared surface (internal/bench/opts): ?seed= in
+// a service URL sets the -seed flag, so the two are the same knob with
 // the same default, parser and validation.
 package main
 

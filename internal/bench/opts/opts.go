@@ -1,15 +1,15 @@
 // Package opts is the single option surface shared by every benchmark
-// consumer: one Options struct with one set of defaults, bindable onto
-// a CLI flag set (FromFlags) and onto an HTTP URL query (ApplyQuery),
-// with one validation pass (NormalizeAndValidate) behind both. Options
-// embeds the run's own options (experiments.Options, which is
+// consumer: one Options struct with one set of defaults, bound onto a
+// CLI flag set (FromFlags) and finalized by one pass (Flags.Options:
+// the composite values, then NormalizeAndValidate). An HTTP URL query
+// (ApplyQuery) goes through the same flags: each parameter sets the
+// flag it names, so "-seed 010" and "?seed=010" are one seed (8), and
+// a knob added here parses, defaults and validates alike everywhere.
+// Options embeds the run's own options (experiments.Options, which is
 // sweep.Options), so a bound flag or query parameter is the field the
 // engine reads, with no copy in between. The CLI (lockbench) and the
 // benchmark service (internal/serve) both assemble their runs through
-// this package, so "-scale 4" on a command line and "?scale=4" in a
-// request are the same option by construction, and a knob added here
-// shows up everywhere with identical parsing, defaults and error
-// messages.
+// this package.
 //
 // Flag names and URL query parameters correspond one-to-one: -seed ↔
 // seed, -scale ↔ scale, -quick ↔ quick, -workers ↔ workers, -slice ↔
@@ -115,9 +115,9 @@ func BindRunFlags(fs *flag.FlagSet, o *experiments.Options) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel sweep workers (0 = all CPUs, 1 = serial)")
 }
 
-// Options finalizes the bound flags after the flag set was parsed: the
-// composite strings parse into their structured fields, then the whole
-// struct passes NormalizeAndValidate.
+// Options finalizes the bound flags after the flag set was parsed (or
+// ApplyQuery set them): the composite strings parse into their
+// structured fields, then the whole struct passes NormalizeAndValidate.
 func (f *Flags) Options() (Options, error) {
 	o := f.opts
 	var err error
@@ -150,103 +150,42 @@ func (f *Flags) Options() (Options, error) {
 	return o, nil
 }
 
-// queryParsers maps each URL query parameter of the shared schema onto
-// its field parser. Keys are the canonical parameter names; the only
-// spelling difference from the flags is tol_cols (URL keys avoid '-').
-var queryParsers = map[string]func(*Options, string) error{
-	"seed": func(o *Options, v string) error {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad seed %q: want an integer", v)
-		}
-		o.Seed = n
-		return nil
-	},
-	"scale": func(o *Options, v string) error {
-		fl, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad scale %q: want a number", v)
-		}
-		o.Scale = fl
-		return nil
-	},
-	"quick": func(o *Options, v string) error {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("bad quick %q: want a boolean (true/false/1/0)", v)
-		}
-		o.Quick = b
-		return nil
-	},
-	"workers": func(o *Options, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad workers %q: want an integer", v)
-		}
-		o.Workers = n
-		return nil
-	},
-	"slice": func(o *Options, v string) error {
-		fixes, err := ParseSlice(v)
-		if err != nil {
-			return err
-		}
-		o.Slice = fixes
-		return nil
-	},
-	"project": func(o *Options, v string) error {
-		keep, err := ParseProject(v)
-		if err != nil {
-			return err
-		}
-		o.Project = keep
-		return nil
-	},
-	"tol": func(o *Options, v string) error {
-		fl, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad tol %q: want a number", v)
-		}
-		o.Tol = fl
-		return nil
-	},
-	"tol_cols": func(o *Options, v string) error {
-		cols, err := ParseTolCols(v)
-		if err != nil {
-			return err
-		}
-		o.TolCols = cols
-		return nil
-	},
+// queryFlags maps each URL query parameter of the shared schema onto
+// the flag FromFlags binds for it. The only spelling difference is
+// tol_cols (URL keys avoid '-').
+var queryFlags = map[string]string{
+	"seed": "seed", "scale": "scale", "quick": "quick", "workers": "workers",
+	"slice": "slice", "project": "project", "tol": "tol", "tol_cols": "tol-cols",
 }
 
 // ApplyQuery maps a URL query onto the options, strictly: a parameter
 // outside the allowed subset of the shared schema is an error naming
 // what IS accepted, never silently ignored (a typo'd ?scal=4 must not
-// run at the default scale). When a parameter repeats, the last value
-// wins. The result passes NormalizeAndValidate, so a handler can 400
-// with the returned error text directly.
-func ApplyQuery(def Options, q url.Values, allowed ...string) (Options, error) {
-	o := def
+// run at the default scale). Each parameter sets the flag FromFlags
+// binds for it, on a fresh flag set, so a URL value parses exactly as
+// the same value on the command line (?seed=010 is -seed 010) and
+// Options() finalizes the result. When a parameter repeats, the last
+// value wins. A handler can 400 with the returned error text directly.
+func ApplyQuery(q url.Values, allowed ...string) (Options, error) {
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
+	f := FromFlags(fs)
 	keys := make([]string, 0, len(q))
 	for k := range q {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		parse, known := queryParsers[k]
+		name, known := queryFlags[k]
 		if !known || !slices.Contains(allowed, k) {
-			return o, fmt.Errorf("unknown parameter %q (accepted: %s)", k, strings.Join(allowed, ", "))
+			return f.opts, fmt.Errorf("unknown parameter %q (accepted: %s)", k, strings.Join(allowed, ", "))
 		}
 		vs := q[k]
-		if err := parse(&o, vs[len(vs)-1]); err != nil {
-			return o, err
+		v := vs[len(vs)-1]
+		if err := fs.Set(name, v); err != nil {
+			return f.opts, fmt.Errorf("bad %s %q: %w", k, v, err)
 		}
 	}
-	if err := o.NormalizeAndValidate(); err != nil {
-		return o, err
-	}
-	return o, nil
+	return f.Options()
 }
 
 // maxScale bounds Scale. README puts the paper's 10-second runs at

@@ -2,6 +2,7 @@ package opts_test
 
 import (
 	"flag"
+	"io"
 	"math"
 	"net/url"
 	"reflect"
@@ -240,7 +241,7 @@ func TestApplyQuery(t *testing.T) {
 		"slice": {"read=90,lock=MUTEX"}, "project": {"lock"},
 		"tol": {"0.02"}, "tol_cols": {"p95(Kcyc)=0.05"},
 	}
-	o, err := opts.ApplyQuery(opts.Defaults(), q, queryParams...)
+	o, err := opts.ApplyQuery(q, queryParams...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestApplyQuery(t *testing.T) {
 }
 
 func TestApplyQueryLastValueWins(t *testing.T) {
-	o, err := opts.ApplyQuery(opts.Defaults(), url.Values{"seed": {"1", "2", "3"}}, "seed")
+	o, err := opts.ApplyQuery(url.Values{"seed": {"1", "2", "3"}}, "seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +292,41 @@ func TestApplyQueryStrict(t *testing.T) {
 		if c.allowed == nil {
 			c.allowed = queryParams
 		}
-		_, err := opts.ApplyQuery(opts.Defaults(), c.q, c.allowed...)
+		_, err := opts.ApplyQuery(c.q, c.allowed...)
 		if err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("ApplyQuery(%v, allowed=%v) err = %v, want containing %q", c.q, c.allowed, err, c.err)
+		}
+	}
+}
+
+// TestQueryParsesAsFlags feeds one table of raw values through the
+// command line (FromFlags, fs.Parse, Options) and through a URL query
+// (ApplyQuery), for every URL parameter: both must give the same
+// Options, or both must fail. ?seed=010 is -seed 010, which Go's flag
+// package reads as octal 8.
+func TestQueryParsesAsFlags(t *testing.T) {
+	values := []string{
+		"0", "1", "7", "010", "0x10", "1_000", "+5", "-3", "1.5", "NaN", "Inf",
+		"1e-3", "99999999999999999999", "", "x", "true", "T",
+		"read=90,lock=MUTEX", "read", "lock", "p95(Kcyc)=0.05", "p95=-1",
+	}
+	for _, k := range queryParams {
+		for _, v := range values {
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			f := opts.FromFlags(fs)
+			err := fs.Parse([]string{"-" + strings.ReplaceAll(k, "_", "-") + "=" + v})
+			var cli opts.Options
+			if err == nil {
+				cli, err = f.Options()
+			}
+			query, qerr := opts.ApplyQuery(url.Values{k: {v}}, k)
+			switch {
+			case (err == nil) != (qerr == nil):
+				t.Errorf("%s=%q: flag err %v, query err %v", k, v, err, qerr)
+			case err == nil && !reflect.DeepEqual(cli, query):
+				t.Errorf("%s=%q: flag gives %+v, query gives %+v", k, v, cli, query)
+			}
 		}
 	}
 }
@@ -332,12 +365,12 @@ func TestNormalizeAndValidate(t *testing.T) {
 // a URL, and nothing else is, the profile flags included.
 func TestQueryKeysSchema(t *testing.T) {
 	for _, k := range queryParams {
-		if _, err := opts.ApplyQuery(opts.Defaults(), url.Values{k: {"1"}}, k); err != nil && strings.Contains(err.Error(), "unknown parameter") {
+		if _, err := opts.ApplyQuery(url.Values{k: {"1"}}, k); err != nil && strings.Contains(err.Error(), "unknown parameter") {
 			t.Errorf("parameter %q is not in the schema: %v", k, err)
 		}
 	}
 	for _, k := range []string{"cpuprofile", "memprofile", "shard", "cells"} {
-		if _, err := opts.ApplyQuery(opts.Defaults(), url.Values{k: {"x"}}, k); err == nil || !strings.Contains(err.Error(), "unknown parameter") {
+		if _, err := opts.ApplyQuery(url.Values{k: {"x"}}, k); err == nil || !strings.Contains(err.Error(), "unknown parameter") {
 			t.Errorf("parameter %q: err = %v, want unknown parameter", k, err)
 		}
 	}

@@ -110,56 +110,40 @@ func (l *HTicket) Unlock(t *machine.Thread) {
 	l.local[s].Unlock(t)
 }
 
-// MwaitLock is the §8 "what if" lock: waiters block their hardware
-// context with user-level monitor/mwait instead of either polling or
-// making futex calls, modelling the SPARC M7-style support the paper
-// argues for (no kernel crossing, fast exit). Compare with
-// machine.WaitMwait, the paper's kernel-device workaround.
+// MwaitLock is TTAS's loop with waiters blocking their hardware context
+// in monitor/mwait on the lock's line between attempts, instead of
+// polling or making futex calls. Its wait policy picks the variant:
+//   - machine.WaitMwaitUser (MWAIT) is the §8 "what if" lock, modelling
+//     the SPARC M7-style user-level support the paper argues for (no
+//     kernel crossing, fast exit);
+//   - machine.WaitMwait (MWAIT-K) is the lock on today's hardware,
+//     where mwait needs kernel privileges, so every wait pays the
+//     virtual-device crossing and the slow exit (§4.2): the variant the
+//     paper measured and dismissed.
 type MwaitLock struct {
-	m    *machine.Machine
 	line *coherence.Line
+	pol  machine.WaitPolicy
 }
 
-// NewMwaitLock creates a monitor/mwait-based lock.
-func NewMwaitLock(m *machine.Machine) *MwaitLock {
-	return &MwaitLock{m: m, line: m.NewLine("mwait-lock")}
+// NewMwaitLock creates a monitor/mwait lock waiting under pol
+// (machine.WaitMwaitUser or machine.WaitMwait).
+func NewMwaitLock(m *machine.Machine, pol machine.WaitPolicy) *MwaitLock {
+	return &MwaitLock{line: m.NewLine("mwait-lock"), pol: pol}
 }
 
 // Name implements Lock.
-func (l *MwaitLock) Name() string { return "MWAIT" }
-
-// Lock implements Lock: TTAS's loop, waiting in user-level mwait on the
-// monitored line between attempts.
-func (l *MwaitLock) Lock(t *machine.Thread) {
-	t.SpinAcquire(l.line, casOne, machine.WaitMwaitUser)
+func (l *MwaitLock) Name() string {
+	if l.pol == machine.WaitMwait {
+		return "MWAIT-K"
+	}
+	return "MWAIT"
 }
+
+// Lock implements Lock.
+func (l *MwaitLock) Lock(t *machine.Thread) { t.SpinAcquire(l.line, casOne, l.pol) }
 
 // Unlock implements Lock.
 func (l *MwaitLock) Unlock(t *machine.Thread) { t.Store(l.line, 0) }
-
-// KernelMwaitLock is MwaitLock built on today's hardware: mwait needs
-// kernel privileges, so every wait pays the virtual-device crossing and
-// the slow exit (§4.2) — the variant the paper measured and dismissed.
-type KernelMwaitLock struct {
-	m    *machine.Machine
-	line *coherence.Line
-}
-
-// NewKernelMwaitLock creates the kernel-assisted monitor/mwait lock.
-func NewKernelMwaitLock(m *machine.Machine) *KernelMwaitLock {
-	return &KernelMwaitLock{m: m, line: m.NewLine("mwait-klock")}
-}
-
-// Name implements Lock.
-func (l *KernelMwaitLock) Name() string { return "MWAIT-K" }
-
-// Lock implements Lock: MwaitLock's loop through the kernel device.
-func (l *KernelMwaitLock) Lock(t *machine.Thread) {
-	t.SpinAcquire(l.line, casOne, machine.WaitMwait)
-}
-
-// Unlock implements Lock.
-func (l *KernelMwaitLock) Unlock(t *machine.Thread) { t.Store(l.line, 0) }
 
 // FairnessTracker computes Jain's fairness index over per-thread
 // acquisition counts: 1.0 means perfectly even service, 1/n means one

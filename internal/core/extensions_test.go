@@ -14,11 +14,15 @@ func TestExtensionLocksMutualExclusion(t *testing.T) {
 	mks := map[string]func(m *machine.Machine) Lock{
 		"TAS-BO":  func(m *machine.Machine) Lock { return NewBackoffTAS(m, 0, 0) },
 		"HTICKET": func(m *machine.Machine) Lock { return NewHTicket(m, machine.WaitMbar) },
-		"MWAIT":   func(m *machine.Machine) Lock { return NewMwaitLock(m) },
+		"MWAIT":   func(m *machine.Machine) Lock { return NewMwaitLock(m, machine.WaitMwaitUser) },
+		"MWAIT-K": func(m *machine.Machine) Lock { return NewMwaitLock(m, machine.WaitMwait) },
 	}
 	for name, mk := range mks {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
+			if got := mk(machine.NewDefault(1)).Name(); got != name {
+				t.Errorf("Name() = %q, want %q", got, name)
+			}
 			exercise(t, mk, 8, 30, 1000)
 		})
 	}
@@ -114,7 +118,7 @@ func TestMwaitLockPowerBelowSpinLock(t *testing.T) {
 		return p.Total
 	}
 	spin := run(func(m *machine.Machine) Lock { return NewTTAS(m, machine.WaitMbar) })
-	mwait := run(func(m *machine.Machine) Lock { return NewMwaitLock(m) })
+	mwait := run(func(m *machine.Machine) Lock { return NewMwaitLock(m, machine.WaitMwaitUser) })
 	if mwait >= spin {
 		t.Fatalf("MWAIT lock power %.1f W should undercut TTAS %.1f W (§8)", mwait, spin)
 	}
@@ -180,7 +184,7 @@ func TestTrackedLockMeasuresUnfairness(t *testing.T) {
 
 func TestMwaitLockUsesNoFutex(t *testing.T) {
 	m := machine.NewDefault(1)
-	l := NewMwaitLock(m)
+	l := NewMwaitLock(m, machine.WaitMwaitUser)
 	for i := 0; i < 6; i++ {
 		m.Spawn("w", func(th *machine.Thread) {
 			for j := 0; j < 10; j++ {

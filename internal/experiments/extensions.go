@@ -39,8 +39,8 @@ func runFutureExtensions(o Options) []*metrics.Table {
 		{"MUTEXEE", workload.FactoryFor(core.KindMutexee)},
 		{"TAS-BO", func(m *machine.Machine) core.Lock { return core.NewBackoffTAS(m, 0, 0) }},
 		{"HTICKET", func(m *machine.Machine) core.Lock { return core.NewHTicket(m, machine.WaitMbar) }},
-		{"MWAIT (kernel)", func(m *machine.Machine) core.Lock { return core.NewKernelMwaitLock(m) }},
-		{"MWAIT (user, §8)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m) }},
+		{"MWAIT (kernel)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwait) }},
+		{"MWAIT (user, §8)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwaitUser) }},
 	}
 	g := sweep.NewGrid(o)
 	for _, v := range variants {

@@ -31,9 +31,6 @@ type Config struct {
 	// More workers than Expect still help — they steal the queue dry —
 	// it only shifts the chunk-size curve. Default 4.
 	Expect int
-	// MinChunk floors the chunk width in coordinates. Default 1 (the
-	// finest stealable grain).
-	MinChunk int
 	// LeaseTTL is how long a worker holds a chunk before it is
 	// presumed dead and the chunk returns to the queue. Default 2m —
 	// generous, because a false expiry only costs duplicate work, never
@@ -44,6 +41,9 @@ type Config struct {
 	Logger *slog.Logger
 	// now is the test clock hook.
 	now func() time.Time
+	// minChunk floors the chunk width in coordinates (test hook; 0 = 1,
+	// the finest stealable grain).
+	minChunk int
 	// maxBodyBytes overrides the request-body bound (test hook;
 	// 0 = the default maxResultBytes).
 	maxBodyBytes int64
@@ -130,8 +130,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Expect <= 0 {
 		cfg.Expect = 4
 	}
-	if cfg.MinChunk <= 0 {
-		cfg.MinChunk = 1
+	if cfg.minChunk <= 0 {
+		cfg.minChunk = 1
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Minute
@@ -211,8 +211,8 @@ func (c *Coordinator) buildChunks() {
 	remaining := c.total
 	for remaining > 0 {
 		w := remaining / (2 * c.cfg.Expect)
-		if w < c.cfg.MinChunk {
-			w = c.cfg.MinChunk
+		if w < c.cfg.minChunk {
+			w = c.cfg.minChunk
 		}
 		if w > remaining {
 			w = remaining

@@ -106,7 +106,7 @@ func TestFleetByteIdentity(t *testing.T) {
 			job.Experiment = c.experiment
 			cfg := Config{Job: job, Expect: 2, LeaseTTL: time.Minute}
 			if c.wholeSpace {
-				cfg.MinChunk = 1 << 30
+				cfg.minChunk = 1 << 30
 			}
 			co, err := New(cfg)
 			if err != nil {
@@ -175,7 +175,7 @@ func TestFleetByteIdentity(t *testing.T) {
 // held back until the idle worker has asked for work, so the run
 // completes while it waits.
 func TestIdleWorkerHearsDone(t *testing.T) {
-	co, err := New(Config{Job: testJob(), Expect: 1, MinChunk: 1 << 30})
+	co, err := New(Config{Job: testJob(), Expect: 1, minChunk: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLeaseExpiryStealByteIdentity(t *testing.T) {
 	job := testJob()
 	cur := time.Unix(1700000000, 0)
 	co, err := New(Config{
-		Job: job, Expect: 1, MinChunk: 1 << 30, // one chunk: the whole space
+		Job: job, Expect: 1, minChunk: 1 << 30, // one chunk: the whole space
 		LeaseTTL: 10 * time.Second,
 		now:      func() time.Time { return cur },
 	})
@@ -336,7 +336,7 @@ func TestAcceptLateResultForQueuedChunk(t *testing.T) {
 	job := testJob()
 	cur := time.Unix(1700000000, 0)
 	co, err := New(Config{
-		Job: job, Expect: 1, MinChunk: 1 << 30,
+		Job: job, Expect: 1, minChunk: 1 << 30,
 		LeaseTTL: 10 * time.Second,
 		now:      func() time.Time { return cur },
 	})

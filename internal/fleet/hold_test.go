@@ -65,7 +65,7 @@ func promptly(t *testing.T, co *Coordinator, a heldAnswer) {
 // has nothing to get.
 func wholeSpaceLeased(t *testing.T, cfg Config) (*Coordinator, Lease) {
 	t.Helper()
-	cfg.Job, cfg.Expect, cfg.MinChunk = testJob(), 1, 1<<30
+	cfg.Job, cfg.Expect, cfg.minChunk = testJob(), 1, 1<<30
 	co, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

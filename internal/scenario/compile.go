@@ -10,6 +10,7 @@ import (
 	"lockin/internal/experiments"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
+	"lockin/internal/sched"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
 	"lockin/internal/workload"
@@ -646,9 +647,13 @@ func (c *Compiled) runOp(t *machine.Thread, rng *rand.Rand, op *OpSpec, insts []
 // wakeup fires. Compiled loops use it for SSD reads and bursty
 // producers.
 func block(t *machine.Thread, d sim.Cycles) {
-	th := t.Thread
-	s := th.Scheduler()
-	k := s.Kernel()
-	k.Schedule(d, func() { s.Unblock(th, 0) })
-	th.Block()
+	t.Scheduler().Kernel().ScheduleCall(d, unblock, t.Thread, 0, 0)
+	t.Block()
+}
+
+// unblock is block's wakeup, a package-level callback so that a
+// blocking op schedules no closure.
+func unblock(th any, _, _ uint64) {
+	t := th.(*sched.Thread)
+	t.Scheduler().Unblock(t, 0)
 }

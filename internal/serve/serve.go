@@ -538,7 +538,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		job.Experiment = vs[len(vs)-1]
 		q.Del("experiment")
 	}
-	o, err := opts.ApplyQuery(opts.Defaults(), q, "seed", "scale", "quick", "workers")
+	o, err := opts.ApplyQuery(q, "seed", "scale", "quick", "workers")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -777,7 +777,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "diff wants ?a=<baseline key>&b=<current key>", http.StatusBadRequest)
 		return
 	}
-	o, err := opts.ApplyQuery(opts.Defaults(), q, "tol", "tol_cols", "slice", "project")
+	o, err := opts.ApplyQuery(q, "tol", "tol_cols", "slice", "project")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -10,9 +10,11 @@ func nopCall(any, uint64, uint64) {}
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel(1)
 	until := Cycles(0)
+	fn := func() {}
 	step := func() {
 		until += 10
 		k.ScheduleCall(10, nopCall, nil, 0, 0)
+		k.Schedule(10, fn) // the func value travels as obj, unboxed
 		k.Run(until)
 	}
 	for i := 0; i < 64; i++ {

@@ -23,14 +23,13 @@ import (
 type Cycles uint64
 
 // event is the pooled internal representation of a scheduled callback.
-// Exactly one of fn, call or proc describes the action: fn is a plain
-// closure, call is a closure-free callback invoked as call(obj, a, b),
-// and proc is a typed wake-up delivering the wake value in a.
+// Exactly one of call or proc describes the action: call is a callback
+// invoked as call(obj, a, b) (Schedule's closure travels as obj, run by
+// callFunc), and proc is a typed wake-up delivering the wake value in a.
 type event struct {
 	at  Cycles
 	seq uint64
 
-	fn   func()
 	call func(obj any, a, b uint64)
 	obj  any
 	proc *Proc
@@ -162,7 +161,6 @@ func (k *Kernel) alloc(d Cycles) *event {
 // generation invalidates any outstanding Event handles to it.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn = nil
 	e.call = nil
 	e.obj = nil
 	e.proc = nil
@@ -176,11 +174,12 @@ func (k *Kernel) recycle(e *event) {
 // cancelled. The closure fn is allocated by the caller; hot paths should
 // prefer ScheduleCall, which needs no per-call closure.
 func (k *Kernel) Schedule(d Cycles, fn func()) Event {
-	e := k.alloc(d)
-	e.fn = fn
-	k.push(e)
-	return Event{e: e, gen: e.gen}
+	return k.ScheduleCall(d, callFunc, fn, 0, 0)
 }
+
+// callFunc runs a Schedule'd closure. A func value fits an interface
+// without allocating, so carrying fn as obj costs nothing extra.
+func callFunc(fn any, _, _ uint64) { fn.(func())() }
 
 // ScheduleCall registers call(obj, a, b) to run at now+d. Unlike Schedule
 // it captures no environment: with a package-level call func and a pointer
@@ -347,18 +346,10 @@ func (k *Kernel) pop() *event {
 // it runs, inCallback arms the deferred-wake fast path (see Proc.Wake);
 // the caller delivers any deferred wake afterwards.
 func (k *Kernel) exec(e *event) {
-	if call := e.call; call != nil {
-		obj, a, b := e.obj, e.a, e.b
-		k.recycle(e)
-		k.inCallback = true
-		call(obj, a, b)
-		k.inCallback = false
-		return
-	}
-	fn := e.fn
+	call, obj, a, b := e.call, e.obj, e.a, e.b
 	k.recycle(e)
 	k.inCallback = true
-	fn()
+	call(obj, a, b)
 	k.inCallback = false
 }
 

@@ -60,8 +60,6 @@ type Recorder struct {
 	ring    []Event
 	next    int
 	wrapped bool
-	dropped uint64
-	enabled bool
 }
 
 // NewRecorder creates a recorder holding up to capacity events (older
@@ -70,18 +68,11 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Recorder{ring: make([]Event, 0, capacity), enabled: true}
+	return &Recorder{ring: make([]Event, 0, capacity)}
 }
-
-// SetEnabled toggles recording (disabled recorders drop events cheaply).
-func (r *Recorder) SetEnabled(on bool) { r.enabled = on }
 
 // Record appends an event.
 func (r *Recorder) Record(e Event) {
-	if !r.enabled {
-		r.dropped++
-		return
-	}
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, e)
 		return
@@ -94,9 +85,6 @@ func (r *Recorder) Record(e Event) {
 // Len returns the number of retained events.
 func (r *Recorder) Len() int { return len(r.ring) }
 
-// Dropped returns how many events were discarded while disabled.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
-
 // Events returns the retained events in chronological order.
 func (r *Recorder) Events() []Event {
 	if !r.wrapped {
@@ -107,17 +95,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, len(r.ring))
 	out = append(out, r.ring[r.next:]...)
 	out = append(out, r.ring[:r.next]...)
-	return out
-}
-
-// Filter returns the retained events matching pred, in order.
-func (r *Recorder) Filter(pred func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 
@@ -140,25 +117,6 @@ func (r *Recorder) HoldTimes() []sim.Cycles {
 		case Acquired:
 			open[e.Thread] = e.At
 		case Released:
-			if at, ok := open[e.Thread]; ok {
-				out = append(out, e.At-at)
-				delete(open, e.Thread)
-			}
-		}
-	}
-	return out
-}
-
-// WaitTimes pairs AcquireStart/Acquired events per thread and returns
-// acquisition latencies.
-func (r *Recorder) WaitTimes() []sim.Cycles {
-	open := map[int]sim.Cycles{}
-	var out []sim.Cycles
-	for _, e := range r.Events() {
-		switch e.Kind {
-		case AcquireStart:
-			open[e.Thread] = e.At
-		case Acquired:
 			if at, ok := open[e.Thread]; ok {
 				out = append(out, e.At-at)
 				delete(open, e.Thread)

@@ -16,8 +16,8 @@ var extensionFactories = map[string]LockFactory{
 	"TAS-BO":       func(m *machine.Machine) core.Lock { return core.NewBackoffTAS(m, 0, 0) },
 	"HTICKET":      func(m *machine.Machine) core.Lock { return core.NewHTicket(m, machine.WaitMbar) },
 	"TICKET-PAUSE": func(m *machine.Machine) core.Lock { return core.NewTicket(m, machine.WaitPause) },
-	"MWAIT":        func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m) },
-	"MWAIT-K":      func(m *machine.Machine) core.Lock { return core.NewKernelMwaitLock(m) },
+	"MWAIT":        func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwaitUser) },
+	"MWAIT-K":      func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwait) },
 }
 
 // FactoryNames returns every name FactoryNamed accepts: the built-in

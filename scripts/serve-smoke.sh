@@ -15,15 +15,16 @@
 # a writable cache, and /metrics (Prometheus text format) shows the
 # cache-hit and simulation counters moving as the requests land.
 #
-# The full mode then asserts the hardening layer: oversized bodies
-# answer 413, a server SIGKILLed with queued submissions replays its
-# journal on restart (completed runs byte-identical to direct CLI runs,
-# modulo provenance, via scripts/runcmp), the startup eviction pass
-# enforces -cache-max-runs (a slice of an evicted run answers 404),
-# and -auth-token/-rate answer 401 and 429
-# (with Retry-After) once the budget is spent. Without -auth-token,
-# bearer tokens are unverified and must not buy a client a fresh
-# budget: three POSTs under different tokens still draw a 429.
+# The full mode then asserts that a URL value parses as its flag does
+# (?seed=010 and ?seed=8 are one cache key) and the hardening layer:
+# oversized bodies answer 413, a server SIGKILLed with queued
+# submissions replays its journal on restart (completed runs
+# byte-identical to direct CLI runs, modulo provenance, via
+# scripts/runcmp), the startup eviction pass enforces -cache-max-runs
+# (a slice of an evicted run answers 404), and -auth-token/-rate answer
+# 401 and 429 (with Retry-After) once the budget is spent. Without
+# -auth-token, bearer tokens are unverified and must not buy a client a
+# fresh budget: three POSTs under different tokens still draw a 429.
 #
 # Used by `make serve-smoke` (full), `make metrics-smoke` (pass
 # "metrics" as $1 to stop after the observability assertions) and the
@@ -132,6 +133,14 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/runs?experiment=
 [ "$CODE" = 400 ] || { echo "bad scale answered $CODE, want 400" >&2; exit 1; }
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/runs?experiment=scenario:hamsterdb&bogus=1")
 [ "$CODE" = 400 ] || { echo "unknown parameter answered $CODE, want 400" >&2; exit 1; }
+
+echo "== a URL value parses as its flag: ?seed=010 is -seed 010, seed 8 (octal)"
+curl -fsS -X POST "$BASE/v1/runs?experiment=fig6&quick=1&scale=0.25&seed=010" > "$WORK/seed-010.json"
+curl -fsS -X POST "$BASE/v1/runs?experiment=fig6&quick=1&scale=0.25&seed=8" > "$WORK/seed-8.json"
+KEY_010=$(sed -n 's/.*"key": "\([^"]*\)".*/\1/p' "$WORK/seed-010.json")
+KEY_8=$(sed -n 's/.*"key": "\([^"]*\)".*/\1/p' "$WORK/seed-8.json")
+[ -n "$KEY_010" ] && [ "$KEY_010" = "$KEY_8" ] || {
+    echo "seed=010 and seed=8 answered keys '$KEY_010' and '$KEY_8', want one" >&2; exit 1; }
 
 echo "== oversized spec body answers 413, not a parse 400"
 head -c 1200000 /dev/zero | tr '\0' 'x' > "$WORK/fat.json"
