@@ -66,7 +66,8 @@ smoke:
 # The CI determinism gate: save a quick baseline of every experiment,
 # rerun, and self-diff (zero differences); compare the quick suite's
 # output at -workers 4 and 1 with the digest that
-# testdata/quick-suite.sha256 pins; merge
+# testdata/quick-suite.sha256 pins, and the full suite's at -scale 0.1
+# with testdata/full-suite.sha256; merge
 # a -shard part and a -cells part of every experiment (fig13 also by
 # name) back byte-identical; then check that a sharded fig10 rerun
 # merges back byte-identical — once from two -shard parts, once from a
@@ -77,6 +78,7 @@ results:
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -json /tmp/lockin-results/baseline > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -baseline /tmp/lockin-results/baseline -diff > /dev/null
 	@want=$$(grep -v '^#' testdata/quick-suite.sha256); for w in 4 1; do got=$$($(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $$w | sed '/done in/d' | sha256sum | cut -d' ' -f1); echo "quick suite sha256 at -workers $$w: $$got (pinned $$want)"; test "$$got" = "$$want" || exit 1; done
+	@want=$$(grep -v '^#' testdata/full-suite.sha256); for w in 4 1; do got=$$($(GO) run ./cmd/lockbench -experiment all -scale 0.1 -workers $$w | sed '/done in/d' | sha256sum | cut -d' ' -f1); echo "full suite sha256 at -workers $$w: $$got (pinned $$want)"; test "$$got" = "$$want" || exit 1; done
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -shard 0/2 -json /tmp/lockin-results/all-s0 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -quick -scale 0.25 -workers $(WORKERS) -cells 1-2/2 -json /tmp/lockin-results/all-s1 > /dev/null
 	$(GO) run ./cmd/lockbench -experiment all -merge /tmp/lockin-results/all-s0,/tmp/lockin-results/all-s1 -baseline /tmp/lockin-results/baseline -diff > /dev/null

@@ -127,10 +127,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"event slots returned to kernel free lists — allocations the pooled event queue avoided",
 		func() float64 { return float64(sim.GlobalStats().EventRecycles) })
 	reg.CounterFunc("sim_heap_compactions_total",
-		"lazy-cancel compaction passes over kernel event heaps",
+		"lazy-cancel compaction passes over kernel event queues (calendar and heap)",
 		func() float64 { return float64(sim.GlobalStats().HeapCompactions) })
 	reg.GaugeFunc("sim_heap_high_water",
-		"largest event-heap length any kernel reached",
+		"most pending events any kernel held at once (calendar and heap)",
 		func() float64 { return float64(sim.GlobalStats().HeapHighWater) })
 	reg.CounterFunc("futex_timeouts_total",
 		"FUTEX_WAIT timeouts that expired (MUTEXEE spin-then-park giving up)",

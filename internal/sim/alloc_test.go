@@ -46,6 +46,29 @@ func TestCancelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFarEventSteadyStateZeroAlloc: an event due past the calendar goes to
+// the heap, and the clock brings it inside the calendar's window before it
+// fires from the heap; that path recycles without allocating too.
+func TestFarEventSteadyStateZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	until := Cycles(0)
+	step := func() {
+		until += 1000
+		k.ScheduleCall(calendarSpan+5000, nopCall, nil, 0, 0)
+		k.ScheduleCall(10, nopCall, nil, 0, 0)
+		k.Run(until)
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if len(k.heap) == 0 || k.heap[0].at-k.now >= calendarSpan {
+		t.Fatalf("no far event came inside the window: heap %d, clock %d", len(k.heap), k.now)
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("far schedule+fire allocates %.1f per op, want 0", n)
+	}
+}
+
 // TestProcSleepSteadyStateZeroAlloc: sleeping procs in steady state —
 // typed wake events plus the token handoff — allocate nothing per
 // sleep. Two sleepers in phase hand control over at every park; one

@@ -72,3 +72,56 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ResetTimer()
 	k.Drain()
 }
+
+const (
+	herdSize   = 40
+	herdGap    = 10 // a TAS release's reload stagger
+	herdPeriod = herdSize * herdGap
+	idleTimer  = 600_000 // a deep-idle timer, far past the calendar
+)
+
+// herd is a ring of herdSize pending events herdGap cycles apart, each
+// re-armed herdPeriod cycles after it fires, so the ring keeps its
+// stagger: a TAS herd's reloads after each release. With idle set, each
+// fire also replaces its member's deep-idle timer, idleTimer cycles out:
+// MUTEX's idle churn, whose timers almost never fire.
+type herd struct {
+	k    *Kernel
+	left int
+	idle []Event
+}
+
+func herdFire(obj any, m, _ uint64) {
+	h := obj.(*herd)
+	if h.idle != nil {
+		h.k.Cancel(h.idle[m])
+		h.idle[m] = h.k.ScheduleCall(idleTimer, nopCall, nil, 0, 0)
+	}
+	if h.left > 0 {
+		h.left--
+		h.k.ScheduleCall(herdPeriod, herdFire, h, m, 0)
+	}
+}
+
+func runHerd(b *testing.B, deepIdle bool) {
+	k := NewKernel(1)
+	h := &herd{k: k, left: b.N}
+	if deepIdle {
+		h.idle = make([]Event, herdSize)
+	}
+	for m := 0; m < herdSize; m++ {
+		k.ScheduleCall(Cycles(m+1)*herdGap, herdFire, h, uint64(m), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Drain()
+}
+
+// BenchmarkKernelHerd measures one fire and re-arm of a 40-event herd
+// staggered 10 cycles apart: every event is due within the calendar.
+func BenchmarkKernelHerd(b *testing.B) { runHerd(b, false) }
+
+// BenchmarkKernelDeepIdle is the herd with a 600K-cycle timer scheduled
+// and the previous one cancelled per fire: the timers go to the heap, and
+// the cancelled ones are compacted away.
+func BenchmarkKernelDeepIdle(b *testing.B) { runHerd(b, true) }

@@ -7,15 +7,31 @@
 // enter the Go scheduler: simulations are fully deterministic and race-free,
 // and their only source of randomness is the kernel's seeded RNG.
 //
-// The event queue is a pooled 4-ary min-heap: fired and cancelled events are
-// recycled through a free list, so steady-state scheduling does not allocate.
-// See DESIGN.md for the determinism invariants this structure must preserve.
+// The event queue is a calendar for the near future plus a 4-ary min-heap
+// for the rest: an event due within calendarSpan cycles of the clock is
+// chained into one of nbuckets buckets of bucketWidth cycles, and only
+// later events (far timers) go to the heap. Events are pooled: fired and
+// cancelled events are recycled through a free list, so steady-state
+// scheduling does not allocate. See DESIGN.md for the determinism
+// invariants this structure must preserve.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+)
+
+// The calendar's geometry. Bucket b chains the events whose at>>bucketBits
+// is congruent to b modulo nbuckets. push admits only events less than
+// nbuckets buckets past the clock's, and the clock never passes a pending
+// event, so a bucket never holds two spans at once.
+const (
+	bucketBits   = 4
+	bucketWidth  = 1 << bucketBits // cycles per bucket
+	nbuckets     = 1024
+	calendarSpan = nbuckets * bucketWidth
 )
 
 // Cycles is a duration or instant expressed in reference CPU cycles
@@ -27,8 +43,9 @@ type Cycles uint64
 // invoked as call(obj, a, b) (Schedule's closure travels as obj, run by
 // callFunc), and proc is a typed wake-up delivering the wake value in a.
 type event struct {
-	at  Cycles
-	seq uint64
+	at   Cycles
+	seq  uint64
+	next *event // the next event in its calendar bucket's ring
 
 	call func(obj any, a, b uint64)
 	obj  any
@@ -76,10 +93,19 @@ func (ev Event) Cancelled() bool {
 // Kernel is the simulation core: virtual clock, event queue and RNG.
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now     Cycles
-	heap    []*event // 4-ary min-heap ordered by (at, seq)
+	now Cycles
+
+	// buckets[b] is the last event of bucket b's chain: a ring through
+	// event.next, in (at, seq) order, whose last event links back to its
+	// first. occupied has bit b set while the chain is non-empty, and
+	// nchained counts the chained events.
+	buckets  [nbuckets]*event
+	occupied [nbuckets / 64]uint64
+	nchained int
+
+	heap    []*event // 4-ary min-heap ordered by (at, seq): events past the calendar
 	free    []*event // recycled event slots
-	ncancel int      // cancelled events still in heap
+	ncancel int      // cancelled events still queued
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -161,6 +187,7 @@ func (k *Kernel) alloc(d Cycles) *event {
 // generation invalidates any outstanding Event handles to it.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
+	e.next = nil
 	e.call = nil
 	e.obj = nil
 	e.proc = nil
@@ -205,8 +232,8 @@ func (k *Kernel) scheduleWake(d Cycles, p *Proc, val uint64) Event {
 // Cancel prevents a scheduled event from firing. Cancelling an event that
 // already fired or was already cancelled is a no-op, as is cancelling the
 // zero Event. Cancelled entries are skipped lazily at pop; when they
-// outnumber the live ones the heap is compacted so a workload that cancels
-// most of its timers (futex timeouts beaten by wakes) cannot grow the heap
+// outnumber the live ones the queue is compacted so a workload that cancels
+// most of its timers (futex timeouts beaten by wakes) cannot grow it
 // without bound.
 func (k *Kernel) Cancel(ev Event) {
 	e := ev.live()
@@ -215,13 +242,35 @@ func (k *Kernel) Cancel(ev Event) {
 	}
 	e.cancelled = true
 	k.ncancel++
-	if n := len(k.heap); n >= 64 && k.ncancel > n/2 {
+	if n := k.Pending(); n >= 64 && k.ncancel > n/2 {
 		k.compact()
 	}
 }
 
-// compact removes cancelled entries from the heap and restores heap order.
+// compact removes cancelled entries from the calendar and the heap and
+// restores heap order.
 func (k *Kernel) compact() {
+	for w, m := range k.occupied {
+		for ; m != 0; m &= m - 1 {
+			// Empty the bucket and chain its live events again, in
+			// order, so each goes last.
+			b := w<<6 | bits.TrailingZeros64(m)
+			e := k.buckets[b].next
+			k.buckets[b].next = nil
+			k.buckets[b] = nil
+			k.occupied[w] &^= 1 << (b & 63)
+			for e != nil {
+				next := e.next
+				k.nchained--
+				if e.cancelled {
+					k.recycle(e)
+				} else {
+					k.chain(e)
+				}
+				e = next
+			}
+		}
+	}
 	h := k.heap[:0]
 	for _, e := range k.heap {
 		if e.cancelled {
@@ -236,24 +285,89 @@ func (k *Kernel) compact() {
 	k.heap = h
 	k.ncancel = 0
 	k.ncompact++
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		k.siftDown(i)
+	if len(h) > 1 {
+		for i := (len(h) - 2) / 4; i >= 0; i-- {
+			k.siftDown(i)
+		}
 	}
 }
 
 // Pending returns the number of events in the queue, including cancelled
 // ones that have been neither popped nor compacted away yet.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return k.nchained + len(k.heap) }
 
 // Stop makes Run return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// push inserts e into the 4-ary heap (sift-up).
+// push queues e: on the calendar if it is due less than nbuckets buckets
+// past the clock's, else on the heap. An at that wrapped below the clock
+// mostly fails the test; wherever it goes it is the queue's least, and
+// pop panics on it as on any event in the past.
 func (k *Kernel) push(e *event) {
-	k.heap = append(k.heap, e)
-	if len(k.heap) > k.hiwater {
-		k.hiwater = len(k.heap)
+	if uint64(e.at>>bucketBits)-uint64(k.now>>bucketBits) < nbuckets {
+		k.chain(e)
+	} else {
+		k.heapPush(e)
 	}
+	if n := k.Pending(); n > k.hiwater {
+		k.hiwater = n
+	}
+}
+
+// chain inserts e into its bucket's ring. e has the greatest seq of all
+// queued events, so it goes after every event due at or before e.at:
+// last, unless the bucket holds a later one.
+func (k *Kernel) chain(e *event) {
+	b := int(e.at>>bucketBits) & (nbuckets - 1)
+	switch last := k.buckets[b]; {
+	case last == nil:
+		e.next = e
+		k.buckets[b] = e
+		k.occupied[b>>6] |= 1 << (b & 63)
+	case e.at >= last.at:
+		e.next = last.next
+		last.next = e
+		k.buckets[b] = e
+	default:
+		p := last
+		for p.next.at <= e.at {
+			p = p.next
+		}
+		e.next = p.next
+		p.next = e
+	}
+	k.nchained++
+}
+
+// firstBucket returns the first occupied bucket at or after the clock's,
+// whose first event is the calendar's least by (at, seq). The calendar
+// must not be empty.
+func (k *Kernel) firstBucket() int {
+	s := int(k.now>>bucketBits) & (nbuckets - 1)
+	w := s >> 6
+	m := k.occupied[w] &^ (1<<(s&63) - 1)
+	for m == 0 {
+		w = (w + 1) & (len(k.occupied) - 1)
+		m = k.occupied[w]
+	}
+	return w<<6 | bits.TrailingZeros64(m)
+}
+
+// unchainFirst removes the first event of bucket b's ring.
+func (k *Kernel) unchainFirst(b int) {
+	last := k.buckets[b]
+	if first := last.next; first == last {
+		k.buckets[b] = nil
+		k.occupied[b>>6] &^= 1 << (b & 63)
+	} else {
+		last.next = first.next
+	}
+	k.nchained--
+}
+
+// heapPush inserts e into the 4-ary heap (sift-up).
+func (k *Kernel) heapPush(e *event) {
+	k.heap = append(k.heap, e)
 	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
@@ -315,19 +429,38 @@ func (k *Kernel) popMin() *event {
 // pop returns the next runnable event with the clock advanced to it, or
 // nil when the event loop must end: Stop was called, the queue is empty,
 // or the next event lies beyond the Run limit (in which case the clock is
-// advanced to the limit). Ownership of the returned event passes to the
+// advanced to the limit). The next event is the lesser by (at, seq) of the
+// calendar's least and the heap's top; it is compared with the limit
+// before either is removed. Ownership of the returned event passes to the
 // caller, which must recycle it.
 func (k *Kernel) pop() *event {
 	for {
-		if k.stopped || len(k.heap) == 0 {
+		if k.stopped {
 			return nil
 		}
-		top := k.heap[0]
-		if k.until != 0 && top.at > k.until {
+		var e *event
+		b := -1 // e's bucket, or -1 for the heap's top
+		if k.nchained != 0 {
+			b = k.firstBucket()
+			e = k.buckets[b].next
+		}
+		if len(k.heap) != 0 {
+			if t := k.heap[0]; e == nil || t.at < e.at || (t.at == e.at && t.seq < e.seq) {
+				e, b = t, -1
+			}
+		}
+		if e == nil {
+			return nil
+		}
+		if k.until != 0 && e.at > k.until {
 			k.now = k.until
 			return nil
 		}
-		e := k.popMin()
+		if b >= 0 {
+			k.unchainFirst(b)
+		} else {
+			k.popMin()
+		}
 		if e.cancelled {
 			k.ncancel--
 			k.recycle(e)
@@ -443,7 +576,13 @@ func (k *Kernel) transfer(p *Proc) {
 // Run(0) that ends with an empty queue, not by Stop, ends the simulation:
 // nothing can wake a proc that is still parked, so it is released (see
 // release). Run with a limit and a stopped Run leave parked procs parked.
+// A limit before the clock fires nothing and leaves the clock where it is:
+// the clock never goes back.
 func (k *Kernel) Run(until Cycles) Cycles {
+	if until != 0 && until < k.now {
+		k.flushStats()
+		return k.now
+	}
 	k.stopped = false
 	k.until = until
 	k.drive(nil)
@@ -451,7 +590,7 @@ func (k *Kernel) Run(until Cycles) Cycles {
 		p.next()
 	}
 	k.until = 0
-	if until != 0 && k.now < until && len(k.heap) == 0 {
+	if until != 0 && k.now < until && k.Pending() == 0 {
 		k.now = until
 	}
 	if until == 0 && !k.stopped {

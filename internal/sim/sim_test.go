@@ -357,3 +357,67 @@ func TestPanicsSurfaceFromRun(t *testing.T) {
 		})
 	}
 }
+
+// TestCompactionLeavingNoLiveEvent: a Cancel that compacts a queue whose
+// every event is cancelled must leave it empty, wherever the events sit:
+// 64 cancelled events stay queued while 64 live ones fire, all but the
+// last, and cancelling the last compacts 65 cancelled events. The
+// cancelled ones are due after the live ones, near (in the calendar) or
+// far (in the heap); the live ones are near or far too.
+func TestCompactionLeavingNoLiveEvent(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		cancelled, live Cycles // delay of the first of each 64
+	}{
+		{"calendar", 10_000, 1},
+		{"heap", 1_000_000, 100_000},
+		{"both", 1_000_000, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel(1)
+			fired := 0
+			var timers, near []Event
+			for i := 0; i < 64; i++ {
+				timers = append(timers, k.Schedule(c.cancelled+Cycles(i), func() { t.Fatal("a cancelled event fired") }))
+				near = append(near, k.Schedule(c.live+Cycles(i), func() { fired++ }))
+			}
+			for _, ev := range timers {
+				k.Cancel(ev)
+			}
+			k.Run(c.live + 62)
+			if fired != 63 || k.Pending() != 65 {
+				t.Fatalf("fired %d with %d pending, want 63 and 65", fired, k.Pending())
+			}
+			compactions := k.ncompact
+			k.Cancel(near[63])
+			if k.Pending() != 0 || k.ncompact != compactions+1 {
+				t.Fatalf("after the last Cancel: %d pending, %d compactions, want 0 and %d", k.Pending(), k.ncompact, compactions+1)
+			}
+			k.Schedule(5, func() { fired++ })
+			if end := k.Drain(); fired != 64 || end != c.live+67 {
+				t.Fatalf("a new event fired %d times at %d, want once at %d", fired-63, end, c.live+67)
+			}
+		})
+	}
+}
+
+// TestRunUntilInThePast: a Run whose limit is before the clock fires
+// nothing and leaves the clock where it is (DESIGN.md invariant 5), so a
+// delay is still counted from the clock's true instant.
+func TestRunUntilInThePast(t *testing.T) {
+	k := NewKernel(1)
+	var fired []Cycles
+	k.Schedule(500, func() {})
+	k.Schedule(600, func() { fired = append(fired, k.Now()) })
+	if now := k.Run(500); now != 500 {
+		t.Fatalf("Run(500) = %d", now)
+	}
+	if now := k.Run(200); now != 500 || len(fired) != 0 || k.Pending() != 1 {
+		t.Fatalf("Run(200) at 500 = %d, fired %v, %d pending; want 500, none, 1", now, fired, k.Pending())
+	}
+	k.Schedule(50, func() { fired = append(fired, k.Now()) })
+	k.Drain()
+	if len(fired) != 2 || fired[0] != 550 || fired[1] != 600 {
+		t.Fatalf("fired at %v, want [550 600]", fired)
+	}
+}

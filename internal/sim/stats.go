@@ -21,10 +21,11 @@ type Stats struct {
 	// list — the pooled queue's "allocation avoided" tally.
 	EventRecycles uint64
 	// HeapCompactions counts lazy-cancel compaction passes (triggered
-	// when cancelled entries outnumber live ones in a heap of ≥ 64).
+	// when cancelled entries outnumber live ones among ≥ 64 pending
+	// events, counted across the calendar and the heap).
 	HeapCompactions uint64
-	// HeapHighWater is the largest event-heap length any kernel
-	// reached.
+	// HeapHighWater is the most pending events any kernel held at once,
+	// calendar and heap together (Kernel.Pending after a push).
 	HeapHighWater int
 }
 
