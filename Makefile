@@ -1,6 +1,6 @@
-# Local targets mirror .github/workflows/ci.yml — `make ci` runs every
-# gate the pipeline runs (`make bench` stands in for the bench job's
-# measured, ungated runs).
+# The jobs of .github/workflows/ci.yml call these targets, so `make ci`
+# runs every gate the pipeline runs (`make bench` stands in for the
+# bench job's measured, ungated runs, which live in the workflow).
 
 GO      ?= go
 WORKERS ?= 0# sweep workers: 0 = all CPUs, 1 = serial
@@ -67,7 +67,9 @@ smoke:
 # rerun, and self-diff (zero differences); compare the quick suite's
 # output at -workers 4 and 1 with the digest that
 # testdata/quick-suite.sha256 pins, and the full suite's at -scale 0.1
-# with testdata/full-suite.sha256; merge
+# with testdata/full-suite.sha256 (-workers 1 leaves the power meters'
+# replay helpers idle CPUs, -workers 4 makes them interleave with the
+# simulations); merge
 # a -shard part and a -cells part of every experiment (fig13 also by
 # name) back byte-identical; then check that a sharded fig10 rerun
 # merges back byte-identical — once from two -shard parts, once from a
@@ -135,7 +137,13 @@ scenarios:
 # content-addressed run cache without simulating), and check the slice
 # endpoint answers byte-identically to the CLI over the same stored run,
 # again when the repeated slice comes from the decoded run the server
-# holds.
+# holds. /metrics must serve Prometheus text with cache_hits_total
+# moved by the dedupe, and /healthz JSON readiness. Then the hardening
+# layer: oversized bodies answer 413, a SIGKILLed server replays its
+# submission journal on restart (runs byte-identical via
+# scripts/runcmp), the startup eviction pass enforces -cache-max-runs
+# and a slice of an evicted run answers 404, and -auth-token/-rate
+# answer 401 and 429 (with Retry-After) once the budget is spent.
 serve-smoke:
 	sh scripts/serve-smoke.sh
 

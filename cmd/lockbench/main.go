@@ -422,7 +422,7 @@ func runTraced(e experiments.Experiment, o opts.Options, cell int) {
 	}
 	printTables(tabs)
 	if len(recs) == 0 {
-		fmt.Println("### no locks instrumented (the cell built its locks outside core.New)")
+		fmt.Println("### no locks instrumented (the cell built no lock through core.New or core.MutexeeWith)")
 		return
 	}
 	for i, r := range recs {

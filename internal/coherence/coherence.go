@@ -11,8 +11,13 @@
 //     (≈280 cycles on the paper's Xeon);
 //   - atomic operations on a globally-spun-on line take ≈530 cycles under
 //     40-thread contention (arbitration among pollers);
-//   - a store to a widely-shared line pays an invalidation broadcast, and
-//     each subsequent reader re-fetches the line serially.
+//   - a store to a widely-shared line pays an invalidation broadcast.
+//     Only the watchers whose predicate the new value satisfies wake
+//     and re-fetch the line, serially in a shuffled burst order; a
+//     waiter whose condition still fails stays registered and never
+//     re-fetches it. So a TICKET release reloads the successor alone,
+//     and the next release invalidates almost no sharers (ROADMAP item
+//     4 measures what this leaves out).
 //
 // Threads that busy-wait never iterate cycle-by-cycle in the simulation:
 // they register a watcher (local spinning) or a contender (global

@@ -44,3 +44,35 @@ func TestCaptureTracesWrapsNew(t *testing.T) {
 		t.Errorf("fresh capture window returned %d recorders, want 0", len(recs))
 	}
 }
+
+// TestCaptureTracesWrapsEveryCatalogueLock: while capture is armed,
+// every catalogue entry built by name comes back wrapped, as do the
+// MUTEXEE variants MutexeeWith builds.
+func TestCaptureTracesWrapsEveryCatalogueLock(t *testing.T) {
+	m := machine.NewDefault(1)
+	stop := CaptureTraces(8)
+	built := 0
+	for k := Kind(0); int(k) < len(catalogue); k++ {
+		got, err := ParseKind(k.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := New(m, got); !isTraced(l) {
+			t.Errorf("armed New(%v) returned %T, want *Traced", k, l)
+		}
+		built++
+	}
+	timeout := MutexeeWith(func(o *MutexeeOptions) { o.Timeout = 1000 })
+	if l := timeout(m); !isTraced(l) {
+		t.Errorf("armed MutexeeWith returned %T, want *Traced", l)
+	}
+	built++
+	if recs := stop(); len(recs) != built {
+		t.Errorf("captured %d recorders, want %d", len(recs), built)
+	}
+}
+
+func isTraced(l Lock) bool {
+	_, ok := l.(*Traced)
+	return ok
+}

@@ -133,7 +133,7 @@ func TestTicketFIFOFairness(t *testing.T) {
 
 func TestMutexSleepsUnderContention(t *testing.T) {
 	m := machine.NewDefault(1)
-	l := NewMutex(m, DefaultMutexOptions())
+	l := NewMutex(m)
 	for i := 0; i < 8; i++ {
 		m.Spawn("w", func(th *machine.Thread) {
 			for j := 0; j < 20; j++ {
@@ -195,7 +195,7 @@ func TestMutexeeFewerFutexCallsThanMutex(t *testing.T) {
 		s := m.Futex.Stats()
 		return s.Waits + s.Wakes
 	}
-	mutex := countFutex(func(m *machine.Machine) Lock { return NewMutex(m, DefaultMutexOptions()) })
+	mutex := countFutex(func(m *machine.Machine) Lock { return NewMutex(m) })
 	mutexee := countFutex(func(m *machine.Machine) Lock { return NewMutexee(m, DefaultMutexeeOptions()) })
 	if mutexee*2 > mutex {
 		t.Fatalf("MUTEXEE futex calls (%d) not well below MUTEX (%d)", mutexee, mutex)
@@ -357,11 +357,17 @@ func TestRWLockReadersShareWritersExclude(t *testing.T) {
 	}
 }
 
+// TestKindParsingAndNames: every catalogue entry's name parses back to
+// its kind (so names are unique) and builds a lock printing that name.
 func TestKindParsingAndNames(t *testing.T) {
-	for _, k := range AllKinds() {
+	m := machine.NewDefault(1)
+	for k := Kind(0); int(k) < len(catalogue); k++ {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("round-trip failed for %v: %v %v", k, got, err)
+		}
+		if name := New(m, k).Name(); name != k.String() {
+			t.Errorf("New(%v).Name() = %q, want %q", k, name, k.String())
 		}
 	}
 	if _, err := ParseKind("nope"); err == nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"lockin/internal/coherence"
 	"lockin/internal/machine"
 	"lockin/internal/sim"
@@ -14,28 +12,24 @@ import (
 // the spirit of HCLH/HBO/cohorting [25, 43, 54], and the monitor/mwait
 // lock that §8 identifies as the payoff of user-level mwait support.
 
+// Backoff bounds of TAS-BO, in cycles: the classic 2^k schedule from
+// 128 up to 64 times that.
+const (
+	backoffMin sim.Cycles = 128
+	backoffMax            = 64 * backoffMin
+)
+
 // BackoffTAS is test-and-set with bounded exponential backoff: failed
 // acquirers pause for exponentially growing intervals instead of
 // hammering the line, trading acquisition latency for far less coherence
 // traffic than plain TAS.
 type BackoffTAS struct {
-	m    *machine.Machine
 	line *coherence.Line
-	// MinBackoff/MaxBackoff bound the pause interval in cycles.
-	MinBackoff sim.Cycles
-	MaxBackoff sim.Cycles
 }
 
-// NewBackoffTAS creates a backoff test-and-set lock with the classic
-// 2^k schedule bounded to [min, max].
-func NewBackoffTAS(m *machine.Machine, min, max sim.Cycles) *BackoffTAS {
-	if min == 0 {
-		min = 128
-	}
-	if max < min {
-		max = min * 64
-	}
-	return &BackoffTAS{m: m, line: m.NewLine("tas-bo"), MinBackoff: min, MaxBackoff: max}
+// NewBackoffTAS creates a backoff test-and-set lock.
+func NewBackoffTAS(m *machine.Machine) *BackoffTAS {
+	return &BackoffTAS{line: m.NewLine("tas-bo")}
 }
 
 // Name implements Lock.
@@ -43,18 +37,15 @@ func (l *BackoffTAS) Name() string { return "TAS-BO" }
 
 // Lock implements Lock.
 func (l *BackoffTAS) Lock(t *machine.Thread) {
-	backoff := l.MinBackoff
+	backoff := backoffMin
 	for {
 		if t.Swap(l.line, 1) == 0 {
 			return
 		}
 		// Back off without touching the line, then recheck.
 		t.SpinFor(backoff, machine.WaitMbar)
-		if backoff < l.MaxBackoff {
+		if backoff < backoffMax {
 			backoff *= 2
-			if backoff > l.MaxBackoff {
-				backoff = l.MaxBackoff
-			}
 		}
 	}
 }
@@ -74,11 +65,12 @@ type HTicket struct {
 }
 
 // NewHTicket creates a hierarchical ticket lock over the machine's
-// socket topology.
-func NewHTicket(m *machine.Machine, pol machine.WaitPolicy) *HTicket {
-	l := &HTicket{m: m, global: NewTicket(m, pol)}
+// socket topology; its ticket locks pause with a memory barrier, as
+// TICKET does.
+func NewHTicket(m *machine.Machine) *HTicket {
+	l := &HTicket{m: m, global: NewTicket(m, machine.WaitMbar)}
 	for s := 0; s < m.Topo.Sockets; s++ {
-		l.local = append(l.local, NewTicket(m, pol))
+		l.local = append(l.local, NewTicket(m, machine.WaitMbar))
 	}
 	return l
 }
@@ -144,73 +136,3 @@ func (l *MwaitLock) Lock(t *machine.Thread) { t.SpinAcquire(l.line, casOne, l.po
 
 // Unlock implements Lock.
 func (l *MwaitLock) Unlock(t *machine.Thread) { t.Store(l.line, 0) }
-
-// FairnessTracker computes Jain's fairness index over per-thread
-// acquisition counts: 1.0 means perfectly even service, 1/n means one
-// thread monopolized the lock.
-type FairnessTracker struct {
-	mu     sync.Mutex
-	counts map[int]uint64
-}
-
-// NewFairnessTracker returns an empty tracker.
-func NewFairnessTracker() *FairnessTracker {
-	return &FairnessTracker{counts: make(map[int]uint64)}
-}
-
-// Note records one acquisition by thread id.
-func (f *FairnessTracker) Note(id int) {
-	f.mu.Lock()
-	f.counts[id]++
-	f.mu.Unlock()
-}
-
-// Count returns thread id's acquisitions.
-func (f *FairnessTracker) Count(id int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts[id]
-}
-
-// Jain returns Jain's fairness index (Σx)² / (n·Σx²), or 0 when empty.
-func (f *FairnessTracker) Jain() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.counts) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, c := range f.counts {
-		x := float64(c)
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(f.counts)) * sumSq)
-}
-
-// Tracked wraps a Lock and records per-thread acquisitions for fairness
-// analysis.
-type Tracked struct {
-	inner   Lock
-	Tracker *FairnessTracker
-}
-
-// NewTracked wraps l with a fairness tracker.
-func NewTracked(l Lock) *Tracked {
-	return &Tracked{inner: l, Tracker: NewFairnessTracker()}
-}
-
-// Name implements Lock.
-func (l *Tracked) Name() string { return l.inner.Name() + "+fairness" }
-
-// Lock implements Lock, recording the acquisition.
-func (l *Tracked) Lock(t *machine.Thread) {
-	l.inner.Lock(t)
-	l.Tracker.Note(t.ID())
-}
-
-// Unlock implements Lock.
-func (l *Tracked) Unlock(t *machine.Thread) { l.inner.Unlock(t) }

@@ -7,44 +7,17 @@ import (
 	"lockin/internal/sim"
 )
 
-// MutexOptions configures the glibc-style MUTEX.
-type MutexOptions struct {
-	// Attempts is the number of acquire attempts before sleeping with
-	// futex. glibc's default mutex tries once; ADAPTIVE_NP retries up to
-	// ≈100 times. Crucially these are blind CAS retries, not a watch on
-	// the lock word: a release is only caught if it lands between
-	// attempts, which is why contended MUTEX handovers overwhelmingly go
-	// through the kernel (§4.3).
-	Attempts int
-	// AttemptPause is the pause between successive attempts, in cycles.
-	AttemptPause sim.Cycles
-	// Pol is the pausing technique between attempts (glibc uses pause).
-	Pol machine.WaitPolicy
-	// LockOverhead/UnlockOverhead model the bookkeeping instructions of
-	// the pthread layer (sanity checks, owner fields, type dispatch).
-	LockOverhead   sim.Cycles
-	UnlockOverhead sim.Cycles
-}
-
-// DefaultMutexOptions returns the paper's default MUTEX configuration
-// (no ADAPTIVE_NP: a single acquire attempt before futex).
-func DefaultMutexOptions() MutexOptions {
-	return MutexOptions{
-		Attempts:       1,
-		AttemptPause:   25,
-		Pol:            machine.WaitPause,
-		LockOverhead:   60,
-		UnlockOverhead: 40,
-	}
-}
-
-// AdaptiveMutexOptions mimics PTHREAD_MUTEX_ADAPTIVE_NP: up to ≈100
-// acquire attempts before sleeping.
-func AdaptiveMutexOptions() MutexOptions {
-	o := DefaultMutexOptions()
-	o.Attempts = 100
-	return o
-}
+// The glibc-style MUTEX makes one acquire attempt before it sleeps
+// with futex, as glibc's default mutex does (PTHREAD_MUTEX_ADAPTIVE_NP
+// would retry up to ≈100 times). The attempt is a blind CAS, not a
+// watch on the lock word, so a contended handover almost always goes
+// through the kernel (§4.3). The overheads model the bookkeeping
+// instructions of the pthread layer (sanity checks, owner fields, type
+// dispatch), in cycles.
+const (
+	mutexLockOverhead   sim.Cycles = 60
+	mutexUnlockOverhead sim.Cycles = 40
+)
 
 // Mutex is the glibc-style futex mutex: the lock word holds 0 (free),
 // 1 (locked) or 2 (locked, possibly with waiters). Contended acquirers
@@ -54,7 +27,6 @@ type Mutex struct {
 	m    *machine.Machine
 	line *coherence.Line
 	w    *futex.Word
-	o    MutexOptions
 
 	stats MutexStats
 }
@@ -66,9 +38,9 @@ type MutexStats struct {
 	Wakes        uint64 // futex-wake invocations
 }
 
-// NewMutex creates a MUTEX with the given options.
-func NewMutex(m *machine.Machine, o MutexOptions) *Mutex {
-	l := &Mutex{m: m, line: m.NewLine("mutex"), o: o}
+// NewMutex creates a MUTEX.
+func NewMutex(m *machine.Machine) *Mutex {
+	l := &Mutex{m: m, line: m.NewLine("mutex")}
 	l.w = m.NewFutexWord(l.line)
 	return l
 }
@@ -81,15 +53,10 @@ func (l *Mutex) Stats() MutexStats { return l.stats }
 
 // Lock implements Lock.
 func (l *Mutex) Lock(t *machine.Thread) {
-	t.Compute(l.o.LockOverhead)
+	t.Compute(mutexLockOverhead)
 	l.stats.Acquisitions++
-	for i := 0; i < l.o.Attempts; i++ {
-		if t.CAS(l.line, 0, 1) {
-			return
-		}
-		if i+1 < l.o.Attempts {
-			t.SpinFor(l.o.AttemptPause, l.o.Pol)
-		}
+	if t.CAS(l.line, 0, 1) {
+		return
 	}
 	// Slow path: mark waiters and sleep until handed the lock.
 	for t.Swap(l.line, 2) != 0 {
@@ -100,7 +67,7 @@ func (l *Mutex) Lock(t *machine.Thread) {
 
 // Unlock implements Lock.
 func (l *Mutex) Unlock(t *machine.Thread) {
-	t.Compute(l.o.UnlockOverhead)
+	t.Compute(mutexUnlockOverhead)
 	if old := t.Swap(l.line, 0); old == 2 {
 		l.stats.Wakes++
 		t.FutexWake(l.w, 1)

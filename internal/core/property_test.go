@@ -14,7 +14,7 @@ import (
 // completes, and the total acquisition count is exact.
 func TestLockProperty(t *testing.T) {
 	f := func(kindSeed, threadSeed, csSeed uint8, seed int64) bool {
-		kind := Kind(int(kindSeed) % int(numKinds))
+		kind := Kind(int(kindSeed) % int(paperKinds))
 		threads := 1 + int(threadSeed)%10
 		cs := sim.Cycles(csSeed) * 40
 		m := machine.NewDefault(seed)
@@ -57,7 +57,7 @@ func TestLockPropertyOversubscribed(t *testing.T) {
 		t.Skip("short mode")
 	}
 	f := func(kindSeed uint8, seed int64) bool {
-		kind := Kind(int(kindSeed) % int(numKinds))
+		kind := Kind(int(kindSeed) % int(paperKinds))
 		cfg := machine.DefaultConfig(seed)
 		cfg.Topo = topo.CoreI7()
 		cfg.Sched.Timeslice = 150_000
@@ -151,7 +151,7 @@ func TestMutexeeTimeoutNeverLosesLock(t *testing.T) {
 // count returns to zero.
 func TestRWLockInvariant(t *testing.T) {
 	f := func(kindSeed uint8, seed int64) bool {
-		kind := Kind(int(kindSeed) % int(numKinds))
+		kind := Kind(int(kindSeed) % int(paperKinds))
 		m := machine.NewDefault(seed)
 		rw := NewRWLock(m, New(m, kind), machine.WaitMbar)
 		readers, writers := 0, 0
@@ -191,32 +191,6 @@ func TestRWLockInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAdaptiveMutexSpinsMoreThanDefault: the ADAPTIVE_NP variant should
-// sleep strictly less often under moderate contention.
-func TestAdaptiveMutexSpinsMoreThanDefault(t *testing.T) {
-	run := func(o MutexOptions) uint64 {
-		m := machine.NewDefault(3)
-		l := NewMutex(m, o)
-		for i := 0; i < 6; i++ {
-			m.Spawn("w", func(th *machine.Thread) {
-				for j := 0; j < 30; j++ {
-					l.Lock(th)
-					th.Compute(300)
-					l.Unlock(th)
-					th.Compute(2000)
-				}
-			})
-		}
-		m.K.Drain()
-		return l.Stats().Sleeps
-	}
-	def := run(DefaultMutexOptions())
-	adp := run(AdaptiveMutexOptions())
-	if adp >= def {
-		t.Fatalf("adaptive mutex slept %d times, default %d — adaptive should sleep less", adp, def)
 	}
 }
 

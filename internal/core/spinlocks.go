@@ -83,8 +83,14 @@ func NewTicket(m *machine.Machine, pol machine.WaitPolicy) *Ticket {
 	return &Ticket{m: m, line: m.NewLine("ticket"), pol: pol}
 }
 
-// Name implements Lock.
-func (l *Ticket) Name() string { return "TICKET" }
+// Name implements Lock: TICKET-PAUSE for the variant that pauses with
+// pause, TICKET otherwise.
+func (l *Ticket) Name() string {
+	if l.pol == machine.WaitPause {
+		return "TICKET-PAUSE"
+	}
+	return "TICKET"
+}
 
 // Lock implements Lock.
 func (l *Ticket) Lock(t *machine.Thread) {

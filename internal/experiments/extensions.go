@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"lockin/internal/core"
-	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/sweep"
 	"lockin/internal/workload"
@@ -31,22 +30,21 @@ func runFutureExtensions(o Options) []*metrics.Table {
 		"lock", "throughput(Kacq/s)", "TPP(Kacq/J)", "power(W)")
 	variants := []struct {
 		name string
-		f    workload.LockFactory
+		k    core.Kind
 	}{
-		{"MUTEX", workload.FactoryFor(core.KindMutex)},
-		{"TTAS", workload.FactoryFor(core.KindTTAS)},
-		{"TICKET", workload.FactoryFor(core.KindTicket)},
-		{"MUTEXEE", workload.FactoryFor(core.KindMutexee)},
-		{"TAS-BO", func(m *machine.Machine) core.Lock { return core.NewBackoffTAS(m, 0, 0) }},
-		{"HTICKET", func(m *machine.Machine) core.Lock { return core.NewHTicket(m, machine.WaitMbar) }},
-		{"MWAIT (kernel)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwait) }},
-		{"MWAIT (user, §8)", func(m *machine.Machine) core.Lock { return core.NewMwaitLock(m, machine.WaitMwaitUser) }},
+		{"MUTEX", core.KindMutex},
+		{"TTAS", core.KindTTAS},
+		{"TICKET", core.KindTicket},
+		{"MUTEXEE", core.KindMutexee},
+		{"TAS-BO", core.KindBackoffTAS},
+		{"HTICKET", core.KindHTicket},
+		{"MWAIT (kernel)", core.KindMwaitK},
+		{"MWAIT (user, §8)", core.KindMwait},
 	}
 	g := sweep.NewGrid(o)
 	for _, v := range variants {
-		v := v
 		g.Add(func(c sweep.Cell) []sweep.Row {
-			cfg := microCfg(o, c.Seed, v.f, 20, 2000, 1)
+			cfg := microCfg(o, c.Seed, workload.FactoryFor(v.k), 20, 2000, 1)
 			cfg.Duration = o.Window(12_000_000)
 			r := workload.RunMicro(cfg)
 			return []sweep.Row{{v.name, r.Throughput() / 1e3, r.TPP() / 1e3, r.Power().Total}}
@@ -59,24 +57,25 @@ func runFutureExtensions(o Options) []*metrics.Table {
 
 // runFairnessExtension reports Jain's index per algorithm on a tight
 // contended loop — the quantitative face of the paper's fairness
-// trade-off discussion.
+// trade-off discussion. The index is over the workers that acquired
+// the lock at least once, counting the warm-up and the cool-down.
 func runFairnessExtension(o Options) []*metrics.Table {
 	t := metrics.NewTable("Extension — Jain fairness index (16 threads, 1500-cycle CS, tight loop)",
 		"lock", "jain", "throughput(Kacq/s)")
 	g := sweep.NewGrid(o)
 	for _, k := range evalKinds {
-		k := k
 		g.Add(func(c sweep.Cell) []sweep.Row {
-			var tracked *core.Tracked
-			f := func(m *machine.Machine) core.Lock {
-				tracked = core.NewTracked(core.New(m, k))
-				return tracked
-			}
-			cfg := microCfg(o, c.Seed, f, 16, 1500, 1)
+			cfg := microCfg(o, c.Seed, workload.FactoryFor(k), 16, 1500, 1)
 			cfg.Outside = 300
 			cfg.Duration = o.Window(8_000_000)
 			r := workload.RunMicro(cfg)
-			return []sweep.Row{{k.String(), tracked.Tracker.Jain(), r.Throughput() / 1e3}}
+			var served []float64
+			for _, n := range r.Acquires {
+				if n > 0 {
+					served = append(served, float64(n))
+				}
+			}
+			return []sweep.Row{{k.String(), metrics.Jain(served), r.Throughput() / 1e3}}
 		})
 	}
 	g.Into(t)

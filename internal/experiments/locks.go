@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"lockin/internal/core"
-	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
@@ -25,21 +24,6 @@ func microCfg(o Options, seed int64, f workload.LockFactory, threads int, cs sim
 	cfg.Warmup = o.Window(300_000)
 	cfg.Duration = o.Window(10_000_000)
 	return cfg
-}
-
-// mutexeeTimeoutFactory builds MUTEXEE with the given futex timeout;
-// 0 is the timeout-free default. Shared by every timeout experiment
-// (fig10, fig10_tail, tbl_timeout) so they all measure the same lock
-// configuration.
-func mutexeeTimeoutFactory(to sim.Cycles) workload.LockFactory {
-	if to <= 0 {
-		return workload.FactoryFor(core.KindMutexee)
-	}
-	return func(m *machine.Machine) core.Lock {
-		opts := core.DefaultMutexeeOptions()
-		opts.Timeout = to
-		return core.NewMutexee(m, opts)
-	}
 }
 
 // evalKinds are the six algorithms of Figure 11 / Table 2.
@@ -183,7 +167,7 @@ func init() {
 					n, to := n, to
 					g.AddHinted(float64(n), func(c sweep.Cell) []sweep.Row {
 						run := func(timeout sim.Cycles) workload.Result {
-							cfg := microCfg(o, c.Seed, mutexeeTimeoutFactory(timeout), n, 2000, 1)
+							cfg := microCfg(o, c.Seed, core.MutexeeWith(func(mo *core.MutexeeOptions) { mo.Timeout = timeout }), n, 2000, 1)
 							cfg.Outside = 500 // tight loop: sleepers starve without timeouts
 							return workload.RunMicro(cfg)
 						}
@@ -213,7 +197,7 @@ func init() {
 				{"MUTEX", workload.FactoryFor(core.KindMutex)},
 				{"MUTEXEE", workload.FactoryFor(core.KindMutexee)},
 				// ≈1 ms timeout (scaled to the shortened window).
-				{"MUTEXEE timeout", mutexeeTimeoutFactory(2_800_000)},
+				{"MUTEXEE timeout", core.MutexeeWith(func(mo *core.MutexeeOptions) { mo.Timeout = 2_800_000 })},
 			}
 			g := sweep.NewGrid(o)
 			for _, v := range variants {

@@ -37,16 +37,15 @@ func runAblation(o Options) []*metrics.Table {
 		f    workload.LockFactory
 	}{
 		{"MUTEXEE (default)", workload.FactoryFor(core.KindMutexee)},
-		{"MUTEXEE spin=500", mutexeeVariant(func(o *core.MutexeeOptions) { o.SpinLock = 500 })},
-		{"MUTEXEE no unlock-wait", mutexeeVariant(func(o *core.MutexeeOptions) { o.UnlockWait = false })},
-		{"MUTEXEE no adaptation", mutexeeVariant(func(o *core.MutexeeOptions) { o.Adaptive = false })},
+		{"MUTEXEE spin=500", core.MutexeeWith(func(o *core.MutexeeOptions) { o.SpinLock = 500 })},
+		{"MUTEXEE no unlock-wait", core.MutexeeWith(func(o *core.MutexeeOptions) { o.UnlockWait = false })},
+		{"MUTEXEE no adaptation", core.MutexeeWith(func(o *core.MutexeeOptions) { o.Adaptive = false })},
 		{"MUTEX (reference)", workload.FactoryFor(core.KindMutex)},
 		{"TICKET mbar", workload.FactoryFor(core.KindTicket)},
-		{"TICKET pause", func(m *machine.Machine) core.Lock { return core.NewTicket(m, machine.WaitPause) }},
+		{"TICKET pause", workload.FactoryFor(core.KindTicketPause)},
 	}
 	g := sweep.NewGrid(o)
 	for _, v := range variants {
-		v := v
 		g.Add(func(c sweep.Cell) []sweep.Row {
 			cfg := workload.DefaultMicroConfig(c.Seed)
 			cfg.Factory = v.f
@@ -61,14 +60,6 @@ func runAblation(o Options) []*metrics.Table {
 	}
 	g.Into(t)
 	return []*metrics.Table{t}
-}
-
-func mutexeeVariant(mod func(*core.MutexeeOptions)) workload.LockFactory {
-	return func(m *machine.Machine) core.Lock {
-		opts := core.DefaultMutexeeOptions()
-		mod(&opts)
-		return core.NewMutexee(m, opts)
-	}
 }
 
 // runTune is the paper's fine-tuning script (§5.1): three calibration

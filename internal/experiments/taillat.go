@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"lockin/internal/core"
 	"lockin/internal/metrics"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
@@ -36,7 +37,7 @@ func init() {
 				for _, to := range timeouts {
 					n, to := n, to
 					g.Add(func(c sweep.Cell) []sweep.Row {
-						cfg := microCfg(o, c.Seed, mutexeeTimeoutFactory(to), n, 2000, 1)
+						cfg := microCfg(o, c.Seed, core.MutexeeWith(func(mo *core.MutexeeOptions) { mo.Timeout = to }), n, 2000, 1)
 						cfg.Outside = 500 // tight loop: the tail comes from starved sleepers
 						cfg.RecordLatency = true
 						cfg.Duration = o.Window(20_000_000)

@@ -84,6 +84,21 @@ func Pearson(xs, ys []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
+// Jain returns Jain's fairness index (Σx)² / (n·Σx²) of the samples:
+// 1 when all are equal, 1/n when one holds everything, and 0 when
+// there are none or all are 0.
+func Jain(xs []float64) float64 {
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
 // Normalize divides each sample by the maximum of the slice (0-safe).
 func Normalize(xs []float64) []float64 {
 	max := 0.0

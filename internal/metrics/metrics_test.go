@@ -176,6 +176,23 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+func TestJain(t *testing.T) {
+	if Jain(nil) != 0 || Jain([]float64{0, 0}) != 0 {
+		t.Fatal("no samples, or all zero, should report 0")
+	}
+	// Perfectly fair: 4 threads × 10 acquisitions.
+	if j := Jain([]float64{10, 10, 10, 10}); math.Abs(j-1) > 1e-12 {
+		t.Fatalf("even counts: Jain %f, want 1", j)
+	}
+	// Monopolized: one thread takes nearly everything.
+	if j := Jain([]float64{1, 100}); j > 0.6 {
+		t.Fatalf("monopoly: Jain %f, want low", j)
+	}
+	if j := Jain([]float64{0, 0, 0, 7}); math.Abs(j-0.25) > 1e-12 {
+		t.Fatalf("one of four: Jain %f, want 1/4", j)
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	out := Normalize([]float64{1, 2, 4})
 	if out[2] != 1 || out[0] != 0.25 {

@@ -103,8 +103,8 @@ type LockSpec struct {
 	Topology string `json:"topology"`
 	// Stripes sizes a striped array (default 16; striped only).
 	Stripes int `json:"stripes,omitempty"`
-	// Kind pins the lock algorithm (e.g. "MUTEX", "TICKET", "MUTEXEE",
-	// "TAS", "TTAS", "MCS", "CLH", "TAS-BO", "HTICKET", "MWAIT").
+	// Kind pins the lock algorithm by its name in core's catalogue
+	// (e.g. "MUTEX", "TICKET", "MUTEXEE", "TAS-BO", "MWAIT").
 	// Empty means the lock follows the sweep's lock-kind axis.
 	Kind string `json:"kind,omitempty"`
 	// Pick selects the stripe distribution of a striped lock: "uniform"

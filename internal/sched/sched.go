@@ -149,7 +149,6 @@ type ctxState struct {
 	reserved bool
 	deep     bool
 	deepEvt  sim.Event
-	idleAt   sim.Cycles
 }
 
 // Scheduler owns the hardware contexts and the global FIFO run queue.
@@ -171,7 +170,6 @@ type Scheduler struct {
 func New(k *sim.Kernel, cfg Config, t topo.Topology, meter *power.Meter) *Scheduler {
 	s := &Scheduler{k: k, cfg: cfg, topo: t, meter: meter, ctxs: make([]ctxState, t.NumContexts())}
 	for i := range s.ctxs {
-		s.ctxs[i].idleAt = 0
 		meter.SetVF(i, cfg.IdleVF)
 	}
 	return s
@@ -327,7 +325,6 @@ func (s *Scheduler) release(ctx int) {
 		return
 	}
 	// Idle the context: shallow now, deep after the threshold.
-	c.idleAt = s.k.Now()
 	c.deep = false
 	s.meter.SetActivity(ctx, power.IdleShallow)
 	s.meter.SetVF(ctx, s.cfg.IdleVF)

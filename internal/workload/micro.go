@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 
 	"lockin/internal/core"
@@ -13,9 +14,20 @@ import (
 // LockFactory builds the lock instances for a run.
 type LockFactory func(m *machine.Machine) core.Lock
 
-// FactoryFor adapts a built-in algorithm kind into a LockFactory.
+// FactoryFor adapts a catalogue algorithm kind into a LockFactory.
 func FactoryFor(k core.Kind) LockFactory {
 	return func(m *machine.Machine) core.Lock { return core.New(m, k) }
+}
+
+// FactoryNamed resolves a lock-algorithm name, as printed by the
+// algorithm's Name method, into a LockFactory. Scenario specs use it to
+// select algorithms by string.
+func FactoryNamed(name string) (LockFactory, error) {
+	k, err := core.ParseKind(name)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	return FactoryFor(k), nil
 }
 
 // MicroConfig parameterizes one microbenchmark run.
@@ -67,7 +79,8 @@ func RunSweep(o sweep.Options, cfgs []MicroConfig) []Result {
 // RunMicro executes the microbenchmark described by cfg on a Runner:
 // each worker picks a lock (uniformly from the array when there is
 // more than one), runs its critical section and outside work, and
-// counts the acquisition when it ends inside the window.
+// counts the acquisition when it ends inside the window. Every
+// acquisition also counts in its worker's tally, Result.Acquires.
 func RunMicro(cfg MicroConfig) Result {
 	if cfg.Threads <= 0 {
 		panic("workload: Threads must be positive")
@@ -85,7 +98,7 @@ func RunMicro(cfg MicroConfig) Result {
 		locks[i] = cfg.Factory(r.M)
 	}
 
-	var total uint64
+	acquires := make([]uint64, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		rng := rand.New(rand.NewSource(cfg.Machine.Seed + int64(i)*7919))
 		r.M.Spawn("worker", func(t *machine.Thread) {
@@ -99,7 +112,7 @@ func RunMicro(cfg MicroConfig) Result {
 				acquired := t.Proc().Now()
 				t.Compute(cfg.CS)
 				l.Unlock(t)
-				total++
+				acquires[i]++
 				r.Count(t)
 				// Latency is recorded for every acquisition overlapping the
 				// window, so starved waits that straddle either boundary —
@@ -113,6 +126,9 @@ func RunMicro(cfg MicroConfig) Result {
 	}
 
 	res := r.Finish()
-	res.TotalAcquires, res.Locks = total, locks
+	for _, n := range acquires {
+		res.TotalAcquires += n
+	}
+	res.Acquires, res.Locks = acquires, locks
 	return res
 }

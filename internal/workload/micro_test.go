@@ -41,6 +41,21 @@ func TestRunMicroContended(t *testing.T) {
 	if thr := r.Throughput(); thr > 2.9e6 {
 		t.Fatalf("throughput %.0f exceeds the serial bound", thr)
 	}
+	// Each worker's tally: FIFO TICKET serves all ten, and the tallies
+	// add up to the total, which covers at least the window's ops.
+	if len(r.Acquires) != 10 {
+		t.Fatalf("%d worker tallies, want 10", len(r.Acquires))
+	}
+	var sum uint64
+	for i, n := range r.Acquires {
+		if n == 0 {
+			t.Errorf("worker %d never acquired under TICKET", i)
+		}
+		sum += n
+	}
+	if sum != r.TotalAcquires || sum < r.Ops {
+		t.Fatalf("tallies sum to %d, total %d, window ops %d", sum, r.TotalAcquires, r.Ops)
+	}
 }
 
 func TestRunMicroLatencyHistogram(t *testing.T) {
@@ -104,5 +119,17 @@ func TestCustomFactory(t *testing.T) {
 	}
 	if r.Ops == 0 {
 		t.Fatal("no ops")
+	}
+}
+
+func TestFactoryNamed(t *testing.T) {
+	f, err := FactoryNamed("TAS-BO")
+	if err != nil || f(machine.NewDefault(1)).Name() != "TAS-BO" {
+		t.Fatalf("FactoryNamed(TAS-BO): %v", err)
+	}
+	_, err = FactoryNamed("nope")
+	const want = `workload: unknown lock kind "nope" (have MUTEX, TAS, TTAS, TICKET, MCS, CLH, MUTEXEE, HTICKET, MWAIT, MWAIT-K, TAS-BO, TICKET-PAUSE)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("FactoryNamed(nope) error %v, want %s", err, want)
 	}
 }

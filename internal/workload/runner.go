@@ -91,8 +91,9 @@ type Result struct {
 	// acquisition latencies instead and is nil unless RecordLatency.
 	Latency *metrics.Histogram
 	// TotalAcquires counts every acquisition of a RunMicro, including
-	// warmup/cooldown.
+	// warmup/cooldown, and Acquires splits it by worker.
 	TotalAcquires uint64
+	Acquires      []uint64
 	// EndTime is the virtual time of the run's last event, which Drain
 	// returns. It is normally the deep-idle timer that the scheduler arms
 	// IdleDeepAfter cycles after the last thread leaves its context, not
