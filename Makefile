@@ -96,7 +96,9 @@ results:
 # quick scenario smoke-runs with a parallel-vs-serial output diff, and
 # a sharded run merges back byte-identical to an unsharded one — first
 # over the classic threads × lock grid, then over a multi-axis space
-# that includes a read-ratio axis. The new §6 specs smoke-run with the
+# that includes a read-ratio axis. Both testdata specs' output must
+# match the digests testdata/scenario-specs.sha256 pins, at -workers 4
+# and 1. The new §6 specs smoke-run with the
 # same workers-8-vs-1 diff, and the axis query gate slices the read=90
 # plane out of the folded hamsterdb run (stored and live) and requires
 # a zero-difference plane diff against the legacy single-axis run.
@@ -119,6 +121,7 @@ scenarios:
 	$(GO) run ./cmd/lockbench -scenario testdata/multiaxis-scenario.json -shard 1/2 -json /tmp/lockin-scen/ma-s1 > /dev/null
 	$(GO) run ./cmd/lockbench -scenario testdata/multiaxis-scenario.json -merge /tmp/lockin-scen/ma-s0,/tmp/lockin-scen/ma-s1 -json /tmp/lockin-scen/ma-merged -baseline /tmp/lockin-scen/ma-full -diff
 	$(GO) run ./scripts/runcmp /tmp/lockin-scen/ma-full/scenario-multiaxis-quick.json /tmp/lockin-scen/ma-merged/scenario-multiaxis-quick.json
+	@grep -v '^#' testdata/scenario-specs.sha256 | while read want spec; do for w in 4 1; do got=$$($(GO) run ./cmd/lockbench -scenario testdata/$$spec -workers $$w < /dev/null | sed '/done in/d' | sha256sum | cut -d' ' -f1); echo "$$spec sha256 at -workers $$w: $$got (pinned $$want)"; test "$$got" = "$$want" || exit 1; done; done
 	for spec in rocksdb mysql_ssd sqlite; do \
 		$(GO) run ./cmd/lockbench -experiment scenario:$$spec -quick -scale 0.25 -workers 1 > /tmp/lockin-s6-raw.txt || exit 1; \
 		sed '/done in/d' /tmp/lockin-s6-raw.txt > /tmp/lockin-s6-serial.txt; \

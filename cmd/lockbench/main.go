@@ -319,13 +319,12 @@ func selectExperiments(id, scenFile string, o opts.Options) []experiments.Experi
 // simulate runs one experiment under the shared options and returns
 // the (possibly sliced/projected) run, printing its tables.
 func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress bool) *results.Run {
-	eo := o.Options
 	var stats sweep.Stats
-	eo.Stats = &stats
+	o.Stats = &stats
 	if progress {
 		eID := e.ID
-		workers := eo.WorkerCount()
-		eo.Progress = func(done, total int) {
+		workers := o.WorkerCount()
+		o.Progress = func(done, total int) {
 			if done == total {
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells\n", eID, done, total)
 				return
@@ -342,21 +341,18 @@ func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress b
 			fmt.Fprint(os.Stderr, line)
 		}
 	}
-	start := time.Now()
 	fmt.Printf("### %s — %s\n", e.ID, e.Title)
 	fmt.Printf("### paper: %s\n\n", e.Paper)
-	meta := o.RunMeta(e)
 	// Reject a bad query against the declared axes BEFORE the
 	// simulation: a typo'd axis or value must cost milliseconds,
 	// not discard an hours-long -scale run.
 	if q.Active() {
-		if err := results.ValidateQuery(meta.Axes, q.Fixes, q.Keep); err != nil {
+		if err := results.ValidateQuery(o.RunMeta(e).Axes, q.Fixes, q.Keep); err != nil {
 			fmt.Fprintf(os.Stderr, "%v (experiment %s)\n", err, e.ID)
 			exit(1)
 		}
 	}
-	run := &results.Run{Meta: meta, Tables: e.Run(eo)}
-	run, err := q.Apply(run)
+	run, err := q.Apply(o.Run(e))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
@@ -365,15 +361,11 @@ func simulate(e experiments.Experiment, o opts.Options, q opts.Query, progress b
 	// The cells/sec rate tracks the simulator's raw speed. CI output
 	// gates strip "done in" lines, so the wall-clock-dependent rate never
 	// breaks byte-identity checks.
-	elapsed := time.Since(start)
-	cells := int(stats.Cells())
-	// Provenance rides in Meta.Perf when the run is stored: excluded
-	// from cache identity and comparisons (see results.Meta), so it
-	// annotates without perturbing byte-identity.
-	run.Meta.Perf = results.NewPerf(elapsed, cells)
-	if cells > 0 && elapsed > 0 {
+	p := run.Meta.Perf
+	elapsed := time.Duration(p.WallMS * float64(time.Millisecond))
+	if p.Cells > 0 && elapsed > 0 {
 		fmt.Printf("### %s done in %v (%d cells, %.1f cells/sec)\n\n",
-			e.ID, elapsed.Round(time.Millisecond), cells, float64(cells)/elapsed.Seconds())
+			e.ID, elapsed.Round(time.Millisecond), p.Cells, p.CellsPerSec)
 	} else {
 		fmt.Printf("### %s done in %v\n\n", e.ID, elapsed.Round(time.Millisecond))
 	}

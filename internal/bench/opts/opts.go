@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"lockin/internal/experiments"
 	"lockin/internal/results"
@@ -386,4 +387,19 @@ func (o Options) RunMeta(e experiments.Experiment) results.Meta {
 		m.Axes = e.Axes(o.Options)
 	}
 	return m
+}
+
+// Run simulates experiment e under these options and returns the run
+// as it is stored: RunMeta's metadata, the tables, and in Meta.Perf the
+// simulation's wall time and cells. The cells count on o.Stats when the
+// caller sets one, else on a Stats of the run's own. The CLI, the
+// service and the fleet worker all produce their runs here.
+func (o Options) Run(e experiments.Experiment) *results.Run {
+	if o.Stats == nil {
+		o.Stats = new(sweep.Stats)
+	}
+	start := time.Now()
+	run := &results.Run{Meta: o.RunMeta(e), Tables: e.Run(o.Options)}
+	run.Meta.Perf = results.NewPerf(time.Since(start), int(o.Stats.Cells()))
+	return run
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"lockin/internal/coherence"
 	"lockin/internal/machine"
 )
@@ -119,55 +117,55 @@ type qnode struct {
 // MCS is the Mellor-Crummey–Scott queue lock: waiters enqueue with a swap
 // on the tail and spin on their own node, so a release touches exactly
 // one waiter's line — no invalidation burst.
+//
+// The per-thread state of MCS and CLH lives in slices indexed by thread
+// id, which sched.Spawn numbers densely from 0. Simulation bodies run
+// one at a time (invariant 3 in internal/sim/DESIGN.md), so nothing
+// guards them.
 type MCS struct {
 	m    *machine.Machine
 	tail *coherence.Line // waiting-queue tail: thread id + 1; 0 = empty
 	pol  machine.WaitPolicy
 
-	mu    sync.Mutex
-	nodes map[int]*qnode
+	nodes []*qnode // thread id -> its node, made on its first Lock
 }
 
 // NewMCS creates an MCS queue lock.
 func NewMCS(m *machine.Machine, pol machine.WaitPolicy) *MCS {
-	return &MCS{m: m, tail: m.NewLine("mcs.tail"), pol: pol, nodes: make(map[int]*qnode)}
+	return &MCS{m: m, tail: m.NewLine("mcs.tail"), pol: pol}
 }
 
 // Name implements Lock.
 func (l *MCS) Name() string { return "MCS" }
 
-func (l *MCS) node(id int) *qnode {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n, ok := l.nodes[id]
-	if !ok {
-		n = &qnode{
+// Lock implements Lock.
+func (l *MCS) Lock(t *machine.Thread) {
+	id := t.ID()
+	if id >= len(l.nodes) {
+		l.nodes = append(l.nodes, make([]*qnode, id+1-len(l.nodes))...)
+	}
+	me := l.nodes[id]
+	if me == nil {
+		me = &qnode{
 			locked: l.m.NewLine("mcs.locked"),
 			next:   l.m.NewLine("mcs.next"),
 		}
-		l.nodes[id] = n
+		l.nodes[id] = me
 	}
-	return n
-}
-
-// Lock implements Lock.
-func (l *MCS) Lock(t *machine.Thread) {
-	me := l.node(t.ID())
 	t.Compute(40) // locate the per-(lock,thread) queue node
 	t.Store(me.next, 0)
 	t.Store(me.locked, 1)
-	prev := t.Swap(l.tail, uint64(t.ID())+1)
+	prev := t.Swap(l.tail, uint64(id)+1)
 	if prev == 0 {
 		return
 	}
-	pred := l.node(int(prev - 1))
-	t.Store(pred.next, uint64(t.ID())+1)
+	t.Store(l.nodes[prev-1].next, uint64(id)+1)
 	t.SpinUntil(me.locked, isZero, l.pol)
 }
 
 // Unlock implements Lock.
 func (l *MCS) Unlock(t *machine.Thread) {
-	me := l.node(t.ID())
+	me := l.nodes[t.ID()]
 	t.Compute(40) // locate the queue node again
 	if t.Load(me.next) == 0 {
 		if t.CAS(l.tail, uint64(t.ID())+1, 0) {
@@ -176,8 +174,7 @@ func (l *MCS) Unlock(t *machine.Thread) {
 		// A successor is enqueueing: wait for its link.
 		t.SpinUntil(me.next, func(v uint64) bool { return v != 0 }, l.pol)
 	}
-	succ := l.node(int(t.Load(me.next) - 1))
-	t.Store(succ.locked, 0)
+	t.Store(l.nodes[t.Load(me.next)-1].locked, 0)
 }
 
 // CLH is the Craig–Landin–Hagersten queue lock: an implicit queue where
@@ -188,16 +185,16 @@ type CLH struct {
 	tail *coherence.Line // current tail node id + 1
 	pol  machine.WaitPolicy
 
-	mu    sync.Mutex
 	lines []*coherence.Line // node id -> line
-	mine  map[int]int       // thread id -> owned node id
-	pred  map[int]int       // thread id -> predecessor node id while held
+	// mine is a thread's owned node id + 1, 0 before its first Lock: a
+	// recycled node can be the dummy node 0.
+	mine []int // by thread id
+	pred []int // by thread id: the predecessor node id while held
 }
 
 // NewCLH creates a CLH queue lock.
 func NewCLH(m *machine.Machine, pol machine.WaitPolicy) *CLH {
-	l := &CLH{m: m, tail: m.NewLine("clh.tail"), pol: pol,
-		mine: make(map[int]int), pred: make(map[int]int)}
+	l := &CLH{m: m, tail: m.NewLine("clh.tail"), pol: pol}
 	// Node 0 is the dummy "released" node; the tail starts pointing at it
 	// so every acquirer always has a predecessor to spin on.
 	l.lines = append(l.lines, m.NewLine("clh.node0"))
@@ -208,27 +205,23 @@ func NewCLH(m *machine.Machine, pol machine.WaitPolicy) *CLH {
 // Name implements Lock.
 func (l *CLH) Name() string { return "CLH" }
 
-func (l *CLH) nodeOf(t *machine.Thread) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id, ok := l.mine[t.ID()]
-	if !ok {
-		l.lines = append(l.lines, l.m.NewLine("clh.node"))
-		id = len(l.lines) - 1
-		l.mine[t.ID()] = id
-	}
-	return id
-}
-
 // Lock implements Lock.
 func (l *CLH) Lock(t *machine.Thread) {
-	my := l.nodeOf(t)
+	id := t.ID()
+	if id >= len(l.mine) {
+		grow := id + 1 - len(l.mine)
+		l.mine = append(l.mine, make([]int, grow)...)
+		l.pred = append(l.pred, make([]int, grow)...)
+	}
+	if l.mine[id] == 0 {
+		l.lines = append(l.lines, l.m.NewLine("clh.node"))
+		l.mine[id] = len(l.lines)
+	}
+	my := l.mine[id] - 1
 	t.Store(l.lines[my], 1) // pending
 	prev := t.Swap(l.tail, uint64(my)+1)
 	predID := int(prev - 1)
-	l.mu.Lock()
-	l.pred[t.ID()] = predID
-	l.mu.Unlock()
+	l.pred[id] = predID
 	if v := t.Load(l.lines[predID]); v != 0 {
 		t.SpinUntil(l.lines[predID], isZero, l.pol)
 	}
@@ -236,10 +229,9 @@ func (l *CLH) Lock(t *machine.Thread) {
 
 // Unlock implements Lock.
 func (l *CLH) Unlock(t *machine.Thread) {
-	l.mu.Lock()
-	my := l.mine[t.ID()]
+	id := t.ID()
+	my := l.mine[id] - 1
 	// Recycle: the predecessor's (now released) node becomes ours.
-	l.mine[t.ID()] = l.pred[t.ID()]
-	l.mu.Unlock()
+	l.mine[id] = l.pred[id] + 1
 	t.Store(l.lines[my], 0)
 }

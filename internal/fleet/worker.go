@@ -160,13 +160,9 @@ func (w *worker) execute(ctx context.Context, l Lease, job JobSpec) (done bool, 
 		return false, err
 	}
 	o.RangeLo, o.RangeHi, o.RangeTotal = l.Lo, l.Hi, l.Total
-	eo := o.Options
 	var stats sweep.Stats
-	eo.Stats = &stats
-	start := time.Now()
-	tables := e.Run(eo)
-	wall := time.Since(start)
-	run := &results.Run{Meta: o.RunMeta(*e), Tables: tables}
+	o.Stats = &stats
+	run := o.Run(*e)
 	b, err := results.Encode(run)
 	if err != nil {
 		return false, err
@@ -176,7 +172,7 @@ func (w *worker) execute(ctx context.Context, l Lease, job JobSpec) (done bool, 
 	}
 	w.leases++
 	w.cfg.Logger.Info("chunk done", "worker", w.cfg.Name, "lease", l.ID,
-		"lo", l.Lo, "hi", l.Hi, "cells", stats.Cells(), "wall", wall.Round(time.Millisecond))
+		"lo", l.Lo, "hi", l.Hi, "cells", stats.Cells(), "wall_ms", run.Meta.Perf.WallMS)
 	var resp resultResponse
 	if err := w.post(ctx, "/fleet/v1/result", resultRequest{
 		Worker: w.cfg.Name, LeaseID: l.ID,

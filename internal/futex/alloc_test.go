@@ -33,23 +33,15 @@ func steadyZeroAlloc(t *testing.T, h *harness, done *bool, window sim.Cycles, pr
 	h.k.Drain()
 }
 
-// allocInputs are the tables the zero-alloc tests run on: one word on
-// the default table, and two words on a one-bucket table, whose calls
-// wait for each other's bucket lock.
+// allocInputs are the loads the zero-alloc tests put on one word: one
+// sleeper (and its waker), and two, whose calls wait for each other's
+// hold of the word's bucket lock.
 var allocInputs = []struct {
-	name           string
-	words, buckets int
+	name     string
+	sleepers int
 }{
-	{"one-word", 1, DefaultConfig().Buckets},
-	{"contended-bucket", 2, 1},
-}
-
-// newAllocHarness builds a harness whose table has the given bucket
-// count.
-func newAllocHarness(buckets int) *harness {
-	cfg := DefaultConfig()
-	cfg.Buckets = buckets
-	return newHarnessWith(1, sched.DefaultConfig(), cfg)
+	{"one-word", 1},
+	{"contended-bucket", 2},
 }
 
 // TestWaitWakeZeroAlloc: a FUTEX_WAIT blocked until a FUTEX_WAKE (the
@@ -59,11 +51,11 @@ func newAllocHarness(buckets int) *harness {
 func TestWaitWakeZeroAlloc(t *testing.T) {
 	for _, in := range allocInputs {
 		t.Run(in.name, func(t *testing.T) {
-			h := newAllocHarness(in.buckets)
+			h := newHarness(1)
 			done, woken := false, 0
-			for i := 0; i < in.words; i++ {
-				var word uint64 = 1
-				w := h.tb.NewWord(func() uint64 { return word })
+			var word uint64 = 1
+			w := h.tb.NewWord(func() uint64 { return word })
+			for i := 0; i < in.sleepers; i++ {
 				h.s.Spawn("sleeper", func(th *sched.Thread) {
 					for !done {
 						word = 1
@@ -83,8 +75,8 @@ func TestWaitWakeZeroAlloc(t *testing.T) {
 				})
 			}
 			steadyZeroAlloc(t, h, &done, 100_000, func() int { return woken }, "futex wait/wake")
-			if in.buckets == 1 && h.tb.Stats().BucketWait == 0 {
-				t.Error("no call waited for the shared bucket lock")
+			if in.sleepers > 1 && h.tb.Stats().BucketWait == 0 {
+				t.Error("no call waited for the word's bucket lock")
 			}
 		})
 	}
@@ -96,11 +88,10 @@ func TestWaitWakeZeroAlloc(t *testing.T) {
 func TestWaitTimeoutZeroAlloc(t *testing.T) {
 	for _, in := range allocInputs {
 		t.Run(in.name, func(t *testing.T) {
-			h := newAllocHarness(in.buckets)
+			h := newHarness(1)
 			done, timeouts := false, 0
-			for i := 0; i < in.words; i++ {
-				var word uint64 = 1
-				w := h.tb.NewWord(func() uint64 { return word })
+			w := h.tb.NewWord(func() uint64 { return 1 })
+			for i := 0; i < in.sleepers; i++ {
 				h.s.Spawn("sleeper", func(th *sched.Thread) {
 					for !done {
 						if h.tb.Wait(th, w, 1, 50_000) == TimedOut {
@@ -110,8 +101,8 @@ func TestWaitTimeoutZeroAlloc(t *testing.T) {
 				})
 			}
 			steadyZeroAlloc(t, h, &done, 100_000, func() int { return timeouts }, "timed futex wait")
-			if in.buckets == 1 && h.tb.Stats().BucketWait == 0 {
-				t.Error("no call waited for the shared bucket lock")
+			if in.sleepers > 1 && h.tb.Stats().BucketWait == 0 {
+				t.Error("no call waited for the word's bucket lock")
 			}
 		})
 	}

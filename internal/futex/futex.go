@@ -21,6 +21,10 @@
 // kernel space (SpinGlobal power) until the previous critical section
 // completes. This serialization is what the paper blames for SQLite
 // spending >40% of CPU time in the kernel's raw spin lock under MUTEX.
+// The model gives each word a bucket of its own: calls on one word
+// serialize behind its bucket lock, calls on different words never wait
+// for each other. Linux hashes ≈256 buckets per core, so two words of a
+// run share one only by a hash collision, which the model leaves out.
 package futex
 
 import (
@@ -35,7 +39,6 @@ type Config struct {
 	BucketHold   sim.Cycles // bucket critical section (hashing, queue ops)
 	Deschedule   sim.Cycles // tail of the sleep path after enqueueing
 	WakeFixup    sim.Cycles // tail of the wake path (IPI, bookkeeping)
-	Buckets      int        // hash-table size (≈256 × #cores on Linux)
 }
 
 // DefaultConfig returns the Xeon calibration: sleep ≈2100 cycles,
@@ -46,7 +49,6 @@ func DefaultConfig() Config {
 		BucketHold:   1000,
 		Deschedule:   800,
 		WakeFixup:    700,
-		Buckets:      256 * 20,
 	}
 }
 
@@ -92,7 +94,7 @@ type Word struct {
 	table *Table
 	// Load returns the current value of the user-space word.
 	Load    func() uint64
-	bucket  *bucket
+	freeAt  sim.Cycles // when the word's bucket lock frees: its FIFO horizon
 	waiters []*waiter
 }
 
@@ -131,17 +133,12 @@ const (
 	returned                // after the return crossing: the call returns
 )
 
-type bucket struct {
-	freeAt sim.Cycles // kernel-lock FIFO horizon
-}
-
-// Table is the kernel-wide futex hash table.
+// Table is the kernel's futex state: the words' calls in flight and
+// their counters.
 type Table struct {
 	k     *sim.Kernel
 	s     *sched.Scheduler
 	cfg   Config
-	bkts  []bucket
-	next  int
 	stats Stats
 
 	// pool recycles waiter nodes so the Wait/Wake hot path does not
@@ -183,10 +180,7 @@ func (tb *Table) putWaiter(wt *waiter) {
 
 // NewTable creates a futex table bound to a scheduler.
 func NewTable(k *sim.Kernel, s *sched.Scheduler, cfg Config) *Table {
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = 1
-	}
-	return &Table{k: k, s: s, cfg: cfg, bkts: make([]bucket, cfg.Buckets)}
+	return &Table{k: k, s: s, cfg: cfg}
 }
 
 // Stats returns a copy of the activity counters.
@@ -195,12 +189,10 @@ func (tb *Table) Stats() Stats { return tb.stats }
 // ResetStats zeroes the counters.
 func (tb *Table) ResetStats() { tb.stats = Stats{} }
 
-// NewWord allocates a futex word, assigning it a hash bucket. Load reads
-// the user-space value the kernel re-checks under the bucket lock.
+// NewWord allocates a futex word with its own bucket. Load reads the
+// user-space value the kernel re-checks under the bucket lock.
 func (tb *Table) NewWord(load func() uint64) *Word {
-	w := &Word{table: tb, Load: load, bucket: &tb.bkts[tb.next%len(tb.bkts)]}
-	tb.next++
-	return w
+	return &Word{table: tb, Load: load}
 }
 
 // Waiters returns the current wait-queue length.
@@ -300,18 +292,18 @@ func (c *waiter) Next() {
 	}
 }
 
-// lockBucket charges the kernel-spinlock wait (if the bucket is held)
-// plus the hold time. The thread spins at kernel level while waiting
-// (global spinning power).
+// lockBucket charges the kernel-spinlock wait (if the word's bucket is
+// held) plus the hold time. The thread spins at kernel level while
+// waiting (global spinning power).
 func (tb *Table) lockBucket(c *waiter) {
-	b := c.w.bucket
+	w := c.w
 	now := tb.k.Now()
 	wait := sim.Cycles(0)
-	if b.freeAt > now {
-		wait = b.freeAt - now
+	if w.freeAt > now {
+		wait = w.freeAt - now
 	}
 	tb.stats.BucketWait += wait
-	b.freeAt = now + wait + tb.cfg.BucketHold
+	w.freeAt = now + wait + tb.cfg.BucketHold
 	if wait > 0 {
 		c.prev = c.t.Activity()
 		c.t.SetActivity(power.SpinGlobal)

@@ -17,17 +17,17 @@ import (
 // resume it. They are kept verbatim as the reference the fused calls
 // must match.
 
-// refAcquireBucket charges the kernel-spinlock wait (if the bucket is held)
-// plus the hold time, advancing the thread's clock. The thread spins at
-// kernel level while waiting (global spinning power).
-func (tb *Table) refAcquireBucket(t *sched.Thread, b *bucket) {
+// refAcquireBucket charges the kernel-spinlock wait (if w's bucket is
+// held) plus the hold time, advancing the thread's clock. The thread
+// spins at kernel level while waiting (global spinning power).
+func (tb *Table) refAcquireBucket(t *sched.Thread, w *Word) {
 	now := t.Proc().Now()
 	wait := sim.Cycles(0)
-	if b.freeAt > now {
-		wait = b.freeAt - now
+	if w.freeAt > now {
+		wait = w.freeAt - now
 	}
 	tb.stats.BucketWait += wait
-	b.freeAt = now + wait + tb.cfg.BucketHold
+	w.freeAt = now + wait + tb.cfg.BucketHold
 	if wait > 0 {
 		prev := t.Activity()
 		t.SetActivity(power.SpinGlobal)
@@ -43,7 +43,7 @@ func (tb *Table) refAcquireBucket(t *sched.Thread, b *bucket) {
 func (tb *Table) refWait(t *sched.Thread, w *Word, val uint64, timeout sim.Cycles) WaitResult {
 	tb.stats.Waits++
 	t.Run(tb.cfg.SyscallEntry)
-	tb.refAcquireBucket(t, w.bucket)
+	tb.refAcquireBucket(t, w)
 	if w.Load() != val {
 		// Value changed while entering the kernel: EAGAIN.
 		tb.stats.WaitMisses++
@@ -77,7 +77,7 @@ func (tb *Table) refWait(t *sched.Thread, w *Word, val uint64, timeout sim.Cycle
 func (tb *Table) refWake(t *sched.Thread, w *Word, n int) int {
 	tb.stats.Wakes++
 	t.Run(tb.cfg.SyscallEntry)
-	tb.refAcquireBucket(t, w.bucket)
+	tb.refAcquireBucket(t, w)
 	woken := 0
 	for woken < n && len(w.waiters) > 0 {
 		wt := w.waiters[0]
@@ -221,9 +221,8 @@ func spawnBroadcast(h *harness, c calls, n int, until sim.Cycles) ([]*sched.Thre
 
 // refProtocol is one futex protocol of the reference table.
 type refProtocol struct {
-	name    string
-	buckets int // the table's bucket count; 0 = the default
-	spawn   func(h *harness, c calls, n int, until sim.Cycles) ([]*sched.Thread, *uint64)
+	name  string
+	spawn func(h *harness, c calls, n int, until sim.Cycles) ([]*sched.Thread, *uint64)
 }
 
 func refProtocols() []refProtocol {
@@ -240,9 +239,8 @@ func refProtocols() []refProtocol {
 		// ≈7000 cycles is the futex turnaround, so timeouts and wakes race.
 		{name: "timeout-racing-wake", spawn: mutex(1, 7_000)},
 		{name: "broadcast", spawn: spawnBroadcast},
-		// Two locks share the one bucket, so calls on one wait for the
-		// bucket lock behind calls on the other.
-		{name: "shared-bucket", buckets: 1, spawn: mutex(2, 0)},
+		// Two locks, each word with its own bucket lock.
+		{name: "two-words", spawn: mutex(2, 0)},
 	}
 }
 
@@ -276,12 +274,8 @@ func runProtocol(p refProtocol, c calls, n int, timeslice, until sim.Cycles) (re
 	if timeslice != 0 {
 		scfg.Timeslice = timeslice
 	}
-	fcfg := DefaultConfig()
-	if p.buckets != 0 {
-		fcfg.Buckets = p.buckets
-	}
 	recycles, timeouts, races := sim.GlobalStats().EventRecycles, GlobalTimeouts(), GlobalTimeoutWakeRaces()
-	h := newHarnessWith(42, scfg, fcfg)
+	h := newHarnessWith(42, scfg, DefaultConfig())
 	var inCall uint64
 	threads, ops := p.spawn(h, counted(c, &inCall), n, until)
 	s := refRunStats{End: h.k.Drain()}
@@ -306,10 +300,10 @@ func runProtocol(p refProtocol, c calls, n int, timeslice, until sim.Cycles) (re
 // stats, the events the kernel recycled, the process-wide timeout and
 // wake-race counts and the kernel RNG's next draw. The protocols are a
 // MUTEX-style lock, the same with timeouts that fire in the descheduling
-// tail or race the wakes, a Cond-style broadcast and two locks on a
-// one-bucket table; the rows put 1 to 80 threads on the 40-context Xeon
-// at the default timeslice and at 300 cycles, which splits the calls'
-// costs into chunks and preempts inside them. The table must reach a
+// tail or race the wakes, a Cond-style broadcast and two such locks; the
+// rows put 1 to 80 threads on the 40-context Xeon at the default
+// timeslice and at 300 cycles, which splits the calls' costs into
+// chunks and preempts inside them. The table must reach a
 // Requeue inside a call (a cost whose slice is spent while a peer waits:
 // the fused call's thread is parked in Await from start to return, so
 // each preemption it takes during the call is one), a wake that raced

@@ -27,14 +27,7 @@ type Compiled struct {
 	Hash string
 
 	lockIndex map[string]int
-	pinned    []workload.LockFactory // per lock; nil = follow the axis
-	kindAxis  []lockKind
 	contexts  int // hardware contexts of the spec's machine
-}
-
-type lockKind struct {
-	name    string
-	factory workload.LockFactory
 }
 
 // ID returns the registry id the compiled experiment runs under.
@@ -54,32 +47,8 @@ func Compile(s *Spec) (*Compiled, error) {
 	}
 	for i, l := range c.Spec.Locks {
 		c.lockIndex[l.Name] = i
-		var pin workload.LockFactory
-		if l.Kind != "" {
-			f, err := workload.FactoryNamed(l.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: lock %s: %w", s.Name, l.Name, err)
-			}
-			pin = f
-		}
-		c.pinned = append(c.pinned, pin)
-	}
-	for _, k := range c.Spec.lockAxis() {
-		f, err := workload.FactoryNamed(k)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: sweep.locks: %w", s.Name, err)
-		}
-		c.kindAxis = append(c.kindAxis, lockKind{name: k, factory: f})
 	}
 	return c, nil
-}
-
-// lockAxis resolves the lock-kind axis (default MUTEX).
-func (s *Spec) lockAxis() []string {
-	if len(s.Sweep.Locks) > 0 {
-		return s.Sweep.Locks
-	}
-	return []string{"MUTEX"}
 }
 
 // ParseAndCompile parses a spec file's bytes and compiles it.
@@ -114,187 +83,102 @@ func (c *Compiled) title() string {
 	return "scenario " + c.Spec.Name
 }
 
-// extraAxis is one declared non-classic axis: its metadata, its table
-// column, and how a cell's value for it is read. One descriptor list
-// drives header(), row() and DeclaredAxes(), so column headers, cell
-// values and results.Meta.Axes can never fall out of lockstep.
-type extraAxis struct {
-	axis   sweep.Axis
-	column string
-	value  func(cellParams) any
+// axisDef is one sweep axis of the scenario grid: its name, the table
+// column only it adds ("" for threads, cs and lock, whose columns always
+// print), the values a spec sweeps on it (none: not swept), and how a
+// cell's value on it sets the cell's parameters.
+type axisDef struct {
+	name, column string
+	values       func(*SweepSpec) []metrics.Value
+	set          func(*cellParams, metrics.Value)
 }
 
-// extraAxes returns the spec's declared extra axes in their fixed
-// nesting (and column) order: oversub, read, skew. Each axis records
-// its column header (sweep.Axis.Column), so the results query layer
-// can drop the column when the axis is sliced or projected away —
-// read from the same descriptor that builds the header, keeping the
-// two in lockstep.
-func (c *Compiled) extraAxes() []extraAxis {
-	sw := c.Spec.Sweep
-	var out []extraAxis
-	if len(sw.Oversub) > 0 {
-		out = append(out, extraAxis{axisOf("oversub", sw.Oversub), "oversub",
-			func(p cellParams) any { return p.oversub }})
-	}
-	if len(sw.Read) > 0 {
-		out = append(out, extraAxis{axisOf("read", sw.Read), "read%",
-			func(p cellParams) any { return p.read }})
-	}
-	if len(sw.Skew) > 0 {
-		out = append(out, extraAxis{axisOf("skew", sw.Skew), "skew",
-			func(p cellParams) any { return p.skew }})
-	}
-	for i := range out {
-		out[i].axis.Column = out[i].column
+// axisTable declares every sweep axis once, in nesting order (outermost
+// first). New axes nest OUTSIDE the classic threads × cs × lock triple,
+// so a spec that folds an old one under a new axis keeps the old spec's
+// cells at indices 0..n-1: same index-derived seeds, byte-identical
+// slice. A new axis takes its SweepSpec field, an entry here (with the
+// cellParams field it sets) and the code that reads that field;
+// TestEverySweepFieldHasOneAxis pairs the fields with the entries.
+var axisTable = []axisDef{
+	{"oversub", "oversub", func(s *SweepSpec) []metrics.Value { return valuesOf(s.Oversub) },
+		func(p *cellParams, v metrics.Value) { p.oversub = v.Float }},
+	{"read", "read%", func(s *SweepSpec) []metrics.Value { return valuesOf(s.Read) },
+		func(p *cellParams, v metrics.Value) { p.read = int(v.Int) }},
+	{"skew", "skew", func(s *SweepSpec) []metrics.Value { return valuesOf(s.Skew) },
+		func(p *cellParams, v metrics.Value) { p.skew = v.Float }},
+	{"threads", "", func(s *SweepSpec) []metrics.Value { return valuesOf(s.Threads) },
+		func(p *cellParams, v metrics.Value) { p.threads = int(v.Int) }},
+	{"cs", "", func(s *SweepSpec) []metrics.Value { return valuesOf(s.CS) },
+		func(p *cellParams, v metrics.Value) { p.cs = v.Int }},
+	// The lock axis is always swept: MUTEX unless the spec names kinds.
+	{"lock", "", func(s *SweepSpec) []metrics.Value {
+		if len(s.Locks) == 0 {
+			return valuesOf([]string{"MUTEX"})
+		}
+		return valuesOf(s.Locks)
+	}, func(p *cellParams, v metrics.Value) { p.lock = v.Str }},
+}
+
+// valuesOf lifts a spec's typed axis values into table cells.
+func valuesOf[T any](vals []T) []metrics.Value {
+	out := make([]metrics.Value, len(vals))
+	for i, v := range vals {
+		out[i] = metrics.ValueOf(v)
 	}
 	return out
 }
 
-// DeclaredAxes returns the spec's sweep axes as ordered, typed axis
-// metadata in nesting order (outermost first) — the order table ROWS
-// enumerate in, last axis fastest; columns are a different order,
-// matched by header name. Undeclared axes are omitted; the lock axis
-// is always present (default MUTEX). The list rides into
-// results.Meta.Axes so stored runs are self-describing.
-func (c *Compiled) DeclaredAxes() []sweep.Axis {
-	sw := c.Spec.Sweep
-	var out []sweep.Axis
-	for _, a := range c.extraAxes() {
-		out = append(out, a.axis)
-	}
-	if len(sw.Threads) > 0 {
-		out = append(out, axisOf("threads", sw.Threads))
-	}
-	if len(sw.CS) > 0 {
-		out = append(out, axisOf("cs", sw.CS))
-	}
-	return append(out, axisOf("lock", c.Spec.lockAxis()))
-}
-
-// RunAxes returns the axes a run under o actually sweeps: the
-// declared axes with the same quick trimming Run applies to the cell
-// grid, so results.Meta.Axes always matches the stored table's rows.
+// RunAxes returns the axes a run under o sweeps, in nesting order: each
+// axis the spec sweeps, quick mode trimming it to its first and last
+// value as the built-in experiments trim their grids. The run's cells
+// are their cross product, table rows enumerate in that order (last
+// axis fastest), and the list rides into results.Meta.Axes, so stored
+// runs are self-describing.
 func (c *Compiled) RunAxes(o experiments.Options) []sweep.Axis {
-	axes := c.DeclaredAxes()
-	if !o.Quick {
-		return axes
+	var out []sweep.Axis
+	for _, d := range axisTable {
+		vals := d.values(&c.Spec.Sweep)
+		if len(vals) == 0 {
+			continue
+		}
+		if o.Quick && len(vals) > 2 {
+			vals = []metrics.Value{vals[0], vals[len(vals)-1]}
+		}
+		out = append(out, sweep.Axis{Name: d.name, Column: d.column, Values: vals})
 	}
-	for i := range axes {
-		axes[i].Values = firstLast(axes[i].Values)
-	}
-	return axes
+	return out
 }
 
-// axisOf lifts a typed value slice into a sweep.Axis.
-func axisOf[T any](name string, vals []T) sweep.Axis {
-	anys := make([]any, len(vals))
-	for i, v := range vals {
-		anys[i] = v
-	}
-	return sweep.NewAxis(name, anys...)
-}
-
-// resolvedAxes are one run's sweep axes after quick trimming, in the
-// fixed nesting order (oversub, read, skew outermost; threads, cs,
-// lock innermost). New axes nest OUTSIDE the classic triple so a spec
-// that folds an old one under a new axis keeps the old spec's cells at
-// indices 0..n-1 — same index-derived seeds, byte-identical slice.
-// Undeclared axes hold one sentinel value the compiled loops never
-// consume (validation guarantees every consumer has a declared axis or
-// a pinned value).
-type resolvedAxes struct {
-	oversub []float64 // sentinel 0: no oversub groups
-	read    []int     // sentinel -1: no weight_axis choices
-	skew    []float64 // sentinel NaN: zipf locks pin their skew
-	threads []int     // sentinel 0: groups pin their counts
-	cs      []int64   // sentinel 0: ops pin their cs
-	kinds   []lockKind
-}
-
-// space lowers the resolved axes onto the sweep engine's cell
-// enumeration.
-func (a resolvedAxes) space() sweep.Space {
-	kindNames := make([]string, len(a.kinds))
-	for i, k := range a.kinds {
-		kindNames[i] = k.name
-	}
-	return sweep.NewSpace(
-		axisOf("oversub", a.oversub),
-		axisOf("read", a.read),
-		axisOf("skew", a.skew),
-		axisOf("threads", a.threads),
-		axisOf("cs", a.cs),
-		axisOf("lock", kindNames),
-	)
-}
-
-// cellParams are one cell's resolved axis values.
+// cellParams are one cell's axis values. An axis the spec does not
+// sweep keeps its zero value (see cellAt), which validation keeps every
+// compiled loop from reading.
 type cellParams struct {
-	threads int // threads-axis value (0 = groups pin their counts)
-	cs      int64
-	read    int
 	oversub float64
+	read    int
 	skew    float64
-	kind    lockKind
+	threads int // 0 = groups pin their counts
+	cs      int64
+	lock    string // the kind of every lock without a pinned one
 }
 
-// at resolves the cell at index i of the space.
-func (a resolvedAxes) at(s sweep.Space, i int) cellParams {
-	co := s.Coords(i)
-	return cellParams{
-		oversub: a.oversub[co[0]],
-		read:    a.read[co[1]],
-		skew:    a.skew[co[2]],
-		threads: a.threads[co[3]],
-		cs:      a.cs[co[4]],
-		kind:    a.kinds[co[5]],
+// cellAt reads cell i of a run's space into its parameters, and returns
+// the values of the axes that add a column, in column order.
+func cellAt(space sweep.Space, i int) (cellParams, []metrics.Value) {
+	p := cellParams{read: -1, skew: math.NaN()}
+	var cols []metrics.Value
+	vals := space.Values(i)
+	for j, a := range space.Axes() {
+		for _, d := range axisTable {
+			if d.name == a.Name {
+				d.set(&p, vals[j])
+			}
+		}
+		if a.Column != "" {
+			cols = append(cols, vals[j])
+		}
 	}
-}
-
-// axes resolves the sweep axes for a run; quick mode trims each axis
-// to its first and last value, mirroring the grid trimming of the
-// built-in experiments.
-func (c *Compiled) axes(quick bool) resolvedAxes {
-	a := resolvedAxes{
-		oversub: c.Spec.Sweep.Oversub,
-		read:    c.Spec.Sweep.Read,
-		skew:    c.Spec.Sweep.Skew,
-		threads: c.Spec.Sweep.Threads,
-		cs:      c.Spec.Sweep.CS,
-		kinds:   c.kindAxis,
-	}
-	if len(a.oversub) == 0 {
-		a.oversub = []float64{0}
-	}
-	if len(a.read) == 0 {
-		a.read = []int{-1}
-	}
-	if len(a.skew) == 0 {
-		a.skew = []float64{math.NaN()}
-	}
-	if len(a.threads) == 0 {
-		a.threads = []int{0}
-	}
-	if len(a.cs) == 0 {
-		a.cs = []int64{0}
-	}
-	if quick {
-		a.oversub = firstLast(a.oversub)
-		a.read = firstLast(a.read)
-		a.skew = firstLast(a.skew)
-		a.threads = firstLast(a.threads)
-		a.cs = firstLast(a.cs)
-		a.kinds = firstLast(a.kinds)
-	}
-	return a
-}
-
-func firstLast[T any](vals []T) []T {
-	if len(vals) <= 2 {
-		return vals
-	}
-	return []T{vals[0], vals[len(vals)-1]}
+	return p, cols
 }
 
 // machineConfig builds the cell's machine from the spec (seed filled
@@ -330,12 +214,14 @@ func (c *Compiled) totalThreads(p cellParams) int {
 }
 
 // header renders the table column set: the classic threads/cs/lock
-// columns, one column per extra declared axis, the aggregate metric
-// columns, then any optional percentile and per-group columns.
-func (c *Compiled) header() []string {
+// columns, the column of each swept axis that adds one, the aggregate
+// metric columns, then any optional percentile and per-group columns.
+func (c *Compiled) header(axes []sweep.Axis) []string {
 	h := []string{"threads", "cs(cycles)", "lock"}
-	for _, a := range c.extraAxes() {
-		h = append(h, a.column)
+	for _, a := range axes {
+		if a.Column != "" {
+			h = append(h, a.Column)
+		}
 	}
 	h = append(h, "thr(Kacq/s)", "TPP(Kacq/J)", "p99(Kcyc)")
 	for _, p := range c.Spec.percentiles() {
@@ -356,11 +242,12 @@ type groupStats struct {
 	ops []uint64
 }
 
-// row renders one cell's table row.
-func (c *Compiled) row(p cellParams, res workload.Result, stats *groupStats) sweep.Row {
-	row := sweep.Row{c.totalThreads(p), p.cs, p.kind.name}
-	for _, a := range c.extraAxes() {
-		row = append(row, a.value(p))
+// row renders one cell's table row; cols are its values of the axes
+// that add a column.
+func (c *Compiled) row(p cellParams, cols []metrics.Value, res workload.Result, stats *groupStats) sweep.Row {
+	row := sweep.Row{c.totalThreads(p), p.cs, p.lock}
+	for _, v := range cols {
+		row = append(row, v)
 	}
 	row = append(row,
 		res.Throughput()/1e3, res.TPP()/1e3,
@@ -388,9 +275,8 @@ func (c *Compiled) row(p cellParams, res workload.Result, stats *groupStats) swe
 // engine, so output is bit-identical for any worker count and shards
 // merge byte-identically.
 func (c *Compiled) Run(o experiments.Options) []*metrics.Table {
-	ax := c.axes(o.Quick)
-	space := ax.space()
-	t := metrics.NewTable(c.title(), c.header()...)
+	space := sweep.NewSpace(c.RunAxes(o)...)
+	t := metrics.NewTable(c.title(), c.header(space.Axes())...)
 	warmup := c.Spec.WarmupCycles
 	if warmup == 0 {
 		warmup = defaultWarmup
@@ -401,19 +287,19 @@ func (c *Compiled) Run(o experiments.Options) []*metrics.Table {
 	}
 	g := sweep.NewGrid(o)
 	for i := 0; i < space.Len(); i++ {
-		p := ax.at(space, i)
+		p, cols := cellAt(space, i)
 		// The thread count dominates a cell's simulation cost, so it is
 		// the cost hint: skewed grids dispatch their big cells first.
 		g.AddHinted(float64(c.totalThreads(p)), func(cell sweep.Cell) []sweep.Row {
 			res, stats := c.simulate(p, cell.Seed, o.Window(sim.Cycles(warmup)), o.Window(sim.Cycles(duration)))
-			return []sweep.Row{c.row(p, res, stats)}
+			return []sweep.Row{c.row(p, cols, res, stats)}
 		})
 	}
 	g.Into(t)
 	t.AddNote("scenario %s (spec %s): %d locks, %d groups; cs/threads 0 = per-op/per-group values",
 		c.Spec.Name, c.Hash, len(c.Spec.Locks), len(c.Spec.Groups))
 	names := ""
-	for _, a := range c.RunAxes(o) {
+	for _, a := range space.Axes() {
 		if names != "" {
 			names += " × "
 		}
@@ -517,15 +403,19 @@ func (c *Compiled) simulate(p cellParams, seed int64, warmup, duration sim.Cycle
 	return r.Finish(), stats
 }
 
-// build instantiates the spec's locks (pinned kinds keep their own
-// factory, the rest use the cell's lock kind) and spawns every group's
-// threads running the compiled loop.
+// build instantiates the spec's locks (pinned kinds keep their own,
+// the rest take the cell's lock kind) and spawns every group's threads
+// running the compiled loop.
 func (c *Compiled) build(r *workload.Runner, p cellParams, stats *groupStats) {
 	insts := make([]lockInst, len(c.Spec.Locks))
 	for i, ls := range c.Spec.Locks {
-		mk := p.kind.factory
-		if c.pinned[i] != nil {
-			mk = c.pinned[i]
+		kind := p.lock
+		if ls.Kind != "" {
+			kind = ls.Kind
+		}
+		mk, err := workload.FactoryNamed(kind)
+		if err != nil {
+			panic(fmt.Sprintf("scenario %s: unvalidated lock kind: %v", c.Spec.Name, err))
 		}
 		switch ls.Topology {
 		case TopoSingle:

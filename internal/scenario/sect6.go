@@ -97,8 +97,7 @@ func (s SystemConfig) Run(lock string, seed int64, warmup, duration sim.Cycles) 
 // axes: its axis at its value, the lock axis at lock, and every other
 // axis at its only value.
 func (s SystemConfig) params(lock string) (cellParams, error) {
-	ax := s.c.axes(false)
-	space := ax.space()
+	space := sweep.NewSpace(s.c.RunAxes(experiments.Options{})...)
 	co := make([]int, len(space.Axes()))
 	for i, a := range space.Axes() {
 		switch a.Name {
@@ -115,7 +114,8 @@ func (s SystemConfig) params(lock string) (cellParams, error) {
 			return cellParams{}, fmt.Errorf("scenario %s: %s is not a grid point (axis %s)", s.c.Spec.Name, s.ID(), a.Name)
 		}
 	}
-	return ax.at(space, space.Index(co...)), nil
+	p, _ := cellAt(space, space.Index(co...))
+	return p, nil
 }
 
 // resolveTable3 binds table3 to the compiled bundle, checking that

@@ -40,7 +40,6 @@ import (
 	"lockin/internal/bench/opts"
 	"lockin/internal/experiments"
 	"lockin/internal/results"
-	"lockin/internal/sweep"
 	"lockin/internal/telemetry"
 )
 
@@ -264,15 +263,9 @@ func (s *Server) runJob(j *job) {
 	j.setRunning()
 	log.Info("run started", "experiment", j.exp.ID,
 		"seed", j.opts.Seed, "scale", j.opts.Scale, "quick", j.opts.Quick)
-	start := time.Now()
-	var stats sweep.Stats
-	eo := j.opts.Options
-	eo.Progress = j.progress
-	eo.Stats = &stats
-	tables := j.exp.Run(eo)
-	wall := time.Since(start)
-	run := &results.Run{Meta: j.opts.RunMeta(j.exp), Tables: tables}
-	run.Meta.Perf = results.NewPerf(wall, int(stats.Cells()))
+	o := j.opts
+	o.Progress = j.progress
+	run := o.Run(j.exp)
 	b, err := results.Encode(run)
 	if err == nil {
 		err = results.WriteAtomic(s.cachePath(j.key), b)
@@ -291,8 +284,8 @@ func (s *Server) runJob(j *job) {
 	delete(s.jobs, j.key)
 	s.mu.Unlock()
 	s.evictPass()
-	log.Info("run done", "dur", wall.Round(time.Millisecond),
-		"cells", stats.Cells(), "cells_per_sec", run.Meta.Perf.CellsPerSec)
+	log.Info("run done", "wall_ms", run.Meta.Perf.WallMS,
+		"cells", run.Meta.Perf.Cells, "cells_per_sec", run.Meta.Perf.CellsPerSec)
 }
 
 func (s *Server) cachePath(key string) string {
