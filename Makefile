@@ -18,11 +18,13 @@ test:
 benchmark-test:
 	cd lockinbench && $(GO) vet ./... && $(GO) test ./...
 
-# The repeated run covers only the power-meter cases that start the
-# replay helper; the every-step reference cases run once in the first.
+# The repeated runs cover the power-meter cases that start the replay
+# helper (the every-step reference cases run once in the first), and the
+# kernel's driver stack, which hands control from goroutine to goroutine.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestMeterMatchesReference/replayed$$|TestMeterReplay' ./internal/power ./internal/workload
+	$(GO) test -race -count=10 -run 'TestSyncWakeOfStackedProcPanics|TestDoubleWakes|TestResumeCounts|TestDriverStackMatchesHeapModel|TestPanicsSurfaceFromRun|TestDrain' ./internal/sim
 
 # Hot-path microbenchmarks only (kernel, coherence, futex, power,
 # machine's TAS herd and core's MUTEX herd) — the tight loop while

@@ -332,6 +332,10 @@ type Meter struct {
 	// simulation otherwise.
 	in  *integrator
 	cfg Config
+	// slowMin is cfg.Slowdown(VFMin), which EffectiveSlowdown returns
+	// on every chunk a thread runs at VF-min: kept here so that read
+	// does not copy cfg.
+	slowMin float64
 }
 
 // integrator folds the logged transitions into the energy counters.
@@ -402,13 +406,14 @@ func NewMeter(k *sim.Kernel, cfg Config, t topo.Topology) *Meter {
 	in.before[0].dram = cfg.DRAMBackgroundW
 	in.recompute()
 	m := &Meter{
-		k:      k,
-		ctxs:   make([]ctxState, t.NumContexts()),
-		coreOf: coreOf,
-		vfMax:  make([]int, nc),
-		log:    takeBatch(),
-		in:     in,
-		cfg:    cfg,
+		k:       k,
+		ctxs:    make([]ctxState, t.NumContexts()),
+		coreOf:  coreOf,
+		vfMax:   make([]int, nc),
+		log:     takeBatch(),
+		in:      in,
+		cfg:     cfg,
+		slowMin: cfg.Slowdown(VFMin),
 	}
 	for c := range m.vfMax {
 		m.vfMax[c] = t.ThreadsPerCore
@@ -469,11 +474,10 @@ func (m *Meter) SetVF(ctx int, v VF) {
 // context that requested VF-min still runs at VF-max speed if its sibling
 // holds the core at VF-max.
 func (m *Meter) EffectiveSlowdown(ctx int) float64 {
-	vf := VFMin
 	if m.vfMax[m.coreOf[ctx]] > 0 {
-		vf = VFMax
+		return 1.0
 	}
-	return m.cfg.Slowdown(vf)
+	return m.slowMin
 }
 
 // note logs a transition at the current instant, and hands the batch to

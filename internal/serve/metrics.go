@@ -126,6 +126,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("sim_event_pool_recycles_total",
 		"event slots returned to kernel free lists — allocations the pooled event queue avoided",
 		func() float64 { return float64(sim.GlobalStats().EventRecycles) })
+	reg.CounterFunc("sim_coroutine_resumes_total",
+		"simulated-thread coroutine resumes: handoffs to a thread not on the driver stack, starts and synchronous wakes",
+		func() float64 { return float64(sim.GlobalStats().Resumes) })
 	reg.CounterFunc("sim_heap_compactions_total",
 		"lazy-cancel compaction passes over kernel event queues (calendar and heap)",
 		func() float64 { return float64(sim.GlobalStats().HeapCompactions) })

@@ -628,8 +628,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if d := after["sweep_cells_total"] - before["sweep_cells_total"]; d < 2 {
 		t.Errorf("sweep_cells_total moved by %v, want >= 2 (the spec's grid)", d)
 	}
-	if d := after["sim_event_pool_recycles_total"] - before["sim_event_pool_recycles_total"]; d <= 0 {
-		t.Errorf("sim_event_pool_recycles_total did not move (delta %v)", d)
+	for _, c := range []string{"sim_event_pool_recycles_total", "sim_coroutine_resumes_total"} {
+		if d := after[c] - before[c]; d <= 0 {
+			t.Errorf("%s did not move (delta %v)", c, d)
+		}
 	}
 	if after["sim_heap_high_water"] <= 0 {
 		t.Errorf("sim_heap_high_water = %v, want > 0", after["sim_heap_high_water"])

@@ -73,6 +73,26 @@ func BenchmarkProcHandoff(b *testing.B) {
 	k.Drain()
 }
 
+// BenchmarkProcHandoffRing is the handoff path for 8 procs in round
+// robin, the driver stack's near-worst case: each round (one op) hands
+// off 8 times, resuming 7 procs up the stack, and the 8th handoff
+// unwinds 7 levels.
+func BenchmarkProcHandoffRing(b *testing.B) {
+	const procs = 8
+	k := NewKernel(1)
+	n := b.N
+	for i := 0; i < procs; i++ {
+		k.Go(i, "p", Cycles(i), func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(procs)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Drain()
+}
+
 const (
 	herdSize   = 40
 	herdGap    = 10 // a TAS release's reload stagger

@@ -111,9 +111,11 @@ type Kernel struct {
 	stopped bool
 	until   Cycles // time limit of the active Run, 0 = none
 
-	// handoffTo is the parked Proc that the last handoff made the next
-	// driver of the event loop; the trampoline in Run resumes it. nil
-	// once the loop is over.
+	// handoffTo is the stacked proc that the driver stack is unwinding
+	// to: a driver popped its wake-up (or delivered its tail Wake) and
+	// found it suspended below on the stack, so every level above it
+	// yields in turn and the proc continues inline once control is back
+	// (see handoff). nil while no unwinding is in progress.
 	handoffTo *Proc
 
 	// driver is the parked Proc that is currently running the event loop
@@ -143,12 +145,13 @@ type Kernel struct {
 	// with errReleased instead of acting.
 	releasing bool
 
-	// nrecycled/ncompact/hiwater are kernel-local instrumentation
-	// counters, deliberately plain (not atomic): the hot loop bumps
-	// them for free and flushStats folds them into the process-wide
-	// telemetry totals at Run exit (see stats.go).
+	// nrecycled/ncompact/nresumes/hiwater are kernel-local
+	// instrumentation counters, deliberately plain (not atomic): the hot
+	// loop bumps them for free and flushStats folds them into the
+	// process-wide telemetry totals at Run exit (see stats.go).
 	nrecycled uint64
 	ncompact  uint64
+	nresumes  uint64
 	hiwater   int
 }
 
@@ -486,45 +489,66 @@ func (k *Kernel) exec(e *event) {
 	k.inCallback = false
 }
 
-// handoff makes parked proc p the next driver of the event loop. The
-// caller must not touch kernel state afterwards: it returns control to the
-// trampoline in Run, which resumes p.
-func (k *Kernel) handoff(p *Proc, val uint64) {
+// handoff makes parked proc p the next driver of the event loop; self is
+// the current driver, nil for Run's goroutine or a finished proc. A proc
+// that is not on the driver stack is resumed here, and self waits,
+// stacked, until p yields back. A proc on the stack below self cannot be
+// resumed, only returned to: handoff records it in handoffTo and returns
+// false at once, and every level above it yields in turn. handoff returns
+// true when control is back at self as that target, so self continues
+// inline, and false when self must yield too: the target is further
+// down, or the loop is over.
+func (k *Kernel) handoff(self, p *Proc, val uint64) bool {
 	if p.state != ProcParked {
 		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
 	}
 	p.WakeVal = val
-	p.nested = false
 	p.state = ProcRunning
-	k.handoffTo = p
+	if p.stacked {
+		k.handoffTo = p
+		return false
+	}
+	p.nested = false
+	if self != nil {
+		self.stacked = true
+	}
+	k.nresumes++
+	p.next()
+	if self == nil {
+		return false
+	}
+	self.stacked = false
+	if k.handoffTo != self {
+		return false
+	}
+	k.handoffTo = nil
+	return true
 }
 
 // drive is the event loop. Run executes it on its own goroutine, and a
 // driving proc inside its park (self) or after its body returned (nil). It
 // pops and executes events inline until control must leave the caller.
-// It returns true when the popped event is self's own wake-up — the caller
-// continues inline with no switch at all — and false when the loop was
-// handed to another proc (handoffTo) or is over (handoffTo nil).
+// It returns true when self is to continue inline: the popped event is
+// its own wake-up (no switch at all), or control came back down the
+// driver stack to it (see handoff). It returns false when self must yield
+// back to the level below, or, on Run's goroutine, when the loop is over.
 func (k *Kernel) drive(self *Proc) bool {
 	k.driver = self
 	for {
 		e := k.pop()
 		if e == nil {
 			k.driver = nil
-			k.handoffTo = nil
 			return false
 		}
 		if p := e.proc; p != nil {
 			val := e.a
 			k.recycle(e)
+			k.driver = nil
 			if p == self {
 				p.WakeVal = val
-				k.driver = nil
 				return true
 			}
-			k.driver = nil
-			k.handoff(p, val)
-			return false
+			return k.handoff(self, p, val)
 		}
 		k.exec(e)
 		if self != nil && self.wokenInline {
@@ -542,8 +566,7 @@ func (k *Kernel) drive(self *Proc) bool {
 		if q := k.deferred; q != nil {
 			k.deferred = nil
 			k.driver = nil
-			k.handoff(q, q.WakeVal)
-			return false
+			return k.handoff(self, q, q.WakeVal)
 		}
 	}
 }
@@ -552,7 +575,12 @@ func (k *Kernel) drive(self *Proc) bool {
 // coroutine, which runs until p parks or finishes and then returns here.
 // Used by Wake and Start, whose contract is that the woken proc runs to
 // its next park before the caller continues. A panic in p re-raises here.
+// A proc on the driver stack is suspended inside its own call to resume
+// another, so it cannot be resumed: transfer panics on it.
 func (k *Kernel) transfer(p *Proc) {
+	if p.stacked {
+		panic(fmt.Sprintf("sim: synchronous Wake of proc %q, which is suspended on the driver stack", p.name))
+	}
 	// The woken proc's body is ordinary proc context, not callback
 	// context: wakes it issues must stay synchronous even when this
 	// transfer was initiated from inside an event callback.
@@ -560,6 +588,7 @@ func (k *Kernel) transfer(p *Proc) {
 	k.inCallback = false
 	p.nested = true
 	p.state = ProcRunning
+	k.nresumes++
 	p.next()
 	k.inCallback = inCB
 }
@@ -569,9 +598,11 @@ func (k *Kernel) transfer(p *Proc) {
 // virtual time at exit. Events run inline on the calling goroutine until a
 // proc wake-up hands the loop to that proc, which keeps driving it inside
 // its own park (see drive). iter.Pull coroutines are asymmetric — a proc
-// can only suspend back to whoever resumed it — so a driver that hands the
-// loop to another proc suspends back to the trampoline below, which
-// resumes the new driver, until one of them ends the loop.
+// can only suspend back to whoever resumed it — so the driving procs form
+// a stack above Run: a driver resumes the next driver itself and waits,
+// and a handoff to a proc already on the stack unwinds to it, one yield
+// per level (see handoff). When the loop is over every level has yielded
+// and Run's drive returns; no proc is left on the stack.
 //
 // Run(0) that ends with an empty queue, not by Stop, ends the simulation:
 // nothing can wake a proc that is still parked, so it is released (see
@@ -586,9 +617,6 @@ func (k *Kernel) Run(until Cycles) Cycles {
 	k.stopped = false
 	k.until = until
 	k.drive(nil)
-	for p := k.handoffTo; p != nil; p = k.handoffTo {
-		p.next()
-	}
 	k.until = 0
 	if until != 0 && k.now < until && k.Pending() == 0 {
 		k.now = until

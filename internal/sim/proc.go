@@ -43,9 +43,12 @@ func (s ProcState) String() string {
 // Wake/Start (nested) it suspends back to the waker, which resumes
 // mid-callback. Otherwise the proc is the driver: on park it keeps popping
 // and executing events inline (Kernel.drive), so a sleep whose wake-up is
-// the next event costs no switch at all. A handover to another proc costs
-// two: the driver suspends to the trampoline in Kernel.Run, which resumes
-// the new driver.
+// the next event costs no switch at all. A handover to another proc that
+// is not on the driver stack costs one resume, which the driver makes
+// itself, staying on the stack (stacked) until control comes back down;
+// the resumed proc's later yield is the one matching switch. A handover to
+// a proc already on the stack costs no resume: each level above it yields
+// once, and it continues inline (see Kernel.handoff).
 //
 // A started proc whose body has not returned sits on its kernel's list of
 // live procs. Drain ends the simulation: it releases every proc still
@@ -69,8 +72,14 @@ type Proc struct {
 	prevLive, nextLive *Proc
 	// nested is true when the proc was resumed by a synchronous
 	// Wake/Start and yields back to the waker on park; false when it
-	// was resumed by the trampoline as the event loop's driver.
+	// was resumed by a handoff as the event loop's driver.
 	nested bool
+
+	// stacked is true while the proc, driving the event loop inside its
+	// park, waits in Kernel.handoff for a proc it resumed to yield back.
+	// Its coroutine is mid-call then, so it can only be handed the loop
+	// by unwinding, never resumed (Kernel.transfer panics on it).
+	stacked bool
 
 	// wokenInline records a Wake delivered while this proc was itself
 	// driving the event loop: the waking callback runs beneath the
@@ -121,12 +130,12 @@ func (p *Proc) Start() {
 
 // run is the coroutine: execute the body, then release control — back to
 // a nested waker by returning, or, when this proc was the driver, by
-// driving the event loop until it is handed on. iter.Pull re-raises a
-// panic anywhere in it (the body or an event callback executed while
-// driving) in whoever resumed the coroutine, so it propagates out of
-// Kernel.Run. The one exception is errReleased: while Drain releases the
-// proc, the body unwinds with it and run recovers it, so the coroutine
-// ends quietly.
+// driving the event loop until control must go down the driver stack
+// (see Kernel.handoff). iter.Pull re-raises a panic anywhere in it (the
+// body or an event callback executed while driving) in whoever resumed
+// the coroutine, so it propagates out of Kernel.Run. The one exception is
+// errReleased: while Drain releases the proc, the body unwinds with it
+// and run recovers it, so the coroutine ends quietly.
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
@@ -145,9 +154,10 @@ func (p *Proc) run(yield func(struct{}) bool) {
 }
 
 // park suspends the calling proc until it is woken. A nested-woken proc
-// suspends back to its waker; a driver keeps executing events inline and,
-// if the next wake-up is its own, continues without suspending. A yield
-// that returns false means Drain is releasing the proc: the body unwinds.
+// suspends back to its waker; a driver keeps executing events inline and
+// continues without suspending if the next wake-up is its own, or if
+// control comes back down the driver stack to it. A yield that returns
+// false means Drain is releasing the proc: the body unwinds.
 func (p *Proc) park() {
 	p.k.checkLive()
 	p.state = ProcParked
@@ -176,7 +186,9 @@ func (p *Proc) Park() uint64 {
 // when the callback returns, by tail handoff, or inline when the callback
 // is already executing inside p's own park as the driver. Wake panics
 // unless p is parked, so waking a proc that Drain released panics as
-// waking a finished one does.
+// waking a finished one does. Only a tail wake may target a proc on the
+// driver stack: a synchronous one (from proc context, the first of two
+// wakes in one callback, or one beside a wake of the driver) panics.
 func (p *Proc) Wake(val uint64) {
 	k := p.k
 	k.checkLive()
@@ -203,8 +215,9 @@ func (p *Proc) Wake(val uint64) {
 
 // WakeAt schedules p to be woken at now+d with the given token and returns
 // the timer event (cancellable). The wake-up is a typed event — no closure
-// is allocated, and the kernel delivers it with at most two coroutine
-// switches (none when p itself is driving the event loop).
+// is allocated, and the kernel delivers it with at most one coroutine
+// resume (none when p itself is driving the event loop or is on the driver
+// stack).
 func (p *Proc) WakeAt(d Cycles, val uint64) Event {
 	return p.k.scheduleWake(d, p, val)
 }

@@ -326,6 +326,35 @@ func TestPanicsSurfaceFromRun(t *testing.T) {
 				panic(boom)
 			})
 		}},
+		{"proc resumed by a driving proc", func(t *testing.T, k *Kernel, boom any) {
+			a := k.Go(0, "a", 0, func(p *Proc) {
+				p.Sleep(10)  // resumed by Run: a drives from here on
+				p.Sleep(100) // pops b's wake-up and resumes b itself
+			})
+			k.Go(1, "b", 0, func(p *Proc) {
+				p.Sleep(20)
+				if !a.stacked {
+					t.Error("b was not resumed by a on the driver stack")
+				}
+				panic(boom)
+			})
+		}},
+		{"callback run by a proc two levels up the stack", func(t *testing.T, k *Kernel, boom any) {
+			a := k.Go(0, "a", 0, func(p *Proc) {
+				p.Sleep(10)
+				p.Sleep(1000) // resumes b
+			})
+			b := k.Go(1, "b", 0, func(p *Proc) {
+				p.Sleep(20)
+				p.Sleep(1000) // executes the t=50 callback inside its park
+			})
+			k.Schedule(50, func() {
+				if k.driver != b || !a.stacked {
+					t.Errorf("callback ran with driver %v, a stacked %v; want proc b above a", k.driver, a.stacked)
+				}
+				panic(boom)
+			})
+		}},
 		{"proc resumed by a synchronous Wake", func(t *testing.T, k *Kernel, boom any) {
 			a := k.Go(0, "a", 0, func(p *Proc) {
 				p.Park()

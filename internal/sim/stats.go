@@ -4,13 +4,15 @@ import "sync/atomic"
 
 // Process-wide kernel telemetry. The event-queue hot path never touches
 // these: each Kernel keeps plain local counters (nrecycled, ncompact,
-// hiwater) and flushes them here once per Run exit (flushStats), so
-// instrumentation costs the hot loop nothing and parallel sweeps do not
-// contend on shared cache lines. Scrape surfaces (the benchmark
-// service's /metrics) read them through Stats at their own pace.
+// nresumes, hiwater) and flushes them here once per Run exit
+// (flushStats), so instrumentation costs the hot loop nothing and
+// parallel sweeps do not contend on shared cache lines. Scrape surfaces
+// (the benchmark service's /metrics) read them through Stats at their
+// own pace.
 var (
 	totalRecycles    atomic.Uint64
 	totalCompactions atomic.Uint64
+	totalResumes     atomic.Uint64
 	heapHighWater    atomic.Int64
 )
 
@@ -24,6 +26,9 @@ type Stats struct {
 	// when cancelled entries outnumber live ones among ≥ 64 pending
 	// events, counted across the calendar and the heap).
 	HeapCompactions uint64
+	// Resumes counts coroutine resumes: a handoff to a proc not on the
+	// driver stack, a Start and a synchronous Wake each make one.
+	Resumes uint64
 	// HeapHighWater is the most pending events any kernel held at once,
 	// calendar and heap together (Kernel.Pending after a push).
 	HeapHighWater int
@@ -34,12 +39,13 @@ func GlobalStats() Stats {
 	return Stats{
 		EventRecycles:   totalRecycles.Load(),
 		HeapCompactions: totalCompactions.Load(),
+		Resumes:         totalResumes.Load(),
 		HeapHighWater:   int(heapHighWater.Load()),
 	}
 }
 
 // flushStats folds this kernel's local counters into the process-wide
-// totals: two atomic adds and a CAS-max, paid once per Run, not per
+// totals: three atomic adds and a CAS-max, paid once per Run, not per
 // event.
 func (k *Kernel) flushStats() {
 	if k.nrecycled != 0 {
@@ -49,6 +55,10 @@ func (k *Kernel) flushStats() {
 	if k.ncompact != 0 {
 		totalCompactions.Add(k.ncompact)
 		k.ncompact = 0
+	}
+	if k.nresumes != 0 {
+		totalResumes.Add(k.nresumes)
+		k.nresumes = 0
 	}
 	hw := int64(k.hiwater)
 	for {

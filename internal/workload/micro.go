@@ -100,7 +100,13 @@ func RunMicro(cfg MicroConfig) Result {
 
 	acquires := make([]uint64, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
-		rng := rand.New(rand.NewSource(cfg.Machine.Seed + int64(i)*7919))
+		// Only a lock array draws from the generator, and seeding a
+		// 4.9 KB one per worker is not cheap, so one-lock runs build
+		// none.
+		var rng *rand.Rand
+		if cfg.Locks > 1 {
+			rng = rand.New(rand.NewSource(cfg.Machine.Seed + int64(i)*7919))
+		}
 		r.M.Spawn("worker", func(t *machine.Thread) {
 			for r.Running(t) {
 				l := locks[0]
