@@ -24,7 +24,7 @@ benchmark-test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestMeterMatchesReference/replayed$$|TestMeterReplay' ./internal/power ./internal/workload
-	$(GO) test -race -count=10 -run 'TestSyncWakeOfStackedProcPanics|TestDoubleWakes|TestResumeCounts|TestDriverStackMatchesHeapModel|TestPanicsSurfaceFromRun|TestDrain' ./internal/sim
+	$(GO) test -race -count=10 -run 'TestWakeIsACallbacksLastAction|TestResumeCounts|TestDriverStackMatchesHeapModel|TestPanicsSurfaceFromRun|TestDrain' ./internal/sim
 
 # Hot-path microbenchmarks only (kernel, coherence, futex, power,
 # machine's TAS herd and core's MUTEX herd) — the tight loop while

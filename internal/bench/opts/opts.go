@@ -360,7 +360,7 @@ func ParseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("bad byte size %q: want a non-negative number", s)
 	}
 	n := f * float64(mult)
-	if n > math.MaxInt64 {
+	if n >= 1<<63 { // float64(math.MaxInt64) is 2^63, which int64 cannot hold
 		return 0, fmt.Errorf("bad byte size %q: overflows", s)
 	}
 	return int64(n), nil

@@ -125,6 +125,9 @@ func TestParseBytes(t *testing.T) {
 		{"12qb", 0, "bad byte size"},
 		{"-1", 0, "bad byte size"},
 		{"1e3", 0, "bad byte size"},
+		{"8589934591GiB", 8589934591 << 30, ""},
+		{"9223372036854775807", 0, "overflows"},
+		{"8589934592GiB", 0, "overflows"},
 	}
 	for _, c := range cases {
 		got, err := opts.ParseBytes(c.in)

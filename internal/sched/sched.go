@@ -299,15 +299,13 @@ func (s *Scheduler) dispatch(t *Thread, ctx int) {
 	t.Dispatches++
 	s.meter.SetVF(ctx, t.vf)
 	s.meter.SetActivity(ctx, t.activity)
-	if t.p.State() == sim.ProcNew {
-		t.p.Start()
-	} else if c := t.onDispatch; c != nil {
+	if c := t.onDispatch; c != nil {
 		// The thread was descheduled in a call: the call goes on here,
 		// where the thread would have resumed.
 		t.onDispatch = nil
 		c.Next()
 	} else {
-		t.p.Wake(0)
+		t.p.Wake(0) // the first starts the thread's proc
 	}
 }
 
@@ -445,15 +443,14 @@ func (t *Thread) Requeue(then Call) {
 	t.s.release(ctx)
 }
 
-// Block deschedules the thread (futex sleep). It returns the wake token
-// once another actor calls Unblock and the thread is dispatched again.
-// If an Unblock already arrived (wake racing with the descheduling
-// path), Block consumes the permit and returns immediately.
-func (t *Thread) Block() uint64 {
-	if !t.Deschedule(nil) {
-		return 0
+// Block deschedules the thread (futex sleep). It returns once another
+// actor calls Unblock and the thread is dispatched again. If an Unblock
+// already arrived (wake racing with the descheduling path), Block
+// consumes the permit and returns immediately.
+func (t *Thread) Block() {
+	if t.Deschedule(nil) {
+		t.p.Park()
 	}
-	return t.p.Park()
 }
 
 // Deschedule takes the thread off its context, as Block does, without

@@ -127,7 +127,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"event slots returned to kernel free lists — allocations the pooled event queue avoided",
 		func() float64 { return float64(sim.GlobalStats().EventRecycles) })
 	reg.CounterFunc("sim_coroutine_resumes_total",
-		"simulated-thread coroutine resumes: handoffs to a thread not on the driver stack, starts and synchronous wakes",
+		"simulated-thread coroutine resumes: handoffs to a thread not on the driver stack, starts included",
 		func() float64 { return float64(sim.GlobalStats().Resumes) })
 	reg.CounterFunc("sim_heap_compactions_total",
 		"lazy-cancel compaction passes over kernel event queues (calendar and heap)",

@@ -98,8 +98,9 @@ func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProcWakeSteadyStateZeroAlloc: a proc that wakes another from proc
-// context (the synchronous, nested Wake) allocates nothing per wake.
+// TestProcWakeSteadyStateZeroAlloc: a proc that wakes another through a
+// scheduled callback's tail Wake, the one wake path, allocates nothing
+// per wake.
 func TestProcWakeSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel(1)
 	a := k.Go(0, "waiter", 0, func(p *Proc) {
@@ -109,8 +110,8 @@ func TestProcWakeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	k.Go(1, "waker", 0, func(p *Proc) {
 		for {
+			k.ScheduleCall(0, tailWake, a, 1, 0)
 			p.Sleep(10)
-			a.Wake(1)
 		}
 	})
 	until := Cycles(0)
@@ -122,6 +123,6 @@ func TestProcWakeSteadyStateZeroAlloc(t *testing.T) {
 		step()
 	}
 	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Errorf("synchronous Wake allocates %.1f per 100 cycles, want 0", n)
+		t.Errorf("tail Wake allocates %.1f per 100 cycles, want 0", n)
 	}
 }

@@ -55,7 +55,7 @@ func BenchmarkProcParkWake(b *testing.B) {
 	k.Drain()
 }
 
-// BenchmarkProcHandoff measures the cross-proc transfer path: two procs
+// BenchmarkProcHandoff measures the cross-proc handoff path: two procs
 // whose sleep wakes interleave, so every park hands control to the other
 // proc (the pattern of every lock handover in the simulator).
 func BenchmarkProcHandoff(b *testing.B) {

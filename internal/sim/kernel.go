@@ -19,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 )
@@ -41,7 +42,7 @@ type Cycles uint64
 // event is the pooled internal representation of a scheduled callback.
 // Exactly one of call or proc describes the action: call is a callback
 // invoked as call(obj, a, b) (Schedule's closure travels as obj, run by
-// callFunc), and proc is a typed wake-up delivering the wake value in a.
+// callFunc), and proc is a typed wake-up.
 type event struct {
 	at   Cycles
 	seq  uint64
@@ -118,31 +119,22 @@ type Kernel struct {
 	// (see handoff). nil while no unwinding is in progress.
 	handoffTo *Proc
 
-	// driver is the parked Proc that is currently running the event loop
-	// inside its own park (Kernel.drive), nil when Run's goroutine or a
-	// finished proc is. An event callback that wakes the driver is
-	// executing beneath that proc's own park frame, so the wake cannot
-	// transfer — it is marked on the proc and delivered when the callback
-	// returns.
-	driver *Proc
-
-	// inCallback is true while an event callback is executing (and no
-	// nested proc transfer is in progress). A Wake issued from such a
-	// callback as its last action need not make a synchronous round trip:
-	// it is recorded in deferred and delivered by a tail handoff when the
-	// callback returns, so the woken proc takes over the event loop
-	// instead of switching back to the callback's caller.
+	// inCallback is true while an event callback is executing: the only
+	// place a Wake is legal, as the callback's one last action. The Wake
+	// records its proc in deferred, and drive delivers it when the
+	// callback returns, so the woken proc takes over the event loop (or
+	// the driver continues inline, if it woke itself). deferred is nil
+	// while no Wake awaits that delivery.
 	inCallback bool
-	// deferred is the proc awaiting that tail delivery, nil if none.
-	deferred *Proc
+	deferred   *Proc
 
 	// live heads the list of started procs whose body has not returned,
 	// threaded through Proc.prevLive/nextLive. Drain releases whatever is
 	// still on it once the queue is empty.
 	live *Proc
 	// releasing is true while Drain releases those procs. A released body
-	// that reaches the kernel (park, Wake, Start or a schedule) unwinds
-	// with errReleased instead of acting.
+	// that reaches the kernel (park, Wake or a schedule) unwinds with
+	// errReleased instead of acting.
 	releasing bool
 
 	// nrecycled/ncompact/nresumes/hiwater are kernel-local
@@ -223,13 +215,12 @@ func (k *Kernel) ScheduleCall(d Cycles, call func(obj any, a, b uint64), obj any
 	return Event{e: e, gen: e.gen}
 }
 
-// scheduleWake registers a typed wake-up of p at now+d carrying val.
-func (k *Kernel) scheduleWake(d Cycles, p *Proc, val uint64) Event {
+// scheduleWake registers a typed wake-up of p at now+d. It carries no
+// token: drive delivers it with WakeVal 0, as a timer's.
+func (k *Kernel) scheduleWake(d Cycles, p *Proc) {
 	e := k.alloc(d)
 	e.proc = p
-	e.a = val
 	k.push(e)
-	return Event{e: e, gen: e.gen}
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
@@ -478,9 +469,8 @@ func (k *Kernel) pop() *event {
 }
 
 // exec recycles e and runs its callback, on Run's goroutine or inside the
-// driving proc's park; the callback may nest Wake/Start transfers. While
-// it runs, inCallback arms the deferred-wake fast path (see Proc.Wake);
-// the caller delivers any deferred wake afterwards.
+// driving proc's park. While it runs, inCallback makes a Wake legal as its
+// one last action (see Proc.Wake); drive delivers that wake afterwards.
 func (k *Kernel) exec(e *event) {
 	call, obj, a, b := e.call, e.obj, e.a, e.b
 	k.recycle(e)
@@ -489,26 +479,27 @@ func (k *Kernel) exec(e *event) {
 	k.inCallback = false
 }
 
-// handoff makes parked proc p the next driver of the event loop; self is
-// the current driver, nil for Run's goroutine or a finished proc. A proc
-// that is not on the driver stack is resumed here, and self waits,
-// stacked, until p yields back. A proc on the stack below self cannot be
-// resumed, only returned to: handoff records it in handoffTo and returns
-// false at once, and every level above it yields in turn. handoff returns
-// true when control is back at self as that target, so self continues
-// inline, and false when self must yield too: the target is further
-// down, or the loop is over.
-func (k *Kernel) handoff(self, p *Proc, val uint64) bool {
-	if p.state != ProcParked {
-		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
+// handoff makes p, new or parked with its WakeVal set, the next driver of
+// the event loop; self is the current driver, nil for Run's goroutine or a
+// finished proc. A new proc's coroutine is created and linked on the live
+// list here. A proc that is not on the driver stack is resumed here, and
+// self waits, stacked, until p yields back. A proc on the stack below self
+// cannot be resumed, only returned to: handoff records it in handoffTo and
+// returns false at once, and every level above it yields in turn. handoff
+// returns true when control is back at self as that target, so self
+// continues inline, and false when self must yield too: the target is
+// further down, or the loop is over.
+func (k *Kernel) handoff(self, p *Proc) bool {
+	p.checkWakeable()
+	if p.state == ProcNew {
+		p.next, p.stop = iter.Pull(p.run)
+		k.link(p)
 	}
-	p.WakeVal = val
 	p.state = ProcRunning
 	if p.stacked {
 		k.handoffTo = p
 		return false
 	}
-	p.nested = false
 	if self != nil {
 		self.stacked = true
 	}
@@ -527,70 +518,34 @@ func (k *Kernel) handoff(self, p *Proc, val uint64) bool {
 
 // drive is the event loop. Run executes it on its own goroutine, and a
 // driving proc inside its park (self) or after its body returned (nil). It
-// pops and executes events inline until control must leave the caller.
-// It returns true when self is to continue inline: the popped event is
-// its own wake-up (no switch at all), or control came back down the
-// driver stack to it (see handoff). It returns false when self must yield
-// back to the level below, or, on Run's goroutine, when the loop is over.
+// pops and executes events inline until control must leave the caller: a
+// typed wake-up pops, or a callback ends with a Wake. It returns true when
+// self is to continue inline: the wake is its own (no switch at all), or
+// control came back down the driver stack to it (see handoff). It returns
+// false when self must yield back to the level below, or, on Run's
+// goroutine, when the loop is over.
 func (k *Kernel) drive(self *Proc) bool {
-	k.driver = self
 	for {
 		e := k.pop()
 		if e == nil {
-			k.driver = nil
 			return false
 		}
-		if p := e.proc; p != nil {
-			val := e.a
+		p := e.proc
+		if p == nil {
+			k.exec(e)
+			if p = k.deferred; p == nil {
+				continue
+			}
+			k.deferred = nil
+		} else {
+			p.WakeVal = 0
 			k.recycle(e)
-			k.driver = nil
-			if p == self {
-				p.WakeVal = val
-				return true
-			}
-			return k.handoff(self, p, val)
 		}
-		k.exec(e)
-		if self != nil && self.wokenInline {
-			self.wokenInline = false
-			if q := k.deferred; q != nil {
-				// The callback woke both another proc and the driver
-				// itself; run the other proc to its next park before
-				// resuming the driver's body.
-				k.deferred = nil
-				k.transfer(q)
-			}
-			k.driver = nil
+		if p == self {
 			return true
 		}
-		if q := k.deferred; q != nil {
-			k.deferred = nil
-			k.driver = nil
-			return k.handoff(self, q, q.WakeVal)
-		}
+		return k.handoff(self, p)
 	}
-}
-
-// transfer performs a synchronous nested switch to p: it resumes p's
-// coroutine, which runs until p parks or finishes and then returns here.
-// Used by Wake and Start, whose contract is that the woken proc runs to
-// its next park before the caller continues. A panic in p re-raises here.
-// A proc on the driver stack is suspended inside its own call to resume
-// another, so it cannot be resumed: transfer panics on it.
-func (k *Kernel) transfer(p *Proc) {
-	if p.stacked {
-		panic(fmt.Sprintf("sim: synchronous Wake of proc %q, which is suspended on the driver stack", p.name))
-	}
-	// The woken proc's body is ordinary proc context, not callback
-	// context: wakes it issues must stay synchronous even when this
-	// transfer was initiated from inside an event callback.
-	inCB := k.inCallback
-	k.inCallback = false
-	p.nested = true
-	p.state = ProcRunning
-	k.nresumes++
-	p.next()
-	k.inCallback = inCB
 }
 
 // Run executes events in timestamp order until the queue drains, the clock
@@ -639,7 +594,7 @@ func (k *Kernel) Drain() Cycles { return k.Run(0) }
 var errReleased = errors.New("sim: proc released by Drain")
 
 // checkLive panics with errReleased while Drain releases parked procs, so
-// a released body's deferred code cannot park, wake, start or schedule.
+// a released body's deferred code cannot park, wake or schedule.
 func (k *Kernel) checkLive() {
 	if k.releasing {
 		panic(errReleased)

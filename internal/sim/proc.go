@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // ProcState describes the lifecycle of a simulated thread.
 type ProcState int
@@ -39,16 +36,15 @@ func (s ProcState) String() string {
 // goroutine) runs at a time, and control moves between them by coroutine
 // switches, which bypass the Go scheduler.
 //
-// A proc suspends in one of two modes. After a synchronous nested
-// Wake/Start (nested) it suspends back to the waker, which resumes
-// mid-callback. Otherwise the proc is the driver: on park it keeps popping
-// and executing events inline (Kernel.drive), so a sleep whose wake-up is
-// the next event costs no switch at all. A handover to another proc that
-// is not on the driver stack costs one resume, which the driver makes
-// itself, staying on the stack (stacked) until control comes back down;
-// the resumed proc's later yield is the one matching switch. A handover to
-// a proc already on the stack costs no resume: each level above it yields
-// once, and it continues inline (see Kernel.handoff).
+// Every resume of a proc, its start included, is a handoff through the
+// driver stack: the woken proc becomes the driver, and on park it keeps
+// popping and executing events inline (Kernel.drive), so a sleep whose
+// wake-up is the next event costs no switch at all. A handover to another
+// proc that is not on the driver stack costs one resume, which the driver
+// makes itself, staying on the stack (stacked) until control comes back
+// down; the resumed proc's later yield is the one matching switch. A
+// handover to a proc already on the stack costs no resume: each level
+// above it yields once, and it continues inline (see Kernel.handoff).
 //
 // A started proc whose body has not returned sits on its kernel's list of
 // live procs. Drain ends the simulation: it releases every proc still
@@ -70,22 +66,12 @@ type Proc struct {
 	// procs whose body has not returned (Kernel.live), so tracking them
 	// allocates nothing and a finished proc is pinned by no one.
 	prevLive, nextLive *Proc
-	// nested is true when the proc was resumed by a synchronous
-	// Wake/Start and yields back to the waker on park; false when it
-	// was resumed by a handoff as the event loop's driver.
-	nested bool
 
 	// stacked is true while the proc, driving the event loop inside its
 	// park, waits in Kernel.handoff for a proc it resumed to yield back.
 	// Its coroutine is mid-call then, so it can only be handed the loop
-	// by unwinding, never resumed (Kernel.transfer panics on it).
+	// by unwinding, never resumed.
 	stacked bool
-
-	// wokenInline records a Wake delivered while this proc was itself
-	// driving the event loop: the waking callback runs beneath the
-	// proc's own park frame, so the wake is marked here and the body
-	// resumes when the callback returns (see Kernel.drive).
-	wokenInline bool
 
 	// WakeVal carries an optional token from the waker to the parked
 	// proc (e.g. futex wake reason). Zero when woken by a timer.
@@ -93,7 +79,7 @@ type Proc struct {
 }
 
 // NewProc creates a simulated thread that will execute body when started.
-// The Proc does not run until Start (typically via a scheduled event).
+// The Proc does not run until its first Wake, or the wake-up Go schedules.
 func (k *Kernel) NewProc(id int, name string, body func(*Proc)) *Proc {
 	return &Proc{k: k, id: id, name: name, state: ProcNew, body: body}
 }
@@ -113,25 +99,9 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the kernel's current virtual time.
 func (p *Proc) Now() Cycles { return p.k.now }
 
-// Start creates the Proc's coroutine, adds it to the kernel's live procs
-// and runs it until its first park. Must be called from kernel context (an
-// event callback) or before Run. The proc leaves the live list when its
-// body returns or when Drain releases it.
-func (p *Proc) Start() {
-	if p.state != ProcNew {
-		panic("sim: Start on a non-new Proc")
-	}
-	k := p.k
-	k.checkLive()
-	p.next, p.stop = iter.Pull(p.run)
-	k.link(p)
-	k.transfer(p)
-}
-
-// run is the coroutine: execute the body, then release control — back to
-// a nested waker by returning, or, when this proc was the driver, by
-// driving the event loop until control must go down the driver stack
-// (see Kernel.handoff). iter.Pull re-raises a panic anywhere in it (the
+// run is the coroutine: execute the body, then release control by driving
+// the event loop until control must go down the driver stack (see
+// Kernel.handoff). iter.Pull re-raises a panic anywhere in it (the
 // body or an event callback executed while driving) in whoever resumed
 // the coroutine, so it propagates out of Kernel.Run. The one exception is
 // errReleased: while Drain releases the proc, the body unwinds with it
@@ -148,20 +118,18 @@ func (p *Proc) run(yield func(struct{}) bool) {
 	p.body(p)
 	p.k.unlink(p)
 	p.state = ProcDone
-	if !p.nested {
-		p.k.drive(nil)
-	}
+	p.k.drive(nil)
 }
 
-// park suspends the calling proc until it is woken. A nested-woken proc
-// suspends back to its waker; a driver keeps executing events inline and
-// continues without suspending if the next wake-up is its own, or if
-// control comes back down the driver stack to it. A yield that returns
-// false means Drain is releasing the proc: the body unwinds.
+// park suspends the calling proc until it is woken. The proc keeps
+// executing events inline as the driver and continues without suspending
+// if the next wake-up is its own, or if control comes back down the driver
+// stack to it. A yield that returns false means Drain is releasing the
+// proc: the body unwinds.
 func (p *Proc) park() {
 	p.k.checkLive()
 	p.state = ProcParked
-	if !p.nested && p.k.drive(p) {
+	if p.k.drive(p) {
 		p.state = ProcRunning
 		return
 	}
@@ -178,48 +146,30 @@ func (p *Proc) Park() uint64 {
 	return p.WakeVal
 }
 
-// Wake unparks p with the given token. Called from a running proc, control
-// transfers to p immediately and returns here once p parks or finishes
-// again. Called from an event callback, the wake must be the callback's
-// last observable action (no scheduling, RNG draws or further wakes after
-// it — consecutive wakes are fine) and delivery is optimized: p resumes
-// when the callback returns, by tail handoff, or inline when the callback
-// is already executing inside p's own park as the driver. Wake panics
-// unless p is parked, so waking a proc that Drain released panics as
-// waking a finished one does. Only a tail wake may target a proc on the
-// driver stack: a synchronous one (from proc context, the first of two
-// wakes in one callback, or one beside a wake of the driver) panics.
+// Wake unparks p with the given token, or starts p if it is new. It is
+// legal only as an event callback's one last action (no scheduling, RNG
+// draws or second Wake after it): p resumes when the callback returns, by
+// tail handoff, or inline when p is the driver executing the callback in
+// its own park. A Wake from proc context, a second Wake in one callback
+// and a Wake of a proc that is neither new nor parked panic with a message
+// that names p, so waking a proc that Drain released panics as waking a
+// finished one does.
 func (p *Proc) Wake(val uint64) {
 	k := p.k
 	k.checkLive()
-	if p.state != ProcParked {
-		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
+	p.checkWakeable()
+	if !k.inCallback || k.deferred != nil {
+		panic(fmt.Sprintf("sim: Wake of proc %q is not the one last action of an event callback", p.name))
 	}
 	p.WakeVal = val
-	if k.driver == p {
-		p.wokenInline = true
-		return
-	}
-	if k.inCallback {
-		if q := k.deferred; q != nil {
-			// Second wake from one callback: run the first-woken proc to
-			// its next park now, preserving wake order, and defer this one.
-			k.deferred = nil
-			k.transfer(q)
-		}
-		k.deferred = p
-		return
-	}
-	k.transfer(p)
+	k.deferred = p
 }
 
-// WakeAt schedules p to be woken at now+d with the given token and returns
-// the timer event (cancellable). The wake-up is a typed event — no closure
-// is allocated, and the kernel delivers it with at most one coroutine
-// resume (none when p itself is driving the event loop or is on the driver
-// stack).
-func (p *Proc) WakeAt(d Cycles, val uint64) Event {
-	return p.k.scheduleWake(d, p, val)
+// checkWakeable panics unless p is new or parked.
+func (p *Proc) checkWakeable() {
+	if p.state != ProcNew && p.state != ProcParked {
+		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
+	}
 }
 
 // Sleep advances virtual time by d for this proc: it schedules its own
@@ -228,19 +178,17 @@ func (p *Proc) Sleep(d Cycles) {
 	if d == 0 {
 		return
 	}
-	p.k.scheduleWake(d, p, 0)
+	p.k.scheduleWake(d, p)
 	p.park()
 }
 
 // Done reports whether the proc body has returned or Drain released it.
 func (p *Proc) Done() bool { return p.state == ProcDone }
 
-// startProc is the ScheduleCall callback used by Go.
-func startProc(obj any, _, _ uint64) { obj.(*Proc).Start() }
-
-// Go is a convenience: create a proc and schedule its start at now+delay.
+// Go is a convenience: create a proc and schedule its start, a typed
+// wake-up, at now+delay.
 func (k *Kernel) Go(id int, name string, delay Cycles, body func(*Proc)) *Proc {
 	p := k.NewProc(id, name, body)
-	k.ScheduleCall(delay, startProc, p, 0, 0)
+	k.scheduleWake(delay, p)
 	return p
 }

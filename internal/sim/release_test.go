@@ -16,6 +16,14 @@ func procGoroutines() int {
 	return bytes.Count(buf, []byte("lockin/internal/sim.(*Proc).run("))
 }
 
+// onProcCoroutine reports whether the caller runs on a proc's coroutine,
+// not on Run's goroutine.
+func onProcCoroutine() bool {
+	buf := make([]byte, 64<<10)
+	buf = buf[:runtime.Stack(buf, false)]
+	return bytes.Contains(buf, []byte("lockin/internal/sim.(*Proc).run("))
+}
+
 // parkForever is a body that nothing ever wakes, like Figure 3's sleepers.
 func parkForever(t *testing.T) func(*Proc) {
 	return func(p *Proc) {
@@ -109,14 +117,14 @@ func TestWakeReleasedProcPanics(t *testing.T) {
 
 // TestReleasedBodyRunsNoSimulationCode: while Drain releases, a body
 // whose deferred calls reach the kernel unwinds instead of acting. A
-// deferred Sleep, Schedule or Start leaves no event, a deferred Park
-// leaves its proc done, and a deferred Wake wakes nobody, even a proc
-// not yet released.
+// deferred Sleep or Schedule leaves no event, a deferred Park leaves its
+// proc done, and a deferred Wake wakes nobody, even a proc not yet
+// released, and starts no new proc.
 func TestReleasedBodyRunsNoSimulationCode(t *testing.T) {
 	before := procGoroutines()
 	k := NewKernel(1)
 	other := k.Go(0, "other", 0, parkForever(t))
-	unstarted := k.NewProc(1, "unstarted", func(p *Proc) { t.Error("deferred Start ran a body") })
+	unstarted := k.NewProc(1, "unstarted", func(p *Proc) { t.Error("deferred Wake started a body") })
 	k.Go(2, "sleeper", 0, func(p *Proc) {
 		defer p.Sleep(10)
 		p.Park()
@@ -130,7 +138,7 @@ func TestReleasedBodyRunsNoSimulationCode(t *testing.T) {
 		p.Park()
 	})
 	k.Go(5, "starter", 0, func(p *Proc) {
-		defer unstarted.Start()
+		defer unstarted.Wake(0)
 		p.Park()
 	})
 	parker := k.Go(6, "parker", 0, func(p *Proc) {

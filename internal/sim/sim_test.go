@@ -134,7 +134,7 @@ func TestProcParkWake(t *testing.T) {
 	waiter = k.NewProc(0, "waiter", func(p *Proc) {
 		got = p.Park()
 	})
-	k.Schedule(0, func() { waiter.Start() })
+	k.Schedule(0, func() { waiter.Wake(0) }) // the first Wake starts it
 	k.Schedule(50, func() { waiter.Wake(42) })
 	k.Drain()
 	if got != 42 {
@@ -145,21 +145,25 @@ func TestProcParkWake(t *testing.T) {
 	}
 }
 
+// TestProcWakeFromOtherProc: a proc wakes another through a callback it
+// schedules, whose Wake is its last action, and sleeps past it, so the
+// woken proc runs in between.
 func TestProcWakeFromOtherProc(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
-	var a *Proc
-	a = k.NewProc(0, "a", func(p *Proc) {
-		p.Park()
+	a := k.Go(0, "a", 0, func(p *Proc) {
+		if v := p.Park(); v != 1 {
+			t.Errorf("a woke with %d, want 1", v)
+		}
 		order = append(order, "a-woken")
 	})
 	k.Go(1, "b", 0, func(p *Proc) {
 		p.Sleep(10)
 		order = append(order, "b-before-wake")
-		a.Wake(1)
+		k.ScheduleCall(0, tailWake, a, 1, 0)
+		p.Sleep(1)
 		order = append(order, "b-after-wake")
 	})
-	k.Schedule(0, func() { a.Start() })
 	k.Drain()
 	want := []string{"b-before-wake", "a-woken", "b-after-wake"}
 	if len(order) != 3 {
@@ -172,35 +176,13 @@ func TestProcWakeFromOtherProc(t *testing.T) {
 	}
 }
 
-func TestWakeAtCancellable(t *testing.T) {
-	k := NewKernel(1)
-	woken := false
-	p := k.NewProc(0, "p", func(p *Proc) {
-		v := p.Park()
-		woken = true
-		if v != 7 {
-			t.Errorf("WakeVal = %d, want 7", v)
-		}
-	})
-	k.Schedule(0, func() { p.Start() })
-	k.Schedule(1, func() {
-		timer := p.WakeAt(100, 99)
-		k.Cancel(timer)
-		p.WakeAt(10, 7)
-	})
-	k.Drain()
-	if !woken {
-		t.Fatal("never woken")
-	}
-}
-
 func TestProcStates(t *testing.T) {
 	k := NewKernel(1)
 	p := k.NewProc(0, "p", func(p *Proc) { p.Sleep(5) })
 	if p.State() != ProcNew {
 		t.Fatalf("state %v, want new", p.State())
 	}
-	k.Schedule(0, func() { p.Start() })
+	k.Schedule(0, func() { p.Wake(0) })
 	k.Run(1)
 	if p.State() != ProcParked {
 		t.Fatalf("state %v, want parked", p.State())
@@ -320,8 +302,8 @@ func TestPanicsSurfaceFromRun(t *testing.T) {
 				p.Sleep(100) // executes the t=50 callback inside its park
 			})
 			k.Schedule(50, func() {
-				if k.driver != p {
-					t.Errorf("callback ran with driver %v, want proc p", k.driver)
+				if p.State() != ProcParked || !onProcCoroutine() {
+					t.Errorf("callback ran on Run's goroutine, want proc p's park")
 				}
 				panic(boom)
 			})
@@ -349,22 +331,25 @@ func TestPanicsSurfaceFromRun(t *testing.T) {
 				p.Sleep(1000) // executes the t=50 callback inside its park
 			})
 			k.Schedule(50, func() {
-				if k.driver != b || !a.stacked {
-					t.Errorf("callback ran with driver %v, a stacked %v; want proc b above a", k.driver, a.stacked)
+				if !a.stacked || b.stacked || !onProcCoroutine() {
+					t.Errorf("callback ran with a stacked %v, b stacked %v; want proc b driving above a", a.stacked, b.stacked)
 				}
 				panic(boom)
 			})
 		}},
-		{"proc resumed by a synchronous Wake", func(t *testing.T, k *Kernel, boom any) {
-			a := k.Go(0, "a", 0, func(p *Proc) {
-				p.Park()
+		{"proc first woken by a callback run by a driving proc", func(t *testing.T, k *Kernel, boom any) {
+			var a *Proc
+			b := k.NewProc(1, "b", func(p *Proc) {
+				if !a.stacked {
+					t.Error("b was not started by a on the driver stack")
+				}
 				panic(boom)
 			})
-			k.Go(1, "b", 0, func(p *Proc) {
-				p.Sleep(10)
-				a.Wake(1)
-				t.Error("Wake returned after the woken proc panicked")
+			a = k.Go(0, "a", 0, func(p *Proc) {
+				p.Sleep(10)  // resumed by Run: a drives from here on
+				p.Sleep(100) // executes the t=50 callback, whose Wake starts b
 			})
+			k.Schedule(50, func() { b.Wake(0) })
 		}},
 		{"Start", func(t *testing.T, k *Kernel, boom any) {
 			k.Go(0, "p", 0, func(p *Proc) { panic(boom) })

@@ -7,114 +7,114 @@ import (
 	"testing"
 )
 
-// TestSyncWakeOfStackedProcPanics: a proc on the driver stack waits
-// inside its own resume of another proc, so a synchronous Wake cannot
-// resume it; the Wake panics with a message that names the proc.
-func TestSyncWakeOfStackedProcPanics(t *testing.T) {
-	k := NewKernel(1)
-	var a *Proc
-	a = k.Go(0, "a", 0, func(p *Proc) {
-		p.Sleep(10) // resumed by Run: a drives from here on
-		p.Park()    // pops b's wake-up and resumes b
-		t.Error("a resumed after b woke it synchronously")
-	})
-	k.Go(1, "b", 0, func(p *Proc) {
-		p.Sleep(20)
-		a.Wake(1)
-		t.Error("Wake of a stacked proc returned")
-	})
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, `proc "a"`) || !strings.Contains(msg, "driver stack") {
-			t.Fatalf("Run panicked with %q, want the stacked-proc message naming a", msg)
-		}
-	}()
-	k.Drain()
-}
-
-// TestDoubleWakes covers the two paths that deliver two wakes from one
-// callback, whether Run's goroutine or a driving proc executes it. The
-// targets are parked, not on the driver stack. A second wake runs the
-// first-woken proc to its next park at once and defers the second; a
-// callback that wakes another proc and the driver runs the other proc
-// first, then resumes the driver.
-func TestDoubleWakes(t *testing.T) {
-	for _, byDriver := range []bool{false, true} {
-		t.Run(fmt.Sprintf("second wake from one callback/by driver %v", byDriver), func(t *testing.T) {
-			k := NewKernel(1)
-			var order []string
-			parker := func(name string, want uint64) func(*Proc) {
-				return func(p *Proc) {
-					if v := p.Park(); v != want {
-						t.Errorf("%s woke with %d, want %d", name, v, want)
-					}
-					order = append(order, name)
+// TestWakeIsACallbacksLastAction: a Wake is legal only as an event
+// callback's one last action. A Wake from proc context (of a parked proc,
+// of one on the driver stack, or of a new one), a second Wake in one
+// callback, whether Run's goroutine or a driving proc runs it, and a
+// callback that wakes the driver and another proc, in either order, each
+// panic with a message that names the proc of the offending Wake.
+func TestWakeIsACallbacksLastAction(t *testing.T) {
+	parked := func(k *Kernel, id int, name string) *Proc {
+		return k.Go(id, name, 0, func(p *Proc) {
+			p.Park()
+			t.Errorf("proc %s resumed", name)
+		})
+	}
+	cases := []struct {
+		name, want string // want: the proc the panic names
+		setup      func(k *Kernel)
+	}{
+		{"from proc context", "x", func(k *Kernel) {
+			x := parked(k, 0, "x")
+			k.Go(1, "w", 0, func(p *Proc) {
+				p.Sleep(10)
+				x.Wake(1)
+			})
+		}},
+		{"from proc context, of a stacked proc", "a", func(k *Kernel) {
+			a := k.Go(0, "a", 0, func(p *Proc) {
+				p.Sleep(10) // resumed by Run: a drives from here on
+				p.Park()    // pops b's wake-up and resumes b
+			})
+			k.Go(1, "b", 0, func(p *Proc) {
+				p.Sleep(20)
+				if !a.stacked {
+					t.Error("a is not on the driver stack")
 				}
-			}
-			x := k.Go(0, "x", 0, parker("x", 1))
-			y := k.Go(1, "y", 0, parker("y", 2))
-			if byDriver {
-				k.Go(2, "d", 0, func(p *Proc) {
-					p.Sleep(10)
-					p.Sleep(100) // executes the t=50 callback inside its park
-					order = append(order, "d")
-				})
-			}
+				a.Wake(1)
+			})
+		}},
+		{"from proc context, of a new proc", "n", func(k *Kernel) {
+			n := k.NewProc(0, "n", func(*Proc) { t.Error("proc n started") })
+			k.Go(1, "w", 0, func(p *Proc) { n.Wake(0) })
+		}},
+		{"second Wake in a callback run by Run", "y", func(k *Kernel) {
+			x, y := parked(k, 0, "x"), parked(k, 1, "y")
 			k.Schedule(50, func() {
 				x.Wake(1)
 				y.Wake(2)
-				order = append(order, "callback")
 			})
+		}},
+		{"second Wake in a callback run by a driver", "y", func(k *Kernel) {
+			x, y := parked(k, 0, "x"), parked(k, 1, "y")
+			k.Go(2, "d", 0, func(p *Proc) {
+				p.Sleep(10)
+				p.Sleep(100) // executes the t=50 callback inside its park
+			})
+			k.Schedule(50, func() {
+				x.Wake(1)
+				y.Wake(2)
+			})
+		}},
+		{"callback wakes another proc, then the driver", "d", func(k *Kernel) {
+			x := parked(k, 0, "x")
+			d := k.Go(1, "d", 0, func(p *Proc) {
+				p.Sleep(10)
+				p.Park() // executes the t=50 callback inside its park
+			})
+			k.Schedule(50, func() {
+				x.Wake(1)
+				d.Wake(2)
+			})
+		}},
+		{"callback wakes the driver, then another proc", "x", func(k *Kernel) {
+			x := parked(k, 0, "x")
+			d := k.Go(1, "d", 0, func(p *Proc) {
+				p.Sleep(10)
+				p.Park() // executes the t=50 callback inside its park
+			})
+			k.Schedule(50, func() {
+				d.Wake(2)
+				x.Wake(1)
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			tc.setup(k)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("proc %q", tc.want)) || !strings.Contains(msg, "one last action") {
+					t.Fatalf("Drain panicked with %q, want the one-last-action message naming %s", msg, tc.want)
+				}
+			}()
 			k.Drain()
-			want := "x callback y"
-			if byDriver {
-				want += " d"
-			}
-			if got := strings.Join(order, " "); got != want {
-				t.Fatalf("order %q, want %q", got, want)
-			}
 		})
 	}
-	t.Run("callback wakes another proc and the driver", func(t *testing.T) {
-		k := NewKernel(1)
-		var order []string
-		x := k.Go(0, "x", 0, func(p *Proc) {
-			if v := p.Park(); v != 1 {
-				t.Errorf("x woke with %d, want 1", v)
-			}
-			order = append(order, "x")
-		})
-		var d *Proc
-		d = k.Go(1, "d", 0, func(p *Proc) {
-			p.Sleep(10)
-			if v := p.Park(); v != 2 { // executes the t=50 callback inside its park
-				t.Errorf("d woke with %d, want 2", v)
-			}
-			order = append(order, "d")
-		})
-		k.Schedule(50, func() {
-			x.Wake(1)
-			d.Wake(2)
-			order = append(order, "callback")
-		})
-		k.Drain()
-		if got, want := strings.Join(order, " "), "callback x d"; got != want {
-			t.Fatalf("order %q, want %q", got, want)
-		}
-	})
 }
 
 // TestResumeCounts pins Stats.Resumes: a handoff to a proc already on the
 // driver stack costs no resume. Two procs that hand off to each other
-// 2,000 times resume 1,003 times (two Starts, Run's resume of the first
-// driver, and one per handoff up the stack), and a ring of 8 procs with
-// 8,000 handoffs 7,009 times (8 Starts, Run's, and 7 per round, the 8th
-// handoff unwinding the stack).
+// 2,000 times resume 1,002 times (two starts, the first of them Run's
+// resume of the first driver, and one per handoff up the stack), and a
+// ring of 8 procs with 8,000 handoffs 7,008 times (8 starts and 7 per
+// round, the 8th handoff unwinding the stack).
 func TestResumeCounts(t *testing.T) {
 	for _, c := range []struct {
 		procs int
 		want  uint64
-	}{{2, 1003}, {8, 7009}} {
+	}{{2, 1002}, {8, 7008}} {
 		k := NewKernel(1)
 		for i := 0; i < c.procs; i++ {
 			k.Go(i, "p", Cycles(i), func(p *Proc) {
@@ -155,8 +155,9 @@ func (op stackOp) delay(now Cycles) Cycles {
 }
 
 type procScript struct {
-	start Cycles
-	ops   []stackOp
+	start     Cycles
+	tailStart bool // started by a callback's tail Wake, not by Go
+	ops       []stackOp
 }
 
 // stackStep is one body step as it ran: the instant, the proc, the step.
@@ -165,13 +166,15 @@ type stackStep struct {
 	proc, step int
 }
 
-// randomScripts builds 1–40 procs whose delays cover zero, short, equal
-// instants, just inside and just past the calendar, and a deep-idle timer
-// far past it.
+// randomScripts builds 1–40 procs, started at equal instants by Go or by
+// a callback's tail Wake, whose delays cover zero, short, equal instants,
+// just inside and just past the calendar, and a deep-idle timer far past
+// it.
 func randomScripts(rng *rand.Rand) []procScript {
 	sc := make([]procScript, 1+rng.Intn(40))
 	for i := range sc {
 		sc[i].start = Cycles(rng.Intn(4)) * 8
+		sc[i].tailStart = rng.Intn(2) == 0
 		sc[i].ops = make([]stackOp, 1+rng.Intn(30))
 		for j := range sc[i].ops {
 			op := &sc[i].ops[j]
@@ -200,7 +203,8 @@ func randomScripts(rng *rand.Rand) []procScript {
 }
 
 // stackModel runs the scripts on a plain (time, seq) priority queue: each
-// start, sleep and parking callback takes the next seq, and the least
+// start (typed wake-up or callback), sleep and parking callback takes the
+// next seq, and the least
 // pending pair runs its proc's steps up to the next one that waits.
 func stackModel(sc []procScript) []stackStep {
 	type ev struct {
@@ -245,7 +249,8 @@ func stackModel(sc []procScript) []stackStep {
 	return trace
 }
 
-// tailWake is the parking callback: a Wake as its last action.
+// tailWake is the parking callback, and a start: a Wake as its last
+// action.
 func tailWake(obj any, val, _ uint64) { obj.(*Proc).Wake(val) }
 
 // runScripts runs the scripts on a kernel, under one Drain or, sliced,
@@ -262,7 +267,7 @@ func runScripts(t *testing.T, sc []procScript, slices *rand.Rand) []stackStep {
 	}
 	procs := make([]*Proc, len(sc))
 	for i, s := range sc {
-		procs[i] = k.Go(i, fmt.Sprint("p", i), s.start, func(p *Proc) {
+		body := func(p *Proc) {
 			for j, op := range s.ops {
 				trace = append(trace, stackStep{p.Now(), i, j})
 				if i == stopProc && j == stopStep {
@@ -281,7 +286,13 @@ func runScripts(t *testing.T, sc []procScript, slices *rand.Rand) []stackStep {
 					}
 				}
 			}
-		})
+		}
+		if s.tailStart {
+			procs[i] = k.NewProc(i, fmt.Sprint("p", i), body)
+			k.ScheduleCall(s.start, tailWake, procs[i], 0, 0)
+		} else {
+			procs[i] = k.Go(i, fmt.Sprint("p", i), s.start, body)
+		}
 	}
 	unstacked := func() {
 		t.Helper()
@@ -290,8 +301,8 @@ func runScripts(t *testing.T, sc []procScript, slices *rand.Rand) []stackStep {
 				t.Fatalf("proc %s is on the driver stack after Run returned at %d", p.Name(), k.Now())
 			}
 		}
-		if k.handoffTo != nil || k.driver != nil {
-			t.Fatalf("Run returned with handoffTo %v, driver %v", k.handoffTo, k.driver)
+		if k.handoffTo != nil || k.deferred != nil {
+			t.Fatalf("Run returned with handoffTo %v, deferred %v", k.handoffTo, k.deferred)
 		}
 	}
 	if slices != nil {
@@ -312,7 +323,9 @@ func runScripts(t *testing.T, sc []procScript, slices *rand.Rand) []stackStep {
 }
 
 // TestDriverStackMatchesHeapModel drives seeded random scripts of sleeps,
-// parks woken by a tail Wake and early returns through the driver stack.
+// parks woken by a tail Wake and early returns through the driver stack,
+// in procs started by Go or, as sched's dispatch starts a thread, by a
+// callback's tail Wake.
 // The body steps, as (instant, proc, step), must run in the order a plain
 // (time, seq) queue gives, under one Drain and under Run(until) slices
 // with a Stop alike, and Drain must leave no proc goroutine behind.

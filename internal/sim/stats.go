@@ -26,8 +26,8 @@ type Stats struct {
 	// when cancelled entries outnumber live ones among ≥ 64 pending
 	// events, counted across the calendar and the heap).
 	HeapCompactions uint64
-	// Resumes counts coroutine resumes: a handoff to a proc not on the
-	// driver stack, a Start and a synchronous Wake each make one.
+	// Resumes counts coroutine resumes: each handoff to a proc not on the
+	// driver stack makes one, a proc's start included.
 	Resumes uint64
 	// HeapHighWater is the most pending events any kernel held at once,
 	// calendar and heap together (Kernel.Pending after a push).
